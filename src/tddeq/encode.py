@@ -9,6 +9,10 @@ qubit continues is a rank-3 COPY with a separate outcome leg.  Classical
 controls attach to outcome indices pointwise, so one bit may drive several
 gates.
 
+Every contraction, of a whole netlist, of a branch body, of a per-qubit
+partition or of partition diagrams, runs through one loop, ``contract_all``:
+an index is summed out as soon as its last use has been contracted.
+
 Index ranking ("grouped", the default used for checking): classical outcome
 indices of output bits on top, then internal outcomes and discarded-qubit
 legs, then principal output legs, then wire segments by (qubit, segment).
@@ -21,14 +25,14 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .circuits import (Branch, CircuitSpec, CondGate, Conventional, DynCircuit,
-                       Gate, INIT_STATES, Measure, flatten, lower_controls,
-                       qvar)
+                       INIT_STATES, Measure, flatten, lower_controls, qvar)
 from .logic import BoolFunc, func_to_tensor
 from .tdd import (KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, IndexId, Tdd,
                   TddManager)
@@ -76,7 +80,6 @@ def controlled_gate_tensor(mgr: TddManager, u: np.ndarray, c: IndexId,
 @dataclass
 class _Entry:
     kind: str            # init | gate | cond | measure2 | measure3 | dispatch | ident
-    label: str
     indices: tuple[str, ...]
     payload: object = None
     partition: str = ""
@@ -172,8 +175,8 @@ class _Builder:
                 state = self.spec.fixed_init.get(q, "0")
                 idx = (self.wire(q, (0,)) if self.touches_left[q]
                        else self._final_leg(q, fresh=False))
-                self.net.entries.append(_Entry("init", f"init {q}={state}",
-                                               (idx,), (q, state), partition=q))
+                self.net.entries.append(_Entry("init", (idx,), (q, state),
+                                               partition=q))
         for st in steps:
             self._emit(st)
         self._finish_qubits()
@@ -225,29 +228,35 @@ class _Builder:
         return cur, self.wire(q, self._next_key(q))
 
     def _emit(self, st):
-        if isinstance(st, Conventional):
-            for g in st.gates:
-                self._emit_gate(g)
+        if isinstance(st, (Conventional, CondGate)):
+            self.net.entries += self._gate_entries(st, self._advance)
         elif isinstance(st, Measure):
             for q, b in zip(st.step.qubits, st.step.bits):
                 self._emit_measure(q, b)
-        elif isinstance(st, CondGate):
-            self._emit_cond(st)
         elif isinstance(st, Branch):
             self._emit_branch(st)
         else:
             raise TypeError(st)
 
-    def _emit_gate(self, g: Gate):
-        ins, outs = [], []
-        for q in g.qubits:
-            i, o = self._advance(q)
-            ins.append(i)
-            outs.append(o)
-        self.net.entries.append(_Entry("gate", g.label(),
-                                       tuple(outs + ins),
-                                       (g, tuple(outs), tuple(ins)),
-                                       partition=self._owner(g.qubits)))
+    def _gate_entries(self, st: Conventional | CondGate, advance) -> list[_Entry]:
+        """Entries of a gate segment or a classically controlled gate.
+
+        ``advance`` maps a qubit to its (in, out) wire names: the circuit's
+        segments at top level, a branch body's private segments inside one.
+        """
+        cond = isinstance(st, CondGate)
+        bits = tuple(self.bit_outcome[b] for b in st.bits) if cond else ()
+        sources = [self.bit_source[b] for b in st.bits] if cond else []
+        entries = []
+        for g in ((st.gate,) if cond else st.gates):
+            ins, outs = zip(*[advance(q) for q in g.qubits])
+            part = self._owner(g.qubits, extra=sources)
+            if cond:
+                entries.append(_Entry("cond", bits + outs + ins,
+                                      (st, bits, outs, ins), part))
+            else:
+                entries.append(_Entry("gate", outs + ins, (g, outs, ins), part))
+        return entries
 
     def _owner(self, qubits, extra=()) -> str:
         cands = list(qubits) + list(extra)
@@ -271,27 +280,13 @@ class _Builder:
                 y = self.principal_out(q)
                 self.net.open_names.add(y)
                 self.ended[q] = y
-            self.net.entries.append(_Entry("measure3", f"measure {q}->{bit}",
-                                           (c, cur, y), (c, cur, y), partition=q))
+            self.net.entries.append(_Entry("measure3", (c, cur, y), (c, cur, y),
+                                           partition=q))
         else:
             # the qubit ends here: the outcome leg is also the final wire
-            self.net.entries.append(_Entry("measure2", f"measure {q}->{bit}",
-                                           (cur, c), (cur, c), partition=q))
+            self.net.entries.append(_Entry("measure2", (cur, c), (cur, c),
+                                           partition=q))
             self.ended[q] = c
-
-    def _emit_cond(self, st: CondGate):
-        bits = tuple(self.bit_outcome[b] for b in st.bits)
-        ins, outs = [], []
-        for q in st.gate.qubits:
-            i, o = self._advance(q)
-            ins.append(i)
-            outs.append(o)
-        part = self._owner(st.gate.qubits,
-                           extra=[self.bit_source[b] for b in st.bits])
-        self.net.entries.append(_Entry("cond", f"if[{st.expr or '*'}] {st.gate.label()}",
-                                       bits + tuple(outs + ins),
-                                       (st, bits, tuple(outs), tuple(ins)),
-                                       partition=part))
 
     def _emit_branch(self, st: Branch):
         for q, b in zip(st.measure.qubits, st.measure.bits):
@@ -308,7 +303,7 @@ class _Builder:
                   for i, body in enumerate(st.branches)]
         part = self._owner(st.measure.qubits, extra=body_qubits)
         self.net.entries.append(_Entry(
-            "dispatch", f"dispatch#{uid}",
+            "dispatch",
             bits + tuple(pre[q] for q in body_qubits) + tuple(post[q] for q in body_qubits),
             (st, bits, bodies, sel_idx), partition=part))
 
@@ -329,25 +324,8 @@ class _Builder:
             return inn, out
 
         for st in flatten(lower_controls(body)):
-            if isinstance(st, Conventional):
-                for g in st.gates:
-                    ins, outs = [], []
-                    for q in g.qubits:
-                        inn, out = advance_sub(q)
-                        ins.append(inn)
-                        outs.append(out)
-                    entries.append(_Entry("gate", g.label(), tuple(outs + ins),
-                                          (g, tuple(outs), tuple(ins))))
-            elif isinstance(st, CondGate):
-                bits = tuple(self.bit_outcome[b] for b in st.bits)
-                ins, outs = [], []
-                for q in st.gate.qubits:
-                    inn, out = advance_sub(q)
-                    ins.append(inn)
-                    outs.append(out)
-                entries.append(_Entry("cond", f"if {st.gate.label()}",
-                                      bits + tuple(outs + ins),
-                                      (st, bits, tuple(outs), tuple(ins))))
+            if isinstance(st, (Conventional, CondGate)):
+                entries += self._gate_entries(st, advance_sub)
             elif isinstance(st, (Measure, Branch)):
                 # the COPY/controlled-gate tensor repertoire covers
                 # measurements and classically controlled gates only
@@ -356,8 +334,7 @@ class _Builder:
             else:
                 raise TypeError(st)
         for q in body_qubits:
-            entries.append(_Entry("ident", f"bridge {q}", (cur[q], post[q]),
-                                  (cur[q], post[q])))
+            entries.append(_Entry("ident", (cur[q], post[q]), (cur[q], post[q])))
         return entries
 
     def _finish_qubits(self):
@@ -371,15 +348,13 @@ class _Builder:
                 final = self.wire(q, self.seg[q])
                 if q in self.spec.outputs and (self.mode == "q" or not self.spec.output_bits):
                     out = self.principal_out(q)
-                    self.net.entries.append(_Entry("ident", f"out {q}",
-                                                   (final, out), (final, out),
-                                                   partition=q))
+                    self.net.entries.append(_Entry("ident", (final, out),
+                                                   (final, out), partition=q))
                     self.net.open_names.add(out)
                 elif self.mode == "q" and q not in self.spec.outputs:
                     disc = self.discard_index(q)
-                    self.net.entries.append(_Entry("ident", f"discard {q}",
-                                                   (final, disc), (final, disc),
-                                                   partition=q))
+                    self.net.entries.append(_Entry("ident", (final, disc),
+                                                   (final, disc), partition=q))
                     self.net.open_names.add(disc)
                 else:
                     self.net.open_names.add(final)
@@ -411,34 +386,6 @@ def _order_indices(decls: dict[str, _IndexDecl], policy: str) -> list[tuple[str,
     return [(d.name, d.kind) for d in items]
 
 
-# -- plans ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContractionPlan:
-    mode: str  # "sequential" | "per-qubit-partition"
-    partitions: tuple[tuple[str, tuple[str, ...]], ...] = ()
-
-
-def plan_sequential(spec: CircuitSpec) -> ContractionPlan:
-    net = _Builder(spec, _infer_mode(spec), False).build()
-    return ContractionPlan("sequential",
-                           (("all", tuple(e.label for e in net.entries)),))
-
-
-def plan_per_qubit(spec: CircuitSpec) -> ContractionPlan:
-    net = _Builder(spec, _infer_mode(spec), False).build()
-    groups: dict[str, list[str]] = {}
-    for e in net.entries:
-        groups.setdefault(e.partition, []).append(e.label)
-    parts = tuple((q, tuple(groups[q])) for q in spec.qubits if q in groups)
-    return ContractionPlan("per-qubit-partition", parts)
-
-
-def _infer_mode(spec: CircuitSpec) -> str:
-    return "m" if spec.output_bits else "q"
-
-
 # -- evaluation --------------------------------------------------------------------
 
 
@@ -461,6 +408,10 @@ class CompileResult:
     net: _Netlist
 
 
+def _infer_mode(spec: CircuitSpec) -> str:
+    return "m" if spec.output_bits else "q"
+
+
 def prepare(specs: Sequence[CircuitSpec], *, mode: str | None = None,
             order: str = "grouped", open_inputs: bool = False):
     """Build netlists for all specs and one shared manager."""
@@ -479,20 +430,14 @@ def prepare(specs: Sequence[CircuitSpec], *, mode: str | None = None,
     return mgr, nets
 
 
-def _count_uses(entries) -> dict[str, int]:
-    uses: dict[str, int] = {}
-
-    def bump(names):
-        for n in names:
-            uses[n] = uses.get(n, 0) + 1
-
+def _count_uses(entries) -> Counter:
+    uses: Counter = Counter()
     for e in entries:
-        bump(e.indices)
+        uses.update(e.indices)
         if e.kind == "dispatch":
-            _, _, bodies, _ = e.payload
-            for body in bodies:
+            for body in e.payload[2]:
                 for b in body:
-                    bump(b.indices)
+                    uses.update(b.indices)
     return uses
 
 
@@ -562,14 +507,22 @@ def _dispatch_tensor(mgr: TddManager, e: _Entry, net, stats, max_open, uses) -> 
     return total if total is not None else mgr.scalar(0.0)
 
 
-def _fold(mgr: TddManager, entries, net: _Netlist, stats, max_open, uses) -> Tdd:
+def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
+                 stats: CompileStats, max_open: int) -> Tdd:
+    """Contract ``(tensor, names)`` factors left to right.
+
+    This is the one contraction loop of the compiler.  ``uses`` holds the
+    remaining-use count of every index name; each factor decrements the
+    ``names`` it accounts for, and a shared index whose count reaches zero
+    and that is not in ``open_names`` is summed out at once.  The open rank
+    is bounded by ``max_open`` and the peak diagram size goes to ``stats``.
+    """
     out = mgr.scalar(1.0)
-    for e in entries:
-        g = _entry_tensor(mgr, e, net, stats, max_open, uses)
-        for n in e.indices:
+    for g, names in factors:
+        for n in names:
             uses[n] -= 1
         dead = {i for i in set(out.indices) & set(g.indices)
-                if uses[i.name] == 0 and i.name not in net.open_names}
+                if uses[i.name] == 0 and i.name not in open_names}
         out = mgr.contract(out, g, dead)
         if len(out.indices) > max_open:
             raise CompileScaleError(
@@ -578,33 +531,27 @@ def _fold(mgr: TddManager, entries, net: _Netlist, stats, max_open, uses) -> Tdd
     return out
 
 
-def evaluate(mgr: TddManager, net: _Netlist, plan: ContractionPlan | str = "sequential",
-             max_open: int = 26) -> CompileResult:
-    plan_mode = plan.mode if isinstance(plan, ContractionPlan) else plan
+def _fold(mgr: TddManager, entries, net: _Netlist, stats, max_open, uses) -> Tdd:
+    # an entry accounts for its declared names; a dispatch entry's bodies
+    # account for their own while its tensor is built
+    factors = ((_entry_tensor(mgr, e, net, stats, max_open, uses), e.indices)
+               for e in entries)
+    return contract_all(mgr, factors, uses, net.open_names, stats, max_open)
+
+
+def contract_pieces(mgr: TddManager, pieces: Sequence[Tdd], net: _Netlist,
+                    stats: CompileStats, max_open: int = 26) -> Tdd:
+    """Contract partition diagrams; each accounts for its open indices."""
+    uses = Counter(i.name for p in pieces for i in p.indices)
+    factors = ((p, [i.name for i in p.indices]) for p in pieces)
+    return contract_all(mgr, factors, uses, net.open_names, stats, max_open)
+
+
+def evaluate(mgr: TddManager, net: _Netlist, max_open: int = 26) -> CompileResult:
+    """Contract a netlist's entries in circuit order into one diagram."""
     stats = CompileStats()
     t0 = time.perf_counter()
-    uses = _count_uses(net.entries)
-    if plan_mode in ("sequential", "basic"):
-        t = _fold(mgr, net.entries, net, stats, max_open, uses)
-    elif plan_mode in ("per-qubit-partition", "per-qubit", "partitioned"):
-        pieces = list(evaluate_pieces(mgr, net, stats, max_open).values())
-        carry: dict[str, int] = {}
-        for p in pieces:
-            for i in p.indices:
-                carry[i.name] = carry.get(i.name, 0) + 1
-        t = mgr.scalar(1.0)
-        for p in pieces:
-            for i in p.indices:
-                carry[i.name] -= 1
-            dead = {i for i in set(t.indices) & set(p.indices)
-                    if carry[i.name] == 0 and i.name not in net.open_names}
-            t = mgr.contract(t, p, dead)
-            if len(t.indices) > max_open:
-                raise CompileScaleError(
-                    f"open rank {len(t.indices)} exceeds the limit {max_open}")
-            _track(mgr, stats, t)
-    else:
-        raise CompileError(f"unknown plan {plan_mode!r}")
+    t = _fold(mgr, net.entries, net, stats, max_open, _count_uses(net.entries))
     stats.tdd_time = time.perf_counter() - t0
     stats.final_nodes = mgr.node_count(t)
     stats.max_nodes = max(stats.max_nodes, stats.final_nodes)
@@ -628,23 +575,22 @@ def evaluate_pieces(mgr: TddManager, net: _Netlist, stats: CompileStats,
     uses = _count_uses(net.entries)
     pieces: dict[str, Tdd] = {}
     for q in sorted(groups, key=lambda q: order_pos.get(q, 10 ** 6)):
-        pieces[q] = _fold(mgr, groups[q], net, stats, max_open, dict(uses))
+        pieces[q] = _fold(mgr, groups[q], net, stats, max_open, uses.copy())
     return pieces
 
 
-def compile_spec(spec: CircuitSpec, plan: ContractionPlan | str = "sequential",
-                 *, mode: str | None = None, order: str = "grouped",
-                 open_inputs: bool = False, max_open: int = 26) -> CompileResult:
+def compile_spec(spec: CircuitSpec, *, mode: str | None = None,
+                 order: str = "grouped", open_inputs: bool = False,
+                 max_open: int = 26) -> CompileResult:
     mgr, nets = prepare([spec], mode=mode, order=order, open_inputs=open_inputs)
-    return evaluate(mgr, nets[0], plan, max_open)
+    return evaluate(mgr, nets[0], max_open)
 
 
-def compile_pair(spec_a: CircuitSpec, spec_b: CircuitSpec,
-                 plan: ContractionPlan | str = "sequential", *,
+def compile_pair(spec_a: CircuitSpec, spec_b: CircuitSpec, *,
                  mode: str | None = None, order: str = "grouped",
                  open_inputs: bool = False, max_open: int = 26):
     """Compile two specs in one manager with shared open indices."""
     mgr, nets = prepare([spec_a, spec_b], mode=mode, order=order,
                         open_inputs=open_inputs)
-    return (evaluate(mgr, nets[0], plan, max_open),
-            evaluate(mgr, nets[1], plan, max_open))
+    return (evaluate(mgr, nets[0], max_open),
+            evaluate(mgr, nets[1], max_open))

@@ -6,12 +6,16 @@ branches with the accumulated weight's magnitude; below all measurement
 indices the masses are the diagram norms.  ``q_eq`` peels measurement
 indices off both diagrams and succeeds when every reachable residual
 sub-diagram is one and the same canonical node, i.e. the post-measurement
-state does not depend on the outcomes and agrees across the circuits.
+state does not depend on the outcomes and agrees across the circuits.  One
+iterative walk per diagram (``_peel``) yields the residual nodes, their
+first measurement paths and the extreme path magnitudes; ``get_nodes``
+exposes the residual set.
 
 ``check`` drives the whole pipeline for a pair of circuit specs, with a
-basic plan (compile both, compare) and a qubit-by-qubit partitioned plan
-that discards pairwise-identical per-qubit diagrams before falling back to
-the basic comparison on whatever remains.
+basic plan (compile both, compare) and a partitioned plan.  The partitioned
+plan compiles per-qubit pieces, groups them into components that share no
+index in either circuit, discards the components that are identical in both
+and compares the contracted remainder.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import time
 from dataclasses import dataclass, field
 
 from .circuits import CircuitSpec, Verdict, validate
-from .encode import CompileScaleError, CompileError, evaluate, evaluate_pieces, \
-    CompileStats, prepare
-from .tdd import Tdd, TddEdge, TddManager
+from .encode import (CompileError, CompileScaleError, CompileStats,
+                     contract_pieces, evaluate, evaluate_pieces, prepare)
+from .tdd import ZERO_KEY, Tdd, TddEdge, TddManager
 
 DEFAULT_EPS = 1e-10
 
@@ -36,11 +40,17 @@ def _check_top(mgr: TddManager, tdds, m_set) -> None:
     if not m_set:
         return
     floor = min(x.rank for x in m_set)
-    for t in tdds:
-        for idx in mgr.support(t):
-            if idx.rank > floor and idx not in m_set:
-                raise IndexOrderError(
-                    f"index {idx!r} outranks measurement index set")
+    stack = [t.root.node for t in tdds]
+    seen = set()
+    while stack:
+        node = stack.pop()
+        if node.rank <= floor or node in seen:
+            continue
+        if node.index not in m_set:
+            raise IndexOrderError(
+                f"index {node.index!r} outranks measurement index set")
+        seen.add(node)
+        stack += (node.low.node, node.high.node)
 
 
 def m_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, eps: float = DEFAULT_EPS,
@@ -89,63 +99,52 @@ def _m_eq(mgr, e1: TddEdge, e2: TddEdge, m_set, below, eps, witness, path) -> bo
             and _m_eq(mgr, h1, h2, m_set, rest, eps, witness, path + ((top_idx.name, 1),)))
 
 
+def _peel(mgr: TddManager, t: Tdd, m_set):
+    """One walk over the measurement nodes of ``t``.
+
+    Returns ``(residuals, lo, hi)``: ``residuals`` maps every sub-diagram
+    root reached by branching on ``m_set`` indices to its first path in
+    low-before-high order, a list of ``(index name, bit)``; ``lo`` and ``hi``
+    are the least and greatest magnitude of the weight accumulated along a
+    path.  Zero-weight edges (impossible outcomes) are skipped.  The walk
+    keeps an explicit stack and visits each measurement node once, so its
+    cost is linear in the diagram, not in the number of paths.
+    """
+    def live(e: TddEdge) -> bool:
+        return mgr.wkey(e.weight) != ZERO_KEY
+
+    residuals: dict = {}
+    seen = set()                     # measurement nodes visited
+    stack = [(t.root, ())] if live(t.root) else []
+    while stack:
+        edge, path = stack.pop()
+        node = edge.node
+        if node is mgr.terminal or node.index not in m_set:
+            residuals.setdefault(node, list(path))
+        elif node not in seen:
+            seen.add(node)
+            name = node.index.name
+            for bit, child in ((1, node.high), (0, node.low)):
+                if live(child):
+                    stack.append((child, path + ((name, bit),)))
+    # least and greatest path magnitude below each node, children first
+    lo: dict = {}
+    hi: dict = {}
+    for node in sorted(seen, key=lambda n: n.rank):
+        ends = [(abs(e.weight), e.node) for e in (node.low, node.high) if live(e)]
+        lo[node] = min(w * lo.get(n, 1.0) for w, n in ends)
+        hi[node] = max(w * hi.get(n, 1.0) for w, n in ends)
+    w = abs(t.root.weight)            # 0.0 when no path is live
+    return residuals, w * lo.get(t.root.node, 1.0), w * hi.get(t.root.node, 1.0)
+
+
 def get_nodes(mgr: TddManager, t: Tdd, m_set) -> set:
     """Sub-diagram roots reached by branching on measurement indices.
 
     Zero-weight edges (impossible outcomes) are skipped so that the
     unreachable zero node cannot spuriously break the singleton test.
     """
-    m_set = set(m_set)
-    out = set()
-
-    def rec(edge: TddEdge):
-        if mgr.wkey(edge.weight) == (0, 0):
-            return
-        node = edge.node
-        if node is not mgr.terminal and node.index in m_set:
-            rec(node.low)
-            rec(node.high)
-        else:
-            out.add(node)
-
-    rec(t.root)
-    return out
-
-
-def _peel_leaves(mgr, t: Tdd, m_set):
-    """(accumulated weight, node) per nonzero measurement path."""
-    leaves = []
-
-    def rec(edge, w):
-        if mgr.wkey(edge.weight) == (0, 0):
-            return
-        node = edge.node
-        if node is not mgr.terminal and node.index in m_set:
-            rec(node.low, w * edge.weight)
-            rec(node.high, w * edge.weight)
-        else:
-            leaves.append((w * edge.weight, node))
-
-    rec(t.root, 1.0)
-    return leaves
-
-
-def _residual_paths(mgr, t: Tdd, m_set):
-    """(measurement path, residual node) per nonzero peel path."""
-    out = []
-
-    def rec(edge, path):
-        if mgr.wkey(edge.weight) == (0, 0):
-            return
-        node = edge.node
-        if node is not mgr.terminal and node.index in m_set:
-            rec(node.low, path + ((node.index.name, 0),))
-            rec(node.high, path + ((node.index.name, 1),))
-        else:
-            out.append((list(path), node))
-
-    rec(t.root, ())
-    return out
+    return set(_peel(mgr, t, set(m_set))[0])
 
 
 def q_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, strict: bool = False,
@@ -155,28 +154,26 @@ def q_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, strict: bool = False,
     Literal mode collects residual nodes only.  Strict mode additionally
     requires all nonzero peel paths within each diagram to carry weights of
     one magnitude (uniform branch amplitudes), a stronger diagnostic than
-    the definition itself demands.
+    the definition itself demands.  Each diagram is walked once.
     """
     m_set = set(m_set)
     _check_top(mgr, (t1, t2), m_set)
-    nodes = get_nodes(mgr, t1, m_set) | get_nodes(mgr, t2, m_set)
-    if len(nodes) != 1:
+    walks = [_peel(mgr, t, m_set) for t in (t1, t2)]
+    exemplars: dict = {}
+    for residuals, _, _ in walks:
+        for node, path in residuals.items():
+            exemplars.setdefault(node, path)
+    if len(exemplars) != 1:
         if witness is not None:
-            paths = _residual_paths(mgr, t1, m_set) + _residual_paths(mgr, t2, m_set)
-            by_node: dict[int, list] = {}
-            for side_path, node in paths:
-                by_node.setdefault(id(node), []).append(side_path)
-            exemplars = [v[0] for v in by_node.values()][:2]
-            witness.append({"kind": "residual-nodes", "count": len(nodes),
-                            "paths": exemplars})
+            witness.append({"kind": "residual-nodes", "count": len(exemplars),
+                            "paths": list(exemplars.values())[:2]})
         return False
     if strict:
-        for tag, t in (("a", t1), ("b", t2)):
-            mags = sorted(abs(w) for w, _ in _peel_leaves(mgr, t, m_set))
-            if mags and mags[-1] - mags[0] > eps:
+        for tag, (_, lo, hi) in zip("ab", walks):
+            if hi - lo > eps:
                 if witness is not None:
                     witness.append({"kind": "branch-magnitude", "side": tag,
-                                    "min": mags[0], "max": mags[-1]})
+                                    "min": lo, "max": hi})
                 return False
     return True
 
@@ -229,8 +226,9 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
           open_inputs: bool = False, max_open: int = 26):
     """Full pipeline: validate, compile both sides, decide equivalence.
 
-    Returns (Verdict, CheckReport).  The partitioned plan discards
-    pairwise-identical per-qubit diagrams and runs the basic comparison on
+    Returns (Verdict, CheckReport).  The partitioned plan discards every
+    connected component of per-qubit pieces that is identical in both
+    circuits (in q-mode, only components without peel indices) and compares
     the contracted remainder; a partitioned NotEquivalent is always re-run
     through the basic plan before being reported.
     """
@@ -287,8 +285,8 @@ def _check_basic(spec_a, spec_b, mode, eps, strict_q, order, open_inputs,
                  max_open, report) -> Verdict:
     mgr, nets = prepare([spec_a, spec_b], mode=mode, order=order,
                         open_inputs=open_inputs)
-    ra = evaluate(mgr, nets[0], "sequential", max_open)
-    rb = evaluate(mgr, nets[1], "sequential", max_open)
+    ra = evaluate(mgr, nets[0], max_open)
+    rb = evaluate(mgr, nets[1], max_open)
     _merge_stats(report, ra.stats, rb.stats)
     witness: list = []
     try:
@@ -298,11 +296,31 @@ def _check_basic(spec_a, spec_b, mode, eps, strict_q, order, open_inputs,
         report.notes.append("recompiled with grouped index order")
         mgr, nets = prepare([spec_a, spec_b], mode=mode, order="grouped",
                             open_inputs=open_inputs)
-        ra = evaluate(mgr, nets[0], "sequential", max_open)
-        rb = evaluate(mgr, nets[1], "sequential", max_open)
+        ra = evaluate(mgr, nets[0], max_open)
+        rb = evaluate(mgr, nets[1], max_open)
         witness = []
         ok = _decide(mgr, ra, rb, mode, eps, strict_q, report, witness)
     return Verdict.equivalent() if ok else Verdict.not_equivalent(witness)
+
+
+def _components(pieces_a: dict, pieces_b: dict) -> list[list[str]]:
+    """Qubits grouped so that no index joins two groups, in A or in B."""
+    parent = {q: q for q in [*pieces_a, *pieces_b]}
+
+    def find(q):
+        while parent[q] != q:
+            q = parent[q]
+        return q
+
+    for pieces in (pieces_a, pieces_b):
+        owner: dict[str, str] = {}
+        for q, p in pieces.items():
+            for i in p.indices:
+                parent[find(q)] = find(owner.setdefault(i.name, q))
+    groups: dict[str, list[str]] = {}
+    for q in parent:
+        groups.setdefault(find(q), []).append(q)
+    return list(groups.values())
 
 
 def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, order, open_inputs,
@@ -314,21 +332,21 @@ def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, order, open_inputs,
     pieces_a = evaluate_pieces(mgr, nets[0], stats, max_open)
     pieces_b = evaluate_pieces(mgr, nets[1], stats, max_open)
     peel = {mgr.index(n) for n in nets[0].peel_set | nets[1].peel_set}
-    kept_a, kept_b = [], []
-    discarded = 0
-    for q in dict.fromkeys(list(pieces_a) + list(pieces_b)):
+
+    def same(q):
         ta, tb = pieces_a.get(q), pieces_b.get(q)
-        if ta is not None and tb is not None and mgr.identical(ta, tb):
-            if mode == "m" or not (mgr.support(ta) & peel):
-                discarded += 1
-                continue
-        if ta is not None:
-            kept_a.append(ta)
-        if tb is not None:
-            kept_b.append(tb)
-    report.discarded = discarded
-    ta = _contract_kept(mgr, kept_a, nets[0], stats, max_open)
-    tb = _contract_kept(mgr, kept_b, nets[1], stats, max_open)
+        return (ta is not None and tb is not None and mgr.identical(ta, tb)
+                and (mode == "m" or not mgr.support(ta) & peel))
+
+    # a component shares no index with the rest of either circuit, so each
+    # diagram is its product with the rest; identical factors cancel
+    dropped = {q for comp in _components(pieces_a, pieces_b)
+               if all(same(q) for q in comp) for q in comp}
+    report.discarded = len(dropped)
+    kept_a = [p for q, p in pieces_a.items() if q not in dropped]
+    kept_b = [p for q, p in pieces_b.items() if q not in dropped]
+    ta = contract_pieces(mgr, kept_a, nets[0], stats, max_open)
+    tb = contract_pieces(mgr, kept_b, nets[1], stats, max_open)
     stats.tdd_time = time.perf_counter() - t0
     stats.final_nodes = max(mgr.node_count(ta), mgr.node_count(tb))
     _merge_stats(report, stats)
@@ -349,27 +367,6 @@ def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, order, open_inputs,
     report.fallback = True
     return _check_basic(spec_a, spec_b, mode, eps, strict_q, order,
                         open_inputs, max_open, report)
-
-
-def _contract_kept(mgr, pieces, net, stats, max_open) -> Tdd:
-    carry: dict[str, int] = {}
-    for p in pieces:
-        for i in p.indices:
-            carry[i.name] = carry.get(i.name, 0) + 1
-    out = mgr.scalar(1.0)
-    for p in pieces:
-        for i in p.indices:
-            carry[i.name] -= 1
-        dead = {i for i in set(out.indices) & set(p.indices)
-                if carry[i.name] == 0 and i.name not in net.open_names}
-        out = mgr.contract(out, p, dead)
-        if len(out.indices) > max_open:
-            raise CompileScaleError(
-                f"open rank {len(out.indices)} exceeds the limit {max_open}")
-        n = mgr.node_count(out)
-        if n > stats.max_nodes:
-            stats.max_nodes = n
-    return out
 
 
 def _merge_stats(report: CheckReport, *stats: CompileStats):

@@ -122,9 +122,6 @@ class TddManager:
     def index(self, name: str) -> IndexId:
         return self._by_name[name]
 
-    def has_index(self, name: str) -> bool:
-        return name in self._by_name
-
     def index_at_rank(self, rank: int) -> IndexId:
         return self._by_rank[rank]
 

@@ -5,10 +5,21 @@ import pytest
 
 from tddeq import benchmarks as B
 from tddeq.circuits import CircuitSpec, Conventional, gate
-from tddeq.encode import (CompileScaleError, compile_pair, compile_spec,
-                          controlled_gate_tensor, measurement_tensor,
-                          plan_per_qubit, plan_sequential)
+from tddeq.encode import (CompileScaleError, CompileStats, compile_pair,
+                          compile_spec, contract_pieces, controlled_gate_tensor,
+                          evaluate_pieces, measurement_tensor, prepare)
 from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, TddManager
+
+
+def compile_by_pieces(spec, **kw):
+    """Per-qubit partition diagrams contracted by the one loop."""
+    mgr, (net,) = prepare([spec], **kw)
+    stats = CompileStats()
+    pieces = evaluate_pieces(mgr, net, stats)
+    t = contract_pieces(mgr, list(pieces.values()), net, stats)
+    stats.final_nodes = mgr.node_count(t)
+    stats.max_nodes = max(stats.max_nodes, stats.final_nodes)
+    return mgr, t, stats, pieces
 
 
 def small_mgr():
@@ -115,34 +126,38 @@ def test_plans_agree_on_single_qubit():
     spec = CircuitSpec(qubits=("q",),
                        circuit=Conventional((gate("H", ["q"]), gate("T", ["q"]))),
                        fixed_init={}, inputs=("q",), outputs=("q",))
-    r1 = compile_spec(spec, "sequential")
-    r2 = compile_spec(spec, "per-qubit-partition")
-    assert r1.mgr.to_dense(r1.tdd).shape == r2.mgr.to_dense(r2.tdd).shape
-    assert np.allclose(r1.mgr.to_dense(r1.tdd), r2.mgr.to_dense(r2.tdd))
-    plan = plan_per_qubit(spec)
-    assert len(plan.partitions) == 1
+    r1 = compile_spec(spec)
+    mgr, t, _, pieces = compile_by_pieces(spec)
+    assert r1.mgr.to_dense(r1.tdd).shape == mgr.to_dense(t).shape
+    assert np.allclose(r1.mgr.to_dense(r1.tdd), mgr.to_dense(t))
+    assert len(pieces) == 1
 
 
 def test_teleport_partition_assignment():
-    plan = plan_per_qubit(B.teleport())
-    parts = dict(plan.partitions)
+    _, (net,) = prepare([B.teleport()])
+    parts = {}
+    for e in net.entries:
+        parts.setdefault(e.partition, []).append(e)
     assert set(parts) == {"q", "q1", "q2"}
-    assert any("CX" in lbl for lbl in parts["q"])       # CX(q, q1) owned by q
-    assert any(lbl.startswith("measure q->") for lbl in parts["q"])
-    assert any("H" in lbl for lbl in parts["q2"])
-    all_labels = [lbl for _, lbls in plan.partitions for lbl in lbls]
-    seq_labels = dict(plan_sequential(B.teleport()).partitions)["all"]
-    assert sorted(all_labels) == sorted(seq_labels)     # every tensor exactly once
+    # CX(q, q1) is owned by q, as is the measurement of q
+    assert any(e.kind == "gate" and e.payload[0].name == "CX"
+               and e.payload[0].qubits == ("q", "q1") for e in parts["q"])
+    assert any(e.kind.startswith("measure")
+               and any(n.startswith("w:q.") for n in e.indices)
+               for e in parts["q"])
+    assert any(e.kind == "gate" and e.payload[0].name == "H" for e in parts["q2"])
+    # every tensor lands in exactly one partition
+    assert sum(map(len, parts.values())) == len(net.entries)
 
 
 def test_qft8_per_qubit_vs_sequential():
     spec = B.qft(8)
-    r1 = compile_spec(spec, "sequential", order="interleaved", open_inputs=True)
-    r2 = compile_spec(spec, "per-qubit-partition", order="interleaved",
-                      open_inputs=True)
-    assert r1.mgr is not r2.mgr
-    assert r1.stats.final_nodes == r2.stats.final_nodes == 511
-    assert r2.stats.max_nodes <= r1.stats.max_nodes
+    r1 = compile_spec(spec, order="interleaved", open_inputs=True)
+    mgr, _, stats, _ = compile_by_pieces(spec, order="interleaved",
+                                         open_inputs=True)
+    assert r1.mgr is not mgr
+    assert r1.stats.final_nodes == stats.final_nodes == 511
+    assert stats.max_nodes <= r1.stats.max_nodes
 
 
 def test_measurement_as_identity():
@@ -169,12 +184,12 @@ def test_compile_dense_form_independent_of_plan():
     rng = random.Random(21)
     for _ in range(6):
         spec = B.random_dqc(rng, "m", n_qubits=3)
-        r1 = compile_spec(spec, "sequential")
-        r2 = compile_spec(spec, "per-qubit-partition")
+        r1 = compile_spec(spec)
+        mgr, t, _, _ = compile_by_pieces(spec)
         d1 = r1.mgr.to_dense(r1.tdd)
-        d2 = r2.mgr.to_dense(r2.tdd)
+        d2 = mgr.to_dense(t)
         n1 = {i.name: k for k, i in enumerate(r1.tdd.indices)}
-        perm = [n1[i.name] for i in r2.tdd.indices]
+        perm = [n1[i.name] for i in t.indices]
         assert np.max(np.abs(np.transpose(d1, perm) - d2)) < 1e-9
 
 

@@ -11,6 +11,7 @@ from tddeq.equivalence import (IndexOrderError, check, get_nodes, m_eq,
                                outcome_masses, q_eq)
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
 from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, Tdd, TddEdge, TddManager
+from tddeq.textfmt import parse
 
 
 def meas_mgr(n_meas=1, n_wire=2):
@@ -120,6 +121,21 @@ def test_get_nodes_teleport_singleton():
     assert len(na) == 1 and na == nb
 
 
+def test_peel_walk_is_iterative_and_linear():
+    # 1500 outcome indices, both branches of each on the next node: 2^1500
+    # peel paths over 1500 nodes, deeper than the recursion limit
+    n = 1500
+    m = meas_mgr(n, 0)
+    node = m.terminal
+    for k in reversed(range(n)):
+        node = m.mk_edge(m.index(f"c{k}"), TddEdge(1.0, node),
+                         TddEdge(1j, node)).node
+    t = m.tdd(TddEdge(1.0, node), [m.index(f"c{k}") for k in range(n)])
+    ms = set(t.indices)
+    assert get_nodes(m, t, ms) == {m.terminal}
+    assert q_eq(m, t, t, ms, strict=True)
+
+
 def test_q_eq_teleport_vs_swap():
     pair = B.teleport_pair()
     ra, rb = compile_pair(pair.spec_a, pair.spec_b)
@@ -210,13 +226,26 @@ def test_partitioned_equivalent_implies_basic_equivalent():
             assert vb.status == "equivalent"
 
 
-def test_verdict_agreement_with_oracle_random():
+def test_partitioned_keeps_pieces_joined_by_a_cut_wire():
+    # the q1 pieces are identical, but A's q0 piece reads q1's input wire
+    # through the CZ, so the q1 piece may not be discarded on its own
+    head = "qubits q0 q1\noutbits c0\ninit q0=+\ninit q1=1\n"
+    a = parse(head + "gate CZ q0 q1\ngate H q0\nmeasure q0 -> c0\n")
+    b = parse(head + "gate CZ q0 q1\ngate Z q0\ngate H q0\nmeasure q0 -> c0\n")
+    assert not oracle_m_eq(a, b)
+    for plan in ("basic", "partitioned"):
+        v, _ = check(a, b, "m", plan=plan)
+        assert v.status == "not-equivalent", plan
+
+
+@pytest.mark.parametrize("plan", ["basic", "partitioned"])
+def test_verdict_agreement_with_oracle_random(plan):
     rng = random.Random(37)
     for k in range(40):
         mode = "m" if k % 2 == 0 else "q"
         a = B.random_dqc(rng, mode)
         b = B.rewrite(rng, a) if k % 4 < 2 else next(B.mutations(a, rng))[1]
-        v, _ = check(a, b, mode)
+        v, _ = check(a, b, mode, plan=plan)
         assert v.status in ("equivalent", "not-equivalent")
         oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert (v.status == "equivalent") == oracle, (k, mode)
