@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .circuits import (Branch, CircuitSpec, CondGate, Conventional, Measure,
-                       MeasureStep, Seq, gate, seq)
+                       MeasureStep, gate, seq)
 from .logic import BoolFunc
 
 
@@ -167,7 +167,7 @@ def teleport() -> CircuitSpec:
                    Conventional((gate("X", ["q2"]), gate("Z", ["q2"]))))
     branch = Branch(MeasureStep(("q", "q1"), ("c0", "c1")), BoolFunc.identity(2),
                     corrections, exprs=("c0", "c1"))
-    return CircuitSpec(qubits=("q", "q1", "q2"), circuit=Seq(prep, branch),
+    return CircuitSpec(qubits=("q", "q1", "q2"), circuit=seq(prep, branch),
                        fixed_init={"q1": "0", "q2": "0"},
                        inputs=("q",), outputs=("q2",))
 

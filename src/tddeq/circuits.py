@@ -1,7 +1,9 @@
 """Dynamic quantum circuit model.
 
 A dynamic circuit is built inductively from conventional gate segments, a
-measurement-dispatched branch construct, and sequential composition.  Two
+measurement-dispatched branch construct, and sequential composition.
+Composition is associative, so ``Seq`` holds a flat tuple of steps and every
+pass over a circuit loops over it, recursing only into branch bodies.  Two
 additional step forms, ``Measure`` and ``CondGate``, are the lowered shape of
 a branch (measure first, then classically controlled gates); generators and
 the text format use them directly and ``lower_controls`` rewrites branches
@@ -161,42 +163,59 @@ class Branch:
 
 @dataclass(frozen=True)
 class Seq:
-    first: "DynCircuit"
-    second: "DynCircuit"
+    """Sequential composition as a flat step list; no step is itself a Seq."""
+
+    steps: tuple["DynCircuit", ...]
+
+    def __post_init__(self):
+        if any(isinstance(st, Seq) for st in self.steps):
+            raise ValueError("a Seq step may not be a Seq; build with seq()")
 
 
 DynCircuit = Union[Conventional, Measure, CondGate, Branch, Seq]
 
 
 def seq(*parts: DynCircuit) -> DynCircuit:
-    parts = [p for p in parts if not (isinstance(p, Conventional) and not p.gates)]
-    if not parts:
+    """Compose in order, splicing Seq parts and dropping empty segments."""
+    steps: list[DynCircuit] = []
+    for p in parts:
+        if isinstance(p, Seq):
+            steps.extend(p.steps)
+        elif not (isinstance(p, Conventional) and not p.gates):
+            steps.append(p)
+    if not steps:
         return Conventional(())
-    out = parts[0]
-    for p in parts[1:]:
-        out = Seq(out, p)
+    return steps[0] if len(steps) == 1 else Seq(tuple(steps))
+
+
+def flatten(c: DynCircuit) -> list[DynCircuit]:
+    """Temporal step list, one gate per Conventional; Branch constructs stay
+    as single steps."""
+    out: list[DynCircuit] = []
+    for st in c.steps if isinstance(c, Seq) else (c,):
+        if isinstance(st, Conventional):
+            out.extend(Conventional((g,)) for g in st.gates)
+        else:
+            out.append(st)
     return out
 
 
 def qvar(c: DynCircuit) -> frozenset[str]:
     """Qubits the circuit operates on; a branch contributes only its bodies."""
-    if isinstance(c, Conventional):
-        out: frozenset[str] = frozenset()
-        for g in c.gates:
-            out |= frozenset(g.qubits)
-        return out
-    if isinstance(c, Measure):
-        return frozenset(c.step.qubits)
-    if isinstance(c, CondGate):
-        return frozenset(c.gate.qubits)
-    if isinstance(c, Branch):
-        out = frozenset()
-        for b in c.branches:
-            out |= qvar(b)
-        return out
-    if isinstance(c, Seq):
-        return qvar(c.first) | qvar(c.second)
-    raise TypeError(f"not a circuit: {c!r}")
+    out: set[str] = set()
+    for st in flatten(c):
+        if isinstance(st, Conventional):
+            out.update(st.gates[0].qubits)
+        elif isinstance(st, Measure):
+            out.update(st.step.qubits)
+        elif isinstance(st, CondGate):
+            out.update(st.gate.qubits)
+        elif isinstance(st, Branch):
+            for b in st.branches:
+                out |= qvar(b)
+        else:
+            raise TypeError(f"not a circuit: {st!r}")
+    return frozenset(out)
 
 
 INIT_STATES = {
@@ -245,73 +264,58 @@ class Verdict:
 # -- validation -------------------------------------------------------------
 
 
-def _walk_bits(c: DynCircuit, measured: dict[str, int], errors: list[str],
-               guaranteed: set[str], loc: str = "circuit"):
-    """Collect measured bits, check write-once bits and bit-before-use order.
+def _walk(c: DynCircuit, loc: str, gates: list[Gate], measured_qubits: set[str],
+          measured: set[str], errors: list[str]) -> tuple[set[str], set[str]]:
+    """One pass over ``c`` for ``validate``.
 
-    ``guaranteed`` receives bits measured on every execution path.
+    Appends every gate to ``gates`` and every measured qubit to
+    ``measured_qubits``, checks write-once bits and bit-before-use order into
+    ``errors``, and returns ``qvar(c)`` with the bits measured on every
+    execution path.  Recurses only into branch bodies.
     """
-    if isinstance(c, Conventional):
-        return
-    if isinstance(c, Measure):
-        for b in c.step.bits:
+    qs: set[str] = set()
+    guaranteed: set[str] = set()
+
+    def mark(bits):
+        for b in bits:
             if b in measured:
                 errors.append(f"{loc}: bit {b} measured twice")
-            measured[b] = 1
+            measured.add(b)
             guaranteed.add(b)
-        return
-    if isinstance(c, CondGate):
-        for b in c.bits:
-            if b not in measured:
-                errors.append(f"{loc}: control bit {b} used before measurement")
-        return
-    if isinstance(c, Branch):
-        for b in c.measure.bits:
-            if b in measured:
-                errors.append(f"{loc}: bit {b} measured twice")
-            measured[b] = 1
-            guaranteed.add(b)
-        sub_guaranteed = None
-        for i, body in enumerate(c.branches):
-            overlap = frozenset(c.measure.qubits) & qvar(body)
-            if overlap:
-                errors.append(f"{loc}: branch {i} acts on measured qubits {sorted(overlap)}")
-            g: set[str] = set()
-            _walk_bits(body, measured, errors, g, f"{loc}/branch{i}")
-            sub_guaranteed = g if sub_guaranteed is None else (sub_guaranteed & g)
-        if sub_guaranteed:
-            guaranteed.update(sub_guaranteed)
-        return
-    if isinstance(c, Seq):
-        _walk_bits(c.first, measured, errors, guaranteed, loc)
-        _walk_bits(c.second, measured, errors, guaranteed, loc)
-        return
-    errors.append(f"{loc}: unknown construct {type(c).__name__}")
 
-
-def _all_gates(c: DynCircuit):
-    if isinstance(c, Conventional):
-        yield from c.gates
-    elif isinstance(c, CondGate):
-        yield c.gate
-    elif isinstance(c, Branch):
-        for b in c.branches:
-            yield from _all_gates(b)
-    elif isinstance(c, Seq):
-        yield from _all_gates(c.first)
-        yield from _all_gates(c.second)
-
-
-def _all_measured_qubits(c: DynCircuit):
-    if isinstance(c, Measure):
-        yield from c.step.qubits
-    elif isinstance(c, Branch):
-        yield from c.measure.qubits
-        for b in c.branches:
-            yield from _all_measured_qubits(b)
-    elif isinstance(c, Seq):
-        yield from _all_measured_qubits(c.first)
-        yield from _all_measured_qubits(c.second)
+    for st in flatten(c):
+        if isinstance(st, Conventional):
+            gates.extend(st.gates)
+            qs.update(st.gates[0].qubits)
+        elif isinstance(st, Measure):
+            qs.update(st.step.qubits)
+            measured_qubits.update(st.step.qubits)
+            mark(st.step.bits)
+        elif isinstance(st, CondGate):
+            gates.append(st.gate)
+            qs.update(st.gate.qubits)
+            for b in st.bits:
+                if b not in measured:
+                    errors.append(f"{loc}: control bit {b} used before measurement")
+        elif isinstance(st, Branch):
+            measured_qubits.update(st.measure.qubits)
+            mark(st.measure.bits)
+            sub_guaranteed = None
+            for i, body in enumerate(st.branches):
+                at = len(errors)
+                body_qs, g = _walk(body, f"{loc}/branch{i}", gates,
+                                   measured_qubits, measured, errors)
+                overlap = frozenset(st.measure.qubits) & body_qs
+                if overlap:
+                    errors.insert(at, f"{loc}: branch {i} acts on measured qubits "
+                                      f"{sorted(overlap)}")
+                qs |= body_qs
+                sub_guaranteed = g if sub_guaranteed is None else (sub_guaranteed & g)
+            if sub_guaranteed:
+                guaranteed |= sub_guaranteed
+        else:
+            errors.append(f"{loc}: unknown construct {type(st).__name__}")
+    return qs, guaranteed
 
 
 def validate(spec: CircuitSpec) -> list[str]:
@@ -320,7 +324,13 @@ def validate(spec: CircuitSpec) -> list[str]:
     declared = set(spec.qubits)
     if len(declared) != len(spec.qubits):
         errors.append("duplicate qubit declaration")
-    for q in qvar(spec.circuit) | set(_all_measured_qubits(spec.circuit)):
+    gates: list[Gate] = []
+    measured_qubits: set[str] = set()
+    measured: set[str] = set()
+    bit_errors: list[str] = []
+    qs, guaranteed = _walk(spec.circuit, "circuit", gates, measured_qubits,
+                           measured, bit_errors)
+    for q in qs | measured_qubits:
         if q not in declared:
             errors.append(f"undeclared qubit {q}")
     for q in spec.inputs:
@@ -340,7 +350,7 @@ def validate(spec: CircuitSpec) -> list[str]:
     for q, s in spec.fixed_init.items():
         if s not in INIT_STATES:
             errors.append(f"unknown init state {s!r} for {q}")
-    for g in _all_gates(spec.circuit):
+    for g in gates:
         try:
             _check_unitary(g)
         except ValueError as exc:
@@ -348,9 +358,7 @@ def validate(spec: CircuitSpec) -> list[str]:
         for q in g.qubits:
             if q not in declared:
                 errors.append(f"gate {g.name} on undeclared qubit {q}")
-    measured: dict[str, int] = {}
-    guaranteed: set[str] = set()
-    _walk_bits(spec.circuit, measured, errors, guaranteed)
+    errors.extend(bit_errors)
     for b in spec.output_bits:
         if b not in measured:
             errors.append(f"output bit {b} is never measured")
@@ -402,19 +410,19 @@ def lower_controls(c: DynCircuit) -> DynCircuit:
     value.  Branches with non-conventional bodies are lowered recursively but
     keep their branch structure.
     """
-    if isinstance(c, (Conventional, Measure, CondGate)):
+    if not isinstance(c, (Seq, Branch)):
         return c
-    if isinstance(c, Seq):
-        return Seq(lower_controls(c.first), lower_controls(c.second))
-    if isinstance(c, Branch):
-        if all(isinstance(b, Conventional) for b in c.branches):
-            steps: list[DynCircuit] = [Measure(c.measure)]
-            lowered = _lower_branch_gates(c)
-            steps.extend(lowered)
-            return seq(*steps)
-        return Branch(c.measure, c.func,
-                      tuple(lower_controls(b) for b in c.branches), c.exprs)
-    raise TypeError(f"not a circuit: {c!r}")
+    out: list[DynCircuit] = []
+    for st in flatten(c):
+        if not isinstance(st, Branch):
+            out.append(st)
+        elif all(isinstance(b, Conventional) for b in st.branches):
+            out.append(Measure(st.measure))
+            out.extend(_lower_branch_gates(st))
+        else:
+            out.append(Branch(st.measure, st.func,
+                              tuple(lower_controls(b) for b in st.branches), st.exprs))
+    return seq(*out)
 
 
 def _lower_branch_gates(c: Branch) -> list[CondGate]:
@@ -481,12 +489,3 @@ def _try_factor(c: Branch) -> list[CondGate] | None:
         for g in gen_circ.gates:
             out.append(CondGate(g, c.measure.bits, sel))
     return out
-
-
-def flatten(c: DynCircuit) -> list[DynCircuit]:
-    """Temporal step list; Branch constructs stay as single steps."""
-    if isinstance(c, Seq):
-        return flatten(c.first) + flatten(c.second)
-    if isinstance(c, Conventional):
-        return [Conventional((g,)) for g in c.gates]
-    return [c]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .circuits import CircuitSpec, Verdict, validate
 from .encode import (CompileError, CompileScaleError, CompileStats,
                      contract_pieces, evaluate, evaluate_pieces, prepare)
-from .tdd import ZERO_KEY, Tdd, TddEdge, TddManager
+from .tdd import ZERO_KEY, Tdd, TddEdge, TddError, TddManager
 
 DEFAULT_EPS = 1e-10
 
@@ -252,7 +252,7 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
                                          order, open_inputs, max_open, report)
         else:
             raise ValueError(f"unknown plan {plan!r}")
-    except (CompileScaleError, CompileError, IndexOrderError) as exc:
+    except (CompileScaleError, CompileError, IndexOrderError, TddError) as exc:
         verdict = Verdict.inconclusive(str(exc))
     report.verdict = verdict
     report.total_time = time.perf_counter() - t_start

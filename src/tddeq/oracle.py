@@ -95,7 +95,9 @@ def semantics(circuit: DynCircuit, qubits: tuple[str, ...]) -> list[EnsembleMemb
             _guard(out)
             return out
         if isinstance(c, Seq):
-            return run(c.second, run(c.first, members))
+            for st in c.steps:
+                members = run(st, members)
+            return members
         raise TypeError(f"not a circuit: {c!r}")
 
     def run_fresh(c):

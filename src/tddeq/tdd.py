@@ -115,7 +115,6 @@ class TddManager:
         self._conj_cache: dict[TddNode, TddNode] = {}
         self._slice_cache: dict[tuple, TddEdge] = {}
         self._norm_cache: dict[tuple, float] = {}
-        self._support_cache: dict[TddNode, frozenset] = {}
 
     # -- index bookkeeping -------------------------------------------------
 
@@ -423,34 +422,27 @@ class TddManager:
                self.wkey(node.high.weight), node.high.node)
         return self._unique.get(key) is not node
 
-    def node_count(self, t: Tdd) -> int:
-        """Number of reachable unique nodes, terminal included."""
-        seen = set()
+    def _reachable(self, t: Tdd) -> set[TddNode]:
+        """Unique nodes reachable from the root, terminal included."""
+        seen = {t.root.node}
         stack = [t.root.node]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if node is not self.terminal:
-                stack.append(node.low.node)
-                stack.append(node.high.node)
-        return len(seen)
+            if node.index is not None:
+                for child in (node.low.node, node.high.node):
+                    if child not in seen:
+                        seen.add(child)
+                        stack.append(child)
+        return seen
+
+    def node_count(self, t: Tdd) -> int:
+        """Number of reachable unique nodes, terminal included."""
+        return len(self._reachable(t))
 
     def support(self, t: Tdd) -> frozenset[IndexId]:
         """Indices actually occurring on nodes of the diagram."""
-        return self._support_node(t.root.node)
-
-    def _support_node(self, node) -> frozenset:
-        if node is self.terminal:
-            return frozenset()
-        got = self._support_cache.get(node)
-        if got is None:
-            got = (frozenset((node.index,))
-                   | self._support_node(node.low.node)
-                   | self._support_node(node.high.node))
-            self._support_cache[node] = got
-        return got
+        return frozenset(node.index for node in self._reachable(t)
+                         if node.index is not None)
 
     def import_tdd(self, t: Tdd, source: "TddManager") -> Tdd:
         """Re-canonicalise a diagram built by another manager.

@@ -6,7 +6,7 @@ import pytest
 
 from tddeq import benchmarks as B
 from tddeq.circuits import (Branch, CircuitSpec, CondGate, Conventional,
-                            Measure, MeasureStep, Seq, flatten, gate,
+                            Measure, MeasureStep, flatten, gate,
                             lower_controls, qvar, seq, validate)
 from tddeq.logic import BoolFunc
 from tddeq.oracle import superoperator
@@ -50,7 +50,7 @@ def test_qvar_teleport_circuit():
 def test_qvar_seq_union():
     a = Conventional((gate("H", ["q0"]),))
     b = Conventional((gate("X", ["q1"]),))
-    assert qvar(Seq(a, b)) == qvar(a) | qvar(b)
+    assert qvar(seq(a, b)) == qvar(a) | qvar(b)
 
 
 def test_validate_teleport_ok():
@@ -141,7 +141,7 @@ def test_lower_controls_preserves_semantics_on_random_circuits():
             branches.append(Conventional(gates))
         br = Branch(MeasureStep(("q0", "q1"), ("c0", "c1")),
                     BoolFunc.identity(2), tuple(branches))
-        spec = CircuitSpec(qubits=("q0", "q1", "q2"), circuit=Seq(prep, br),
+        spec = CircuitSpec(qubits=("q0", "q1", "q2"), circuit=seq(prep, br),
                            fixed_init={"q0": "0", "q1": "+", "q2": "0"},
                            inputs=(), outputs=("q2",))
         lowered = CircuitSpec(qubits=spec.qubits,
@@ -163,3 +163,5 @@ def test_seq_builder_drops_empty_segments():
     c = seq(Conventional(()), Conventional((gate("H", ["q"]),)), Conventional(()))
     assert isinstance(c, Conventional)
     assert len(c.gates) == 1
+    h, x, z = (Conventional((gate(g, ["q"]),)) for g in "HXZ")
+    assert seq(seq(h, x), z).steps == (h, x, z)

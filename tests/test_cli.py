@@ -3,7 +3,10 @@ import pathlib
 
 import pytest
 
+from tddeq.circuits import validate
 from tddeq.cli import main
+from tddeq.oracle import oracle_m_eq
+from tddeq.textfmt import parse, print_spec
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -114,3 +117,22 @@ def test_exit_codes_are_verdict_function(tmp_path, capsys):
     c2, r2 = run(capsys, *args, "--plan", "partitioned")
     assert c1 == c2 == 0
     assert r1[0]["verdict"] == r2[0]["verdict"]
+
+
+def test_long_circuit_needs_no_recursion(tmp_path, capsys):
+    # 3000 steps, deeper than the interpreter's recursion limit
+    head = "qubits q0 q1\noutbits c0\ninit q0=0\ninit q1=0\n"
+    body = "".join("gate H q0\n" if k % 2 == 0 else "gate CX q0 q1\n"
+                   for k in range(3000))
+    text = head + body + "measure q0 -> c0\n"
+    text_z = head + body + "gate Z q0\nmeasure q0 -> c0\n"
+    spec = parse(text)
+    assert validate(spec) == []
+    assert print_spec(spec) == text
+    assert oracle_m_eq(spec, parse(text_z))
+    fa, fb = tmp_path / "a.dqc", tmp_path / "b.dqc"
+    fa.write_text(text)
+    fb.write_text(text_z)
+    code, recs = run(capsys, "check", str(fa), str(fb), "--mode", "m")
+    assert code == 0
+    assert recs[0]["verdict"] == "equivalent"

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from tddeq import benchmarks as B
-from tddeq.circuits import CircuitSpec, Conventional, gate
+from tddeq.circuits import (Branch, CircuitSpec, CondGate, Conventional,
+                            Measure, MeasureStep, gate, seq)
 from tddeq.encode import compile_pair
 from tddeq.equivalence import (IndexOrderError, check, get_nodes, m_eq,
                                outcome_masses, q_eq)
+from tddeq.logic import BoolFunc
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
 from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, Tdd, TddEdge, TddManager
 from tddeq.textfmt import parse
@@ -134,6 +136,22 @@ def test_peel_walk_is_iterative_and_linear():
     ms = set(t.indices)
     assert get_nodes(m, t, ms) == {m.terminal}
     assert q_eq(m, t, t, ms, strict=True)
+    assert len(m.support(t)) == n
+
+
+def test_engine_error_is_inconclusive():
+    # a 17-bit control: the dense control tensor has 21 indices, one over the
+    # dense limit, so the engine raises instead of compiling
+    bits = tuple(f"c{k}" for k in range(17))
+    qs = tuple(f"q{k}" for k in range(19))
+    table = (0,) * ((1 << 17) - 1) + (1,)
+    circ = seq(Measure(MeasureStep(qs[:17], bits)),
+               CondGate(gate("CX", ["q17", "q18"]), bits, BoolFunc(17, 1, table)))
+    spec = CircuitSpec(qubits=qs, circuit=circ, fixed_init={q: "+" for q in qs},
+                       output_bits=bits)
+    v, _ = check(spec, spec, "m")
+    assert v.status == "inconclusive"
+    assert "dense limit" in v.reason
 
 
 def test_q_eq_teleport_vs_swap():
@@ -151,15 +169,13 @@ def test_q_eq_no_measurement_indices():
 
 
 def test_q_eq_dropped_correction_detected():
-    from tddeq.circuits import Branch, MeasureStep, Seq
-    from tddeq.logic import BoolFunc
     broken = Branch(MeasureStep(("q", "q1"), ("c0", "c1")), BoolFunc.identity(2),
                     (Conventional(()), Conventional((gate("X", ["q2"]),)),
                      Conventional(()),
                      Conventional((gate("X", ["q2"]),))))
     prep = Conventional((gate("H", ["q2"]), gate("CX", ["q2", "q1"]),
                          gate("CX", ["q", "q1"]), gate("H", ["q"])))
-    spec = CircuitSpec(qubits=("q", "q1", "q2"), circuit=Seq(prep, broken),
+    spec = CircuitSpec(qubits=("q", "q1", "q2"), circuit=seq(prep, broken),
                        fixed_init={"q1": "0", "q2": "0"},
                        inputs=("q",), outputs=("q2",))
     v, _ = check(spec, B.swap_teleport(), "q")

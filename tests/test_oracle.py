@@ -5,7 +5,7 @@ import pytest
 
 from tddeq import benchmarks as B
 from tddeq.circuits import (Branch, CircuitSpec, Conventional, Measure,
-                            MeasureStep, Seq, gate, seq)
+                            MeasureStep, gate, seq)
 from tddeq.encode import compile_spec
 from tddeq.equivalence import outcome_masses
 from tddeq.logic import BoolFunc
@@ -129,7 +129,7 @@ def test_oracle_q_eq_detects_dropped_correction():
                      Conventional((gate("X", ["q2"]),))))
     prep = Conventional((gate("H", ["q2"]), gate("CX", ["q2", "q1"]),
                          gate("CX", ["q", "q1"]), gate("H", ["q"])))
-    spec = CircuitSpec(qubits=("q", "q1", "q2"), circuit=Seq(prep, broken),
+    spec = CircuitSpec(qubits=("q", "q1", "q2"), circuit=seq(prep, broken),
                        fixed_init={"q1": "0", "q2": "0"},
                        inputs=("q",), outputs=("q2",))
     assert not oracle_q_eq(spec, B.swap_teleport())
