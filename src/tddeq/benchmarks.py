@@ -26,10 +26,6 @@ class BenchmarkPair:
     spec_a: CircuitSpec
     spec_b: CircuitSpec
     expected: str = "equivalent"
-    # Table-style construction statistics run with all input wires open and
-    # the per-qubit interleaved index order (the conventional-circuit
-    # baseline); verdicts never depend on these options.
-    operator_stats: bool = False
 
 
 def _rot_angle(k: int) -> float:
@@ -84,8 +80,7 @@ def _basis_init(qs, input_bits):
 
 
 def qft_pair(n: int, input_bits: str | None = None) -> BenchmarkPair:
-    return BenchmarkPair(f"qft_{n}", "m", qft(n, input_bits), dyn_qft(n, input_bits),
-                         operator_stats=True)
+    return BenchmarkPair(f"qft_{n}", "m", qft(n, input_bits), dyn_qft(n, input_bits))
 
 
 # -- phase estimation -----------------------------------------------------------

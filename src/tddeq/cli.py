@@ -2,9 +2,13 @@
 
 ``tddeq check A B --mode m|q|full`` decides equivalence of two circuit files
 and exits 0 (equivalent), 1 (not equivalent) or 2 (error / inconclusive).
-``tddeq bench --suite qft|pe|qec|all`` reproduces the benchmark table; every
-row carries the construction statistics of the conventional-circuit baseline
-("nodes") next to the checker's peak diagram size ("m_nodes").
+Both circuits are checked as specified, fixed initial states included.
+``--eps`` sets the probability-mass tolerance, ``0 <= eps < 1``.
+``tddeq bench --suite qft|pe|qec|all`` reproduces the benchmark table, every
+row checked on its fixed-input specs; each row carries the construction
+statistics of the conventional-circuit baseline ("nodes", circuit A with all
+input wires open in the interleaved order) next to the checker's peak
+diagram size ("m_nodes").
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 from . import benchmarks
 from .circuits import CircuitSpec, Verdict
 from .encode import compile_spec
-from .equivalence import check, default_eps
+from .equivalence import check, valid_eps
 from .oracle import OracleScaleError, oracle_full_eq
 from .textfmt import ParseError, parse
 
@@ -67,8 +71,7 @@ def cmd_check(args) -> int:
         print(json.dumps(rec))
         return EXIT_EQ if equal else EXIT_NEQ
     verdict, rep = check(spec_a, spec_b, args.mode, plan=args.plan,
-                         eps=args.eps, strict_q=args.strict_q,
-                         order=args.order, open_inputs=args.open_inputs)
+                         eps=args.eps, strict_q=args.strict_q)
     nodes = _baseline_nodes(spec_a)
     rec = _report_record(f"{args.file_a}|{args.file_b}", args.mode, args.plan,
                          verdict, rep.tdd_time, rep.total_time,
@@ -88,11 +91,9 @@ def _name_key(name: str):
 def _bench_rows(pairs, plan, eps, strict_q):
     rows = []
     for pair in sorted(pairs, key=lambda p: _name_key(p.name)):
-        opts = dict(order="interleaved", open_inputs=True) if pair.operator_stats \
-            else dict(order="grouped", open_inputs=False)
         try:
             verdict, rep = check(pair.spec_a, pair.spec_b, pair.mode, plan=plan,
-                                 eps=eps, strict_q=strict_q, **opts)
+                                 eps=eps, strict_q=strict_q)
             nodes = _baseline_nodes(pair.spec_a)
             rows.append(_report_record(pair.name, pair.mode, plan, verdict,
                                        rep.tdd_time, rep.total_time,
@@ -130,6 +131,13 @@ def _human_table(rows) -> str:
     return "\n".join(lines)
 
 
+def _eps(text: str) -> float:
+    try:
+        return valid_eps(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="tddeq",
                                  description="equivalence checking of dynamic "
@@ -143,9 +151,7 @@ def main(argv=None) -> int:
     pc.add_argument("--mode", choices=["m", "q", "full"], default="m")
     pc.add_argument("--plan", choices=["basic", "partitioned"], default="basic")
     pc.add_argument("--strict-q", action="store_true", dest="strict_q")
-    pc.add_argument("--eps", type=float, default=None)
-    pc.add_argument("--order", choices=["grouped", "interleaved"], default="grouped")
-    pc.add_argument("--open-inputs", action="store_true", dest="open_inputs")
+    pc.add_argument("--eps", type=_eps, default=None)
     pc.set_defaults(fn=cmd_check)
 
     pb = sub.add_parser("bench", help="run benchmark suites")
@@ -153,12 +159,10 @@ def main(argv=None) -> int:
     pb.add_argument("--max-n", type=int, default=12, dest="max_n")
     pb.add_argument("--plan", choices=["basic", "partitioned"], default="basic")
     pb.add_argument("--strict-q", action="store_true", dest="strict_q")
-    pb.add_argument("--eps", type=float, default=None)
+    pb.add_argument("--eps", type=_eps, default=None)
     pb.set_defaults(fn=cmd_bench)
 
     args = ap.parse_args(argv)
-    if args.eps is None:
-        args.eps = default_eps()
     return args.fn(args)
 
 

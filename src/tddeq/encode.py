@@ -587,10 +587,7 @@ def compile_spec(spec: CircuitSpec, *, mode: str | None = None,
 
 
 def compile_pair(spec_a: CircuitSpec, spec_b: CircuitSpec, *,
-                 mode: str | None = None, order: str = "grouped",
-                 open_inputs: bool = False, max_open: int = 26):
+                 mode: str | None = None):
     """Compile two specs in one manager with shared open indices."""
-    mgr, nets = prepare([spec_a, spec_b], mode=mode, order=order,
-                        open_inputs=open_inputs)
-    return (evaluate(mgr, nets[0], max_open),
-            evaluate(mgr, nets[1], max_open))
+    mgr, nets = prepare([spec_a, spec_b], mode=mode)
+    return evaluate(mgr, nets[0]), evaluate(mgr, nets[1])

@@ -20,7 +20,6 @@ and compares the contracted remainder.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -216,23 +215,21 @@ class CheckReport:
     notes: list[str] = field(default_factory=list)
 
 
-def default_eps() -> float:
-    return float(os.environ.get("TDDEQ_EPS", DEFAULT_EPS))
-
-
 def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
           plan: str = "basic", *, eps: float | None = None,
-          strict_q: bool = False, order: str = "grouped",
-          open_inputs: bool = False, max_open: int = 26):
+          strict_q: bool = False):
     """Full pipeline: validate, compile both sides, decide equivalence.
 
-    Returns (Verdict, CheckReport).  The partitioned plan discards every
-    connected component of per-qubit pieces that is identical in both
-    circuits (in q-mode, only components without peel indices) and compares
-    the contracted remainder; a partitioned NotEquivalent is always re-run
-    through the basic plan before being reported.
+    Both circuits are compiled as specified, fixed initial states included,
+    in the grouped index order.  Returns (Verdict, CheckReport).  The
+    partitioned plan discards every connected component of per-qubit pieces
+    that is identical in both circuits (in q-mode, only components without
+    peel indices) and compares the contracted remainder; a partitioned
+    NotEquivalent is always re-run through the basic plan before being
+    reported.  ``eps`` (default ``DEFAULT_EPS``) must satisfy
+    ``0 <= eps < 1``; anything else raises ``ValueError``.
     """
-    eps = default_eps() if eps is None else eps
+    eps = valid_eps(DEFAULT_EPS if eps is None else eps)
     t_start = time.perf_counter()
     report = CheckReport(mode=mode, plan=plan)
     errs = [f"a: {e}" for e in validate(spec_a)] + \
@@ -245,11 +242,10 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
         return report.verdict, report
     try:
         if plan == "basic":
-            verdict = _check_basic(spec_a, spec_b, mode, eps, strict_q, order,
-                                   open_inputs, max_open, report)
+            verdict = _check_basic(spec_a, spec_b, mode, eps, strict_q, report)
         elif plan == "partitioned":
             verdict = _check_partitioned(spec_a, spec_b, mode, eps, strict_q,
-                                         order, open_inputs, max_open, report)
+                                         report)
         else:
             raise ValueError(f"unknown plan {plan!r}")
     except (CompileScaleError, CompileError, IndexOrderError, TddError) as exc:
@@ -257,6 +253,13 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
     report.verdict = verdict
     report.total_time = time.perf_counter() - t_start
     return verdict, report
+
+
+def valid_eps(eps: float) -> float:
+    """``eps`` itself if it is a usable mass tolerance, ``0 <= eps < 1``."""
+    if not 0.0 <= eps < 1.0:      # also false for nan
+        raise ValueError(f"eps must satisfy 0 <= eps < 1, got {eps!r}")
+    return eps
 
 
 def _compatible(a: CircuitSpec, b: CircuitSpec, mode: str) -> list[str]:
@@ -272,34 +275,21 @@ def _compatible(a: CircuitSpec, b: CircuitSpec, mode: str) -> list[str]:
     return errs
 
 
-def _decide(mgr, ra, rb, mode, eps, strict_q, report, witness):
-    m_set = set(ra.m_set) if mode == "m" else set(ra.peel_set) | set(rb.peel_set)
+def _decide(mgr, nets, ta, tb, mode, eps, strict_q, witness) -> bool:
     if mode == "m":
-        ok = m_eq(mgr, ra.tdd, rb.tdd, m_set, eps, witness)
-    else:
-        ok = q_eq(mgr, ra.tdd, rb.tdd, m_set, strict_q, eps, witness)
-    return ok
+        m_set = {mgr.index(n) for n in nets[0].m_set}
+        return m_eq(mgr, ta, tb, m_set, eps, witness)
+    peel = {mgr.index(n) for n in nets[0].peel_set | nets[1].peel_set}
+    return q_eq(mgr, ta, tb, peel, strict_q, eps, witness)
 
 
-def _check_basic(spec_a, spec_b, mode, eps, strict_q, order, open_inputs,
-                 max_open, report) -> Verdict:
-    mgr, nets = prepare([spec_a, spec_b], mode=mode, order=order,
-                        open_inputs=open_inputs)
-    ra = evaluate(mgr, nets[0], max_open)
-    rb = evaluate(mgr, nets[1], max_open)
+def _check_basic(spec_a, spec_b, mode, eps, strict_q, report) -> Verdict:
+    mgr, nets = prepare([spec_a, spec_b], mode=mode)
+    ra = evaluate(mgr, nets[0])
+    rb = evaluate(mgr, nets[1])
     _merge_stats(report, ra.stats, rb.stats)
     witness: list = []
-    try:
-        ok = _decide(mgr, ra, rb, mode, eps, strict_q, report, witness)
-    except IndexOrderError:
-        # the chosen ranking broke the on-top precondition; recompile grouped
-        report.notes.append("recompiled with grouped index order")
-        mgr, nets = prepare([spec_a, spec_b], mode=mode, order="grouped",
-                            open_inputs=open_inputs)
-        ra = evaluate(mgr, nets[0], max_open)
-        rb = evaluate(mgr, nets[1], max_open)
-        witness = []
-        ok = _decide(mgr, ra, rb, mode, eps, strict_q, report, witness)
+    ok = _decide(mgr, nets, ra.tdd, rb.tdd, mode, eps, strict_q, witness)
     return Verdict.equivalent() if ok else Verdict.not_equivalent(witness)
 
 
@@ -323,14 +313,12 @@ def _components(pieces_a: dict, pieces_b: dict) -> list[list[str]]:
     return list(groups.values())
 
 
-def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, order, open_inputs,
-                       max_open, report) -> Verdict:
-    mgr, nets = prepare([spec_a, spec_b], mode=mode, order=order,
-                        open_inputs=open_inputs)
+def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, report) -> Verdict:
+    mgr, nets = prepare([spec_a, spec_b], mode=mode)
     stats = CompileStats()
     t0 = time.perf_counter()
-    pieces_a = evaluate_pieces(mgr, nets[0], stats, max_open)
-    pieces_b = evaluate_pieces(mgr, nets[1], stats, max_open)
+    pieces_a = evaluate_pieces(mgr, nets[0], stats)
+    pieces_b = evaluate_pieces(mgr, nets[1], stats)
     peel = {mgr.index(n) for n in nets[0].peel_set | nets[1].peel_set}
 
     def same(q):
@@ -345,18 +333,14 @@ def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, order, open_inputs,
     report.discarded = len(dropped)
     kept_a = [p for q, p in pieces_a.items() if q not in dropped]
     kept_b = [p for q, p in pieces_b.items() if q not in dropped]
-    ta = contract_pieces(mgr, kept_a, nets[0], stats, max_open)
-    tb = contract_pieces(mgr, kept_b, nets[1], stats, max_open)
+    ta = contract_pieces(mgr, kept_a, nets[0], stats)
+    tb = contract_pieces(mgr, kept_b, nets[1], stats)
     stats.tdd_time = time.perf_counter() - t0
     stats.final_nodes = max(mgr.node_count(ta), mgr.node_count(tb))
     _merge_stats(report, stats)
     witness: list = []
     try:
-        if mode == "m":
-            m_set = {mgr.index(n) for n in nets[0].m_set}
-            ok = m_eq(mgr, ta, tb, m_set, eps, witness)
-        else:
-            ok = q_eq(mgr, ta, tb, peel, strict_q, eps, witness)
+        ok = _decide(mgr, nets, ta, tb, mode, eps, strict_q, witness)
     except IndexOrderError:
         ok = False
         report.notes.append("partitioned comparison hit an index-order violation")
@@ -365,8 +349,7 @@ def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, order, open_inputs,
     # discarding is only justified in the equivalent direction: confirm any
     # failure with the basic plan
     report.fallback = True
-    return _check_basic(spec_a, spec_b, mode, eps, strict_q, order,
-                        open_inputs, max_open, report)
+    return _check_basic(spec_a, spec_b, mode, eps, strict_q, report)
 
 
 def _merge_stats(report: CheckReport, *stats: CompileStats):

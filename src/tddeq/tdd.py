@@ -25,6 +25,8 @@ KIND_PRINCIPAL = "principal-output"
 _KINDS = (KIND_WIRE, KIND_OUTCOME, KIND_PRINCIPAL)
 
 ZERO_KEY = (0, 0)
+GRID = 1e-9        # weights are keyed on this grid (see ``TddManager.wkey``)
+DENSE_LIMIT = 20   # most indices of a tensor built or read densely
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,8 @@ class TddManager:
     managers may be used concurrently.
     """
 
-    def __init__(self, order: Iterable[tuple[str, str]], grid: float = 1e-9,
-                 dense_limit: int = 20):
+    def __init__(self, order: Iterable[tuple[str, str]]):
         names = list(order)
-        self.grid = float(grid)
-        self.dense_limit = int(dense_limit)
         self._by_name: dict[str, IndexId] = {}
         self._by_rank: dict[int, IndexId] = {}
         n = len(names)
@@ -132,8 +131,7 @@ class TddManager:
 
     def wkey(self, w) -> tuple[int, int]:
         """Quantised grid key; grid-equal weights get equal keys and hashes."""
-        g = self.grid
-        return (int(round(w.real / g)), int(round(w.imag / g)))
+        return (int(round(w.real / GRID)), int(round(w.imag / GRID)))
 
     def weights_equal(self, a, b) -> bool:
         return self.wkey(a) == self.wkey(b)
@@ -199,8 +197,8 @@ class TddManager:
         indices = list(indices)
         if arr.shape != (2,) * len(indices):
             raise TddError(f"shape {arr.shape} does not match {len(indices)} indices")
-        if len(indices) > self.dense_limit:
-            raise DenseLimitError(f"{len(indices)} indices exceed dense limit {self.dense_limit}")
+        if len(indices) > DENSE_LIMIT:
+            raise DenseLimitError(f"{len(indices)} indices exceed dense limit {DENSE_LIMIT}")
         order = sorted(range(len(indices)), key=lambda k: -indices[k].rank)
         arr = np.transpose(arr, order) if indices else arr
         sorted_idx = [indices[k] for k in order]
@@ -216,8 +214,8 @@ class TddManager:
 
     def to_dense(self, t: Tdd) -> np.ndarray:
         """Dense tensor with axes ordered like ``t.indices``."""
-        if len(t.indices) > self.dense_limit:
-            raise DenseLimitError(f"{len(t.indices)} indices exceed dense limit {self.dense_limit}")
+        if len(t.indices) > DENSE_LIMIT:
+            raise DenseLimitError(f"{len(t.indices)} indices exceed dense limit {DENSE_LIMIT}")
         memo: dict[tuple, np.ndarray] = {}
 
         def rec(node, pos):

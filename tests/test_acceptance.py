@@ -128,12 +128,12 @@ def test_criterion_4_semantics_checks():
 
 def test_criterion_5_partition_optimisation():
     bad = []
+    # fixed inputs with "+" on two of the top qubits: the basic plan's peak
+    # doubles with n, the partitioned plan's grows linearly
     for n in range(8, 13):
-        pair = B.qft_pair(n)
-        vb, rb, _ = _timed_check(pair.spec_a, pair.spec_b, "m", plan="basic",
-                                 order="interleaved", open_inputs=True)
-        vp, rp, _ = _timed_check(pair.spec_a, pair.spec_b, "m", plan="partitioned",
-                                 order="interleaved", open_inputs=True)
+        pair = B.qft_pair(n, "0" * (n - 3) + "+0+")
+        vb, rb, _ = _timed_check(pair.spec_a, pair.spec_b, "m", plan="basic")
+        vp, rp, _ = _timed_check(pair.spec_a, pair.spec_b, "m", plan="partitioned")
         if vb.status != vp.status:
             bad.append(f"qft_{n}: verdicts differ")
         if not rp.max_nodes < rb.max_nodes:

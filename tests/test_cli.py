@@ -136,3 +136,37 @@ def test_long_circuit_needs_no_recursion(tmp_path, capsys):
     code, recs = run(capsys, "check", str(fa), str(fb), "--mode", "m")
     assert code == 0
     assert recs[0]["verdict"] == "equivalent"
+
+
+REPRO_A = "qubits q\noutbits c0\ninit q=0\nmeasure q -> c0\n"
+REPRO_B = "qubits q\noutbits c0\ninit q=0\ngate X q\nmeasure q -> c0\n"
+
+
+def _repro_files(tmp_path):
+    fa, fb = tmp_path / "a.dqc", tmp_path / "b.dqc"
+    fa.write_text(REPRO_A)
+    fb.write_text(REPRO_B)
+    return str(fa), str(fb)
+
+
+def test_fixed_input_m_check_is_not_opened(tmp_path, capsys):
+    # |0> measured vs X|0> measured: summing output masses over every basis
+    # input would call these equivalent; as specified they are not
+    assert not oracle_m_eq(parse(REPRO_A), parse(REPRO_B))
+    fa, fb = _repro_files(tmp_path)
+    for plan in ("basic", "partitioned"):
+        code, recs = run(capsys, "check", fa, fb, "--mode", "m", "--plan", plan)
+        assert code == 1, plan
+        assert recs[0]["verdict"] == "not-equivalent", plan
+    with pytest.raises(SystemExit) as exc:
+        main(["check", fa, fb, "--mode", "m", "--open-inputs"])
+    assert exc.value.code == 2  # no such option
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "-1", "1"])
+def test_eps_outside_unit_interval_is_usage_error(tmp_path, capsys, eps):
+    fa, fb = _repro_files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", fa, fb, "--mode", "m", "--eps", eps])
+    assert exc.value.code == 2
+    assert "eps" in capsys.readouterr().err

@@ -254,17 +254,29 @@ def test_partitioned_keeps_pieces_joined_by_a_cut_wire():
         assert v.status == "not-equivalent", plan
 
 
-@pytest.mark.parametrize("plan", ["basic", "partitioned"])
-def test_verdict_agreement_with_oracle_random(plan):
+@pytest.mark.parametrize("plan,strict_q", [
+    pytest.param(plan, strict, id=plan + ("-strict" if strict else ""))
+    for strict in (False, True) for plan in ("basic", "partitioned")])
+def test_verdict_agreement_with_oracle_random(plan, strict_q):
     rng = random.Random(37)
     for k in range(40):
         mode = "m" if k % 2 == 0 else "q"
         a = B.random_dqc(rng, mode)
         b = B.rewrite(rng, a) if k % 4 < 2 else next(B.mutations(a, rng))[1]
-        v, _ = check(a, b, mode, plan=plan)
+        v, _ = check(a, b, mode, plan=plan, strict_q=strict_q)
         assert v.status in ("equivalent", "not-equivalent")
         oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert (v.status == "equivalent") == oracle, (k, mode)
+
+
+def test_check_rejects_eps_outside_unit_interval():
+    a = parse("qubits q\noutbits c0\ninit q=0\nmeasure q -> c0\n")
+    b = parse("qubits q\noutbits c0\ninit q=0\ngate X q\nmeasure q -> c0\n")
+    for plan in ("basic", "partitioned"):
+        assert check(a, b, "m", plan=plan)[0].status == "not-equivalent"
+    for eps in (math.inf, math.nan, -1.0, 1.0):
+        with pytest.raises(ValueError):
+            check(a, b, "m", eps=eps)
 
 
 def test_check_incompatible_interfaces_inconclusive():

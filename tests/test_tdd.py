@@ -94,7 +94,7 @@ def test_dense_roundtrip_random():
 
 
 def test_dense_limit_enforced():
-    m = TddManager([(f"x{k}", KIND_WIRE) for k in range(25)], dense_limit=20)
+    m = TddManager([(f"x{k}", KIND_WIRE) for k in range(25)])
     with pytest.raises(DenseLimitError):
         m.from_dense(np.zeros((2,) * 21), [m.index(f"x{k}") for k in range(21)])
 
