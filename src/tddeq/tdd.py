@@ -6,6 +6,19 @@ table, so structural equality of tensors (up to the weight grid) is pointer
 equality of root nodes.  Outgoing weights of every node are normalised by the
 first nonzero weight (low successor first), which fixes a canonical form.
 
+Weights are compared on an absolute grid: ``wkey`` maps a weight to the
+integer pair of its real and imaginary parts in units of ``GRID``.
+``mk_edge`` keys the low weight, the high weight and the high/low ratio once
+each and builds the unique-table key from those keys; ``_add`` keys the
+ratio of its two operands for the computed table.  No other hot path keys a
+weight.  ``_canon`` tests a weight for grid zero without building a key.
+
+Every edge the engine makes is grid zero if and only if it ``is`` the
+manager's ``zero`` edge: ``mk_edge`` and ``_canon`` snap grid-zero weights to
+it, and ``contract`` and ``add`` canonicalise their two caller roots once on
+entry.  The recursive kernels ``_cont`` and ``_add`` therefore test for zero
+by identity, and take node successors as cofactors directly.
+
 All diagrams built by one ``TddManager`` share a single global index order;
 the root of a diagram carries the highest-ranked index, the terminal node has
 rank 0.
@@ -13,7 +26,9 @@ rank 0.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf, ldexp
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -24,14 +39,26 @@ KIND_PRINCIPAL = "principal-output"
 
 _KINDS = (KIND_WIRE, KIND_OUTCOME, KIND_PRINCIPAL)
 
-ZERO_KEY = (0, 0)
-GRID = 1e-9        # weights are keyed on this grid (see ``TddManager.wkey``)
+GRID = 1e-9        # weights are keyed on this grid (see ``wkey``)
 DENSE_LIMIT = 20   # most indices of a tensor built or read densely
 
 
-@dataclass(frozen=True)
+def wkey(w) -> tuple[int, int]:
+    """Quantised grid key; grid-equal weights get equal keys and hashes."""
+    return (round(w.real / GRID), round(w.imag / GRID))
+
+
+ZERO_KEY = wkey(0.0)
+ONE_KEY = wkey(1.0)  # key of every normalised first nonzero weight
+
+
+@dataclass(frozen=True, eq=False)
 class IndexId:
-    """One position of the shared global index order."""
+    """One position of the shared global index order.
+
+    Compared and hashed by identity: a manager creates each of its indices
+    once, and indices of different managers are matched by name.
+    """
 
     name: str
     rank: int  # higher rank = nearer the root; terminal is rank 0
@@ -113,7 +140,6 @@ class TddManager:
         self._cont_cache: dict[tuple, TddEdge] = {}
         self._conj_cache: dict[TddNode, TddNode] = {}
         self._slice_cache: dict[tuple, TddEdge] = {}
-        self._norm_cache: dict[tuple, float] = {}
 
     # -- index bookkeeping -------------------------------------------------
 
@@ -130,14 +156,14 @@ class TddManager:
     # -- weights -----------------------------------------------------------
 
     def wkey(self, w) -> tuple[int, int]:
-        """Quantised grid key; grid-equal weights get equal keys and hashes."""
-        return (int(round(w.real / GRID)), int(round(w.imag / GRID)))
+        return wkey(w)
 
     def weights_equal(self, a, b) -> bool:
-        return self.wkey(a) == self.wkey(b)
+        return wkey(a) == wkey(b)
 
     def _canon(self, w, node) -> TddEdge:
-        if self.wkey(w) == ZERO_KEY:
+        # wkey(w) == ZERO_KEY without the tuple: round(y) == 0 iff |y| <= 0.5
+        if -0.5 <= w.real / GRID <= 0.5 and -0.5 <= w.imag / GRID <= 0.5:
             return self.zero
         return TddEdge(complex(w), node)
 
@@ -150,30 +176,32 @@ class TddManager:
         redundant node rule, extraction of the first nonzero weight, and
         unique-table lookup.
         """
-        if low.node.rank >= index.rank or high.node.rank >= index.rank:
+        rank = index.rank
+        if low.node.rank >= rank or high.node.rank >= rank:
             raise TddError(f"successor rank not below {index!r}")
-        lk = self.wkey(low.weight)
-        hk = self.wkey(high.weight)
+        zero, terminal = self.zero, self.terminal
+        lk = ZERO_KEY if low is zero else wkey(low.weight)
+        hk = ZERO_KEY if high is zero else wkey(high.weight)
         if lk == ZERO_KEY:
-            low, lk = self.zero, ZERO_KEY
-        if hk == ZERO_KEY:
-            high, hk = self.zero, ZERO_KEY
-        if lk == ZERO_KEY and hk == ZERO_KEY:
-            return self.zero
-        if low.node is high.node and lk == hk:
-            return low
-        if lk != ZERO_KEY:
+            if hk == ZERO_KEY:
+                return zero
+            factor, hw = high.weight, 1.0 + 0.0j
+            key = (rank, ZERO_KEY, terminal, ONE_KEY, high.node)
+        elif hk == ZERO_KEY:
             factor = low.weight
-            slow = TddEdge(1.0 + 0.0j, low.node)
-            shigh = self._canon(high.weight / factor, high.node)
+            key = (rank, ONE_KEY, low.node, ZERO_KEY, terminal)
+        elif low.node is high.node and lk == hk:
+            return low
         else:
-            factor = high.weight
-            slow = self.zero
-            shigh = TddEdge(1.0 + 0.0j, high.node)
-        key = (index.rank, self.wkey(slow.weight), slow.node,
-               self.wkey(shigh.weight), shigh.node)
+            factor = low.weight
+            hw = high.weight / factor
+            rk = wkey(hw)
+            key = (rank, ONE_KEY, low.node, rk,
+                   terminal if rk == ZERO_KEY else high.node)
         node = self._unique.get(key)
         if node is None:
+            slow = zero if key[1] == ZERO_KEY else TddEdge(1.0 + 0.0j, low.node)
+            shigh = zero if key[3] == ZERO_KEY else TddEdge(complex(hw), high.node)
             node = TddNode(index, slow, shigh)
             self._unique[key] = node
         return TddEdge(complex(factor), node)
@@ -271,29 +299,35 @@ class TddManager:
 
     def add(self, a: Tdd, b: Tdd) -> Tdd:
         """Entrywise sum; index sets may differ (absent indices broadcast)."""
-        root = self._add(a.root, b.root)
+        root = self._add(self._canon(a.root.weight, a.root.node),
+                         self._canon(b.root.weight, b.root.node))
         return self.tdd(root, a.indices + b.indices)
 
     def _add(self, e1: TddEdge, e2: TddEdge) -> TddEdge:
-        if self.wkey(e1.weight) == ZERO_KEY:
-            return self._canon(e2.weight, e2.node)
-        if self.wkey(e2.weight) == ZERO_KEY:
-            return self._canon(e1.weight, e1.node)
-        if e1.node is e2.node:
-            return self._canon(e1.weight + e2.weight, e1.node)
-        if (e1.node.rank, id(e1.node)) > (e2.node.rank, id(e2.node)):
-            e1, e2 = e2, e1
+        if e1 is self.zero:
+            return e2
+        if e2 is self.zero:
+            return e1
+        n1, n2 = e1.node, e2.node
+        if n1 is n2:
+            return self._canon(e1.weight + e2.weight, n1)
+        if n1.rank > n2.rank or (n1.rank == n2.rank and id(n1) > id(n2)):
+            e1, e2, n1, n2 = e2, e1, n2, n1
         w1 = e1.weight
         ratio = e2.weight / w1
-        key = (e1.node, e2.node, self.wkey(ratio))
+        key = (n1, n2, wkey(ratio))
         res = self._add_cache.get(key)
         if res is None:
-            n1 = TddEdge(1.0 + 0.0j, e1.node)
-            n2 = TddEdge(ratio, e2.node)
-            r = max(e1.node.rank, e2.node.rank)
-            lo = self._add(self._slice_edge(n1, r, 0), self._slice_edge(n2, r, 0))
-            hi = self._add(self._slice_edge(n1, r, 1), self._slice_edge(n2, r, 1))
-            res = self.mk_edge(self.index_at_rank(r), lo, hi)
+            # n2 has the top rank; cofactors of 1*e1.node and ratio*e2.node
+            if n1.rank == n2.rank:
+                a0, a1 = n1.low, n1.high
+            else:
+                a0 = a1 = TddEdge(1.0 + 0.0j, n1)
+            b0 = self._canon(ratio * n2.low.weight, n2.low.node)
+            b1 = self._canon(ratio * n2.high.weight, n2.high.node)
+            lo = self._add(a0, b0)
+            hi = self._add(a1, b1)
+            res = self.mk_edge(n2.index, lo, hi)
             self._add_cache[key] = res
         return self._canon(w1 * res.weight, res.node)
 
@@ -310,14 +344,17 @@ class TddManager:
             if x not in a.indices or x not in b.indices:
                 raise TddError(f"shared index {x!r} not common to both operands")
         srt = tuple(sorted((x.rank for x in shared), reverse=True))
-        root = self._cont(a.root, b.root, srt)
+        root = self._cont(self._canon(a.root.weight, a.root.node),
+                          self._canon(b.root.weight, b.root.node), srt)
         keep = [x for x in a.indices + b.indices if x not in shared]
         return self.tdd(root, keep)
 
     def _cont(self, e1: TddEdge, e2: TddEdge, srt: tuple) -> TddEdge:
-        if self.wkey(e1.weight) == ZERO_KEY or self.wkey(e2.weight) == ZERO_KEY:
-            return self.zero
-        r = max(e1.node.rank, e2.node.rank)
+        zero = self.zero
+        if e1 is zero or e2 is zero:
+            return zero
+        n1, n2 = e1.node, e2.node
+        r = n1.rank if n1.rank > n2.rank else n2.rank
         k = 0
         while k < len(srt) and srt[k] > r:
             k += 1
@@ -327,25 +364,28 @@ class TddManager:
             return self._canon((1 << k) * res.weight, res.node)
         if r == 0:
             return self._canon(e1.weight * e2.weight, self.terminal)
-        w = e1.weight * e2.weight
-        n1, n2 = e1.node, e2.node
-        if id(n1) > id(n2):
-            n1, n2 = n2, n1
-        key = (n1, n2, srt)
+        key = (n1, n2, srt) if id(n1) < id(n2) else (n2, n1, srt)
         res = self._cont_cache.get(key)
         if res is None:
-            u1 = TddEdge(1.0 + 0.0j, e1.node)
-            u2 = TddEdge(1.0 + 0.0j, e2.node)
+            # cofactors of the unit edges to n1 and n2 on the top rank r
+            if n1.rank == r:
+                a0, a1, index = n1.low, n1.high, n1.index
+            else:
+                a0 = a1 = TddEdge(1.0 + 0.0j, n1)
+            if n2.rank == r:
+                b0, b1, index = n2.low, n2.high, n2.index
+            else:
+                b0 = b1 = TddEdge(1.0 + 0.0j, n2)
             if srt and srt[0] == r:
-                lo = self._cont(self._slice_edge(u1, r, 0), self._slice_edge(u2, r, 0), srt[1:])
-                hi = self._cont(self._slice_edge(u1, r, 1), self._slice_edge(u2, r, 1), srt[1:])
+                lo = self._cont(a0, b0, srt[1:])
+                hi = self._cont(a1, b1, srt[1:])
                 res = self._add(lo, hi)
             else:
-                lo = self._cont(self._slice_edge(u1, r, 0), self._slice_edge(u2, r, 0), srt)
-                hi = self._cont(self._slice_edge(u1, r, 1), self._slice_edge(u2, r, 1), srt)
-                res = self.mk_edge(self.index_at_rank(r), lo, hi)
+                lo = self._cont(a0, b0, srt)
+                hi = self._cont(a1, b1, srt)
+                res = self.mk_edge(index, lo, hi)
             self._cont_cache[key] = res
-        return self._canon(w * res.weight, res.node)
+        return self._canon(e1.weight * e2.weight * res.weight, res.node)
 
     # -- conjugation and norm ------------------------------------------------
 
@@ -364,7 +404,7 @@ class TddManager:
         edge = self.mk_edge(node.index, lo, hi)
         # normalisation of a conjugated node never rescales: the first nonzero
         # weight was 1 and stays 1
-        if self.wkey(edge.weight) not in (ZERO_KEY, self.wkey(1.0)):
+        if wkey(edge.weight) not in (ZERO_KEY, ONE_KEY):
             raise TddError("conjugation changed normalisation")
         self._conj_cache[node] = edge.node
         return edge.node
@@ -377,30 +417,33 @@ class TddManager:
         return self.norm_edge(t.root, t.indices)
 
     def norm_edge(self, edge: TddEdge, indices: tuple[IndexId, ...]) -> float:
+        """Squared norm of the tensor of ``edge`` over the declared ``indices``.
+
+        One pass over the reachable nodes in ascending rank.  Every declared
+        index skipped between a node and its successor doubles that
+        successor's norm.
+        """
         w2 = abs(edge.weight) ** 2
         if w2 == 0.0:
             return 0.0
-        return w2 * self._norm_node(edge.node, indices)
-
-    def _norm_node(self, node: TddNode, indices: tuple) -> float:
-        if not indices:
-            if node is not self.terminal:
-                raise TddError("node below the declared index set")
-            return 1.0
-        key = (node, indices)
-        got = self._norm_cache.get(key)
-        if got is not None:
-            return got
-        x = indices[0]
-        if node.rank > x.rank:
-            raise TddError(f"index {node.index!r} missing from declared indices")
-        if node.rank == x.rank:
-            out = (abs(node.low.weight) ** 2 * self._norm_node(node.low.node, indices[1:])
-                   + abs(node.high.weight) ** 2 * self._norm_node(node.high.node, indices[1:]))
-        else:
-            out = 2.0 * self._norm_node(node, indices[1:])
-        self._norm_cache[key] = out
-        return out
+        ranks = sorted(i.rank for i in indices)
+        pos = {self.terminal: -1}    # node -> position of its rank in ranks
+        norm = {self.terminal: 1.0}
+        for node in sorted(self._reachable(edge.node), key=lambda n: n.rank):
+            if node is self.terminal:
+                continue
+            p = bisect_left(ranks, node.rank)
+            if p == len(ranks) or ranks[p] != node.rank:
+                if p == 0:
+                    raise TddError("node below the declared index set")
+                raise TddError(f"index {node.index!r} missing from declared indices")
+            out = 0.0
+            for succ in (node.low, node.high):
+                out += abs(succ.weight) ** 2 * _times_pow2(
+                    norm[succ.node], p - pos[succ.node] - 1)
+            pos[node] = p
+            norm[node] = out
+        return w2 * _times_pow2(norm[edge.node], len(ranks) - pos[edge.node] - 1)
 
     # -- structural queries --------------------------------------------------
 
@@ -416,14 +459,14 @@ class TddManager:
             return False
         if node.index is None:  # another manager's terminal
             return True
-        key = (node.index.rank, self.wkey(node.low.weight), node.low.node,
-               self.wkey(node.high.weight), node.high.node)
+        key = (node.index.rank, wkey(node.low.weight), node.low.node,
+               wkey(node.high.weight), node.high.node)
         return self._unique.get(key) is not node
 
-    def _reachable(self, t: Tdd) -> set[TddNode]:
-        """Unique nodes reachable from the root, terminal included."""
-        seen = {t.root.node}
-        stack = [t.root.node]
+    def _reachable(self, root: TddNode) -> set[TddNode]:
+        """Unique nodes reachable from ``root``, terminal included."""
+        seen = {root}
+        stack = [root]
         while stack:
             node = stack.pop()
             if node.index is not None:
@@ -435,11 +478,11 @@ class TddManager:
 
     def node_count(self, t: Tdd) -> int:
         """Number of reachable unique nodes, terminal included."""
-        return len(self._reachable(t))
+        return len(self._reachable(t.root.node))
 
     def support(self, t: Tdd) -> frozenset[IndexId]:
         """Indices actually occurring on nodes of the diagram."""
-        return frozenset(node.index for node in self._reachable(t)
+        return frozenset(node.index for node in self._reachable(t.root.node)
                          if node.index is not None)
 
     def import_tdd(self, t: Tdd, source: "TddManager") -> Tdd:
@@ -505,3 +548,11 @@ class TddManager:
         tail = ['  r [shape=none, label=""];',
                 f'  r -> {ids[t.root.node]} [label="{fmt(t.root.weight)}"];', "}"]
         return "\n".join(["digraph tdd {", "  rankdir=TB;"] + decls + edges + tail)
+
+
+def _times_pow2(x: float, k: int) -> float:
+    """``x * 2**k``, exact like repeated doubling, and ``inf`` past the range."""
+    try:
+        return ldexp(x, k)
+    except OverflowError:
+        return inf

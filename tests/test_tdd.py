@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from tddeq.tdd import (KIND_WIRE, DenseLimitError, Tdd, TddEdge,
-                       TddError, TddManager)
+from tddeq.tdd import (KIND_WIRE, ONE_KEY, DenseLimitError, Tdd, TddEdge,
+                       TddError, TddManager, wkey)
 
 from dense_ref import dense_add, dense_contract, dense_norm, dense_slice
 
@@ -38,6 +40,16 @@ def test_mk_edge_normalises_by_first_nonzero():
     assert e.weight == 2.0
     assert e.node.low.weight == 0.0
     assert e.node.high.weight == 1.0
+
+
+def test_mk_edge_snaps_high_before_forming_ratio():
+    # the high weight 4e-10 is grid zero; dividing it by the low weight 2e-9
+    # first would give a nonzero ratio of 0.2
+    m = mgr(2)
+    e = m.mk_edge(m.index("x0"), TddEdge(2e-9 + 0j, m.terminal),
+                  TddEdge(4e-10 + 0j, m.terminal))
+    assert e.node.high is m.zero
+    assert e.weight == 2e-9 and wkey(e.node.low.weight) == ONE_KEY
 
 
 def test_mk_edge_unique_table_dedup():
@@ -211,6 +223,19 @@ def test_conjugate_real_is_identical():
     assert m.identical(m.conjugate(t), t)
 
 
+def test_conjugate_keeps_normalised_weights_at_one():
+    rng = np.random.default_rng(19)
+    m = mgr(4)
+    names = [m.index(f"x{k}") for k in range(4)]
+    for _ in range(10):
+        arr = rand_tensor(rng, names)
+        arr[tuple(rng.integers(0, 2, size=4))] = 0.0
+        c = m.conjugate(m.from_dense(arr, names))
+        for node in m._reachable(c.root.node) - {m.terminal}:
+            first = node.high if node.low is m.zero else node.low
+            assert wkey(first.weight) == ONE_KEY
+
+
 def test_conjugate_involution_and_dense():
     rng = np.random.default_rng(17)
     m = mgr(4)
@@ -246,6 +271,30 @@ def test_norm_matches_dense_with_skipped_indices():
     t = m.from_dense(arr, names[:2])
     wide = Tdd(t.root, tuple(names))  # two extra indices the tensor ignores
     assert abs(m.norm(wide) - 4 * dense_norm(arr)) < 1e-8
+
+
+def test_norm_of_long_chain_is_iterative():
+    # 1000 nodes with weights (1, 0.5j) on 1500 declared indices; every third
+    # index is skipped and contributes a factor 2
+    n = 1500
+    m = mgr(n)
+    e = m.one
+    for k in reversed(range(n)):
+        if k % 3 != 2:
+            e = m.mk_edge(m.index(f"x{k}"), e, TddEdge(0.5j * e.weight, e.node))
+    t = m.tdd(e, [m.index(f"x{k}") for k in range(n)])
+    assert m.node_count(t) == 1001
+    assert math.isclose(m.norm(t), 2.0 ** 500 * 1.25 ** 1000, rel_tol=1e-9)
+
+
+def test_norm_rejects_undeclared_node_index():
+    m = mgr(3)
+    names = [m.index(f"x{k}") for k in range(3)]
+    t = m.from_dense(rand_tensor(np.random.default_rng(3), names), names)
+    with pytest.raises(TddError):   # x1 missing between x0 and x2
+        m.norm_edge(t.root, (names[0], names[2]))
+    with pytest.raises(TddError):   # x2 below every declared index
+        m.norm_edge(t.root, (names[0], names[1]))
 
 
 def test_identical_basics():
@@ -288,6 +337,20 @@ def test_canonicity_dense_equality_iff_identical():
             b[pos] += 0.25
         t2 = m.from_dense(b, idx)
         assert m.identical(t1, t2) == bool(np.array_equal(a, b))
+    # contract and add give the very diagram from_dense builds of the dense
+    # result: same root node and grid-equal root weight
+    for _ in range(60):
+        an = [names[k] for k in sorted(rng.choice(5, size=int(rng.integers(1, 5)), replace=False))]
+        bn = [names[k] for k in sorted(rng.choice(5, size=int(rng.integers(1, 5)), replace=False))]
+        common = [x for x in an if x in bn]
+        shared = [x for x in common if rng.random() < 0.6]
+        a = rand_tensor(rng, an, grid=1e-3)
+        b = rand_tensor(rng, bn, grid=1e-3)
+        ta, tb = m.from_dense(a, an), m.from_dense(b, bn)
+        ref, keep = dense_contract(a, an, b, bn, shared)
+        assert m.identical(m.contract(ta, tb, shared), m.from_dense(ref, keep))
+        ref, union = dense_add(a, an, b, bn)
+        assert m.identical(m.add(ta, tb), m.from_dense(ref, union))
 
 
 def test_shannon_reconstruction():
@@ -328,6 +391,20 @@ def test_norm_nonnegative_and_zero_iff_zero():
         t = m.from_dense(arr, names)
         assert m.norm(t) >= 0.0
         assert (m.norm(t) == 0.0) == (t.root.weight == 0.0 and t.root.node is m.terminal)
+
+
+def test_contract_and_add_snap_grid_zero_roots():
+    # hand-built roots whose weight is grid zero; the large weight of the
+    # other operand would lift an unsnapped 1e-12 root above the grid
+    m = mgr(2)
+    names = [m.index("x0"), m.index("x1")]
+    h = m.from_dense(H_ARR, names)
+    tiny = Tdd(TddEdge(1e-12 + 0j, h.root.node), h.indices)
+    big = Tdd(TddEdge(1e6 + 0j, h.root.node), h.indices)
+    assert m.contract(tiny, big, [names[1]]).root is m.zero
+    assert m.contract(big, tiny, names).root is m.zero
+    assert m.add(tiny, m.from_dense(np.zeros((2, 2)), names)).root is m.zero
+    assert m.add(tiny, Tdd(TddEdge(-1e-12 + 0j, h.root.node), h.indices)).root is m.zero
 
 
 def test_node_count_and_import():
