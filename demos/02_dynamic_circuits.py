@@ -12,6 +12,7 @@ from tddeq.benchmarks import dyn_pe, teleport
 from tddeq.circuits import flatten
 from tddeq.oracle import (identity_choi, outcome_distribution, semantics,
                           superoperator)
+from tddeq.textfmt import expr_from_func
 
 spec = teleport()
 print("== teleportation, text form ==")
@@ -34,7 +35,7 @@ print("\n== lowering the dispatch ==")
 for st in flatten(lower_controls(spec.circuit)):
     if isinstance(st, CondGate):
         print(f"  classically controlled {st.gate.name} on {st.gate.qubits}, "
-              f"control table {st.func.table}")
+              f"when {expr_from_func(st.bits, st.func)}")
 
 print("\n== dynamic phase estimation reads out the phase exactly ==")
 for phi in (0.25, 0.625):

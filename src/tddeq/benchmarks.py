@@ -183,12 +183,11 @@ def teleport_pair() -> BenchmarkPair:
 
 def _syndrome_corrections(targets, bits, flip: str):
     """Correct with gate ``flip`` per the (Z0Z1, Z0Z2) syndrome table."""
-    and_f = BoolFunc.from_callable(2, 1, lambda b: b[0] & b[1])
-    only1 = BoolFunc.from_callable(2, 1, lambda b: b[0] & (1 - b[1]))
-    only2 = BoolFunc.from_callable(2, 1, lambda b: (1 - b[0]) & b[1])
-    return [CondGate(gate(flip, [targets[0]]), bits, and_f, expr=f"{bits[0]}&{bits[1]}"),
-            CondGate(gate(flip, [targets[1]]), bits, only1, expr=f"{bits[0]}&!{bits[1]}"),
-            CondGate(gate(flip, [targets[2]]), bits, only2, expr=f"!{bits[0]}&{bits[1]}")]
+    s = BoolFunc.identity(2)
+    s0, s1 = s.output_bit(0), s.output_bit(1)
+    return [CondGate(gate(flip, [targets[0]]), bits, s0 & s1, expr=f"{bits[0]}&{bits[1]}"),
+            CondGate(gate(flip, [targets[1]]), bits, s0 & ~s1, expr=f"{bits[0]}&!{bits[1]}"),
+            CondGate(gate(flip, [targets[2]]), bits, ~s0 & s1, expr=f"!{bits[0]}&{bits[1]}")]
 
 
 def bitflip_code(err: str | None = None) -> CircuitSpec:
@@ -425,11 +424,9 @@ def mutations(spec: CircuitSpec, rng: random.Random, count: int = 40):
                 if key in seen:
                     continue
                 seen.add(key)
-                flipped = BoolFunc(st.func.arity, 1,
-                                   tuple(1 - v for v in st.func.table))
                 yield (f"negate control of {st.gate.label()} at step {k}",
                        _respliced(spec, steps, k,
-                                  CondGate(st.gate, st.bits, flipped,
+                                  CondGate(st.gate, st.bits, ~st.func,
                                            expr=f"!({st.expr})")))
             else:
                 g = st.gate

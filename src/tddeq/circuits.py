@@ -24,8 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .logic import BoolFunc
-
-UNITARY_TOL = 1e-10
+from .tdd import FACTOR_TOL, UNITARY_TOL
 
 
 def _frozen(mat) -> np.ndarray:
@@ -433,8 +432,7 @@ def _lower_branch_gates(c: Branch) -> list[CondGate]:
     for i, body in enumerate(c.branches):
         if not body.gates:
             continue
-        sel = BoolFunc(c.func.arity, 1,
-                       tuple(1 if v == i else 0 for v in c.func.table))
+        sel = c.func.selector(i)
         for g in body.gates:
             out.append(CondGate(g, c.measure.bits, sel))
     return out
@@ -470,7 +468,7 @@ def _try_factor(c: Branch) -> list[CondGate] | None:
             for b in order:
                 if (i >> (t - 1 - b)) & 1:
                     prod = prod @ gens[b]   # rightmost factor acts first
-            if np.max(np.abs(prod - full[i])) > 1e-9:
+            if np.max(np.abs(prod - full[i])) > FACTOR_TOL:
                 return False
         return True
 

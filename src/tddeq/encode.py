@@ -9,6 +9,12 @@ qubit continues is a rank-3 COPY with a separate outcome leg.  Classical
 controls attach to outcome indices pointwise, so one bit may drive several
 gates.
 
+Classical logic enters through one lift, ``func_to_tensor``: the 0/1
+indicator [f(x) = 1] of a control function's BDD over its outcome indices.
+A gate under a control f is ind(f)*U + ind(!f)*I, a dispatch is the sum
+over i of ind(f == i) times body i; a control on one bit keeps its rank-3
+controlled-gate tensor.  No control tensor is built densely.
+
 Every contraction, of a whole netlist, of a branch body, of a per-qubit
 partition or of partition diagrams, runs through one loop, ``contract_all``:
 an index is summed out as soon as its last use has been contracted.
@@ -33,7 +39,7 @@ import numpy as np
 
 from .circuits import (Branch, CircuitSpec, CondGate, Conventional, DynCircuit,
                        INIT_STATES, Measure, flatten, lower_controls, qvar)
-from .logic import BoolFunc, func_to_tensor
+from .logic import FALSE, TRUE, func_to_tensor, var
 from .tdd import (KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, IndexId, Tdd,
                   TddManager)
 
@@ -65,12 +71,12 @@ def measurement_tensor(mgr: TddManager, x: IndexId, y: IndexId,
 
 
 def controlled_gate_tensor(mgr: TddManager, u: np.ndarray, c: IndexId,
-                           x: IndexId, y: IndexId) -> Tdd:
-    """Classically controlled single-qubit gate: identity at c=0, U at c=1."""
+                           x: IndexId, y: IndexId, fire: int = 1) -> Tdd:
+    """Classically controlled single-qubit gate: U at c=fire, else identity."""
     u = np.asarray(u, dtype=complex)
     arr = np.zeros((2, 2, 2), dtype=complex)
-    arr[0] = np.eye(2)
-    arr[1] = u.T  # entry at (c=1, x, y) is U[y, x]
+    arr[1 - fire] = np.eye(2)
+    arr[fire] = u.T  # entry at (c=fire, x, y) is U[y, x]
     return mgr.from_dense(arr, [c, x, y])
 
 
@@ -298,14 +304,13 @@ class _Builder:
         for q in body_qubits:
             i, o = self._advance(q)
             pre[q], post[q] = i, o
-        sel_idx = self._decl(f"dsp:{uid}", KIND_OUTCOME, 2, (2, uid))
         bodies = [self._build_body(body, uid, i, pre, post, body_qubits)
                   for i, body in enumerate(st.branches)]
         part = self._owner(st.measure.qubits, extra=body_qubits)
         self.net.entries.append(_Entry(
             "dispatch",
             bits + tuple(pre[q] for q in body_qubits) + tuple(post[q] for q in body_qubits),
-            (st, bits, bodies, sel_idx), partition=part))
+            (st, bits, bodies), partition=part))
 
     def _build_body(self, body: DynCircuit, uid: int, i: int, pre, post,
                     body_qubits) -> list[_Entry]:
@@ -474,34 +479,30 @@ def _entry_tensor(mgr: TddManager, e: _Entry, net: _Netlist, stats,
 
 
 def _cond_tensor(mgr: TddManager, st: CondGate, bits, outs, ins) -> Tdd:
-    k = len(st.gate.qubits)
-    if k == 1 and st.func.arity == 1 and st.func.table == (0, 1):
-        return controlled_gate_tensor(mgr, st.gate.matrix, mgr.index(bits[0]),
-                                      mgr.index(ins[0]), mgr.index(outs[0]))
-    arity = st.func.arity
-    arr = np.zeros((2,) * arity + (1 << k, 1 << k), dtype=complex)
-    eye = np.eye(1 << k, dtype=complex)
-    for i in range(1 << arity):
-        bvals = tuple((i >> (arity - 1 - j)) & 1 for j in range(arity))
-        arr[bvals] = (st.gate.matrix if st.func(bvals) else eye).T  # [x, y] layout
-    arr = arr.reshape((2,) * (arity + 2 * k))
-    idx = ([mgr.index(n) for n in bits]
-           + [mgr.index(n) for n in ins]
-           + [mgr.index(n) for n in outs])
-    return mgr.from_dense(arr, idx)
+    f, u, k = st.func, st.gate.matrix, len(st.gate.qubits)
+    cin = [mgr.index(n) for n in bits]
+    if k == 1 and f.arity == 1 and f.roots[0] not in (FALSE, TRUE):
+        # c or !c: the rank-3 controlled gate, its slices swapped for !c
+        return controlled_gate_tensor(mgr, u, cin[0], mgr.index(ins[0]),
+                                      mgr.index(outs[0]),
+                                      fire=int(f.roots[0] is var(0)))
+    legs = [mgr.index(n) for n in outs + ins]
+    shape = (2,) * (2 * k)
+    fired = mgr.contract(func_to_tensor(mgr, f, cin),
+                         mgr.from_dense(u.reshape(shape), legs), set())
+    idle = mgr.contract(func_to_tensor(mgr, ~f, cin),
+                        mgr.from_dense(np.eye(1 << k).reshape(shape), legs), set())
+    return mgr.add(fired, idle)
 
 
 def _dispatch_tensor(mgr: TddManager, e: _Entry, net, stats, max_open, uses) -> Tdd:
-    st, bits, bodies, sel_name = e.payload
-    sel_idx = mgr.index(sel_name)
+    st, bits, bodies = e.payload
     bit_idx = [mgr.index(b) for b in bits]
     total = None
     for i, body in enumerate(bodies):
         t = _fold(mgr, body, net, stats, max_open, uses)
-        sel = BoolFunc(st.func.arity, 1,
-                       tuple(1 if v == i else 0 for v in st.func.table))
-        kappa = mgr.slice(func_to_tensor(mgr, sel, bit_idx, sel_idx), sel_idx, 1)
-        picked = mgr.contract(kappa, t, set())
+        sel = func_to_tensor(mgr, st.func.selector(i), bit_idx)
+        picked = mgr.contract(sel, t, set())
         total = picked if total is None else mgr.add(total, picked)
         _track(mgr, stats, total)
     return total if total is not None else mgr.scalar(0.0)
@@ -516,6 +517,8 @@ def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
     ``names`` it accounts for, and a shared index whose count reaches zero
     and that is not in ``open_names`` is summed out at once.  The open rank
     is bounded by ``max_open`` and the peak diagram size goes to ``stats``.
+    Outcome-kind indices (measurement outcomes and discarded legs) stay open
+    by design, so a wide classical register does not count towards the rank.
     """
     out = mgr.scalar(1.0)
     for g, names in factors:
@@ -525,8 +528,10 @@ def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
                 if uses[i.name] == 0 and i.name not in open_names}
         out = mgr.contract(out, g, dead)
         if len(out.indices) > max_open:
-            raise CompileScaleError(
-                f"open rank {len(out.indices)} exceeds the limit {max_open}")
+            rank = sum(i.kind != KIND_OUTCOME for i in out.indices)
+            if rank > max_open:
+                raise CompileScaleError(
+                    f"open rank {rank} exceeds the limit {max_open}")
         _track(mgr, stats, out)
     return out
 

@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 from .circuits import CircuitSpec, Verdict, validate
 from .encode import (CompileError, CompileScaleError, CompileStats,
                      contract_pieces, evaluate, evaluate_pieces, prepare)
-from .tdd import ZERO_KEY, Tdd, TddEdge, TddError, TddManager
-
-DEFAULT_EPS = 1e-10
+from .tdd import DEFAULT_EPS, ZERO_KEY, Tdd, TddEdge, TddError, TddManager
 
 
 class IndexOrderError(Exception):

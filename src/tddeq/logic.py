@@ -1,99 +1,30 @@
-"""Boolean functions, reduced ordered BDDs, and their lift to tensors.
+"""Boolean functions as reduced ordered BDDs, and their lift to tensors.
 
-A Boolean function f : {0,1}^n -> {0,1}^t dispatches classically controlled
-parts of a circuit.  For the tensor network it is lifted to a 0/1 tensor
-phi(x1..xn, y) = [f(x) = y], one output index per output bit; composing
-classical gates is then plain contraction over the wired indices.
+A Boolean function f : {0,1}^n -> {0,1}^t selects the classically controlled
+parts of a circuit.  ``BoolFunc`` holds one reduced ordered BDD (Bryant,
+IEEE TC 1986) per output bit over the input positions 0..n-1, position 0
+nearest the root.  Every BDD node comes from one process-wide unique table,
+so equal functions are the same nodes and compare equal; not, and, or and
+xor are memoised applies.  Nothing here enumerates the 2^n assignments.
+The tables are never pruned and are not locked: build functions from one
+thread.
+
+``func_to_tensor`` lifts a single-output function to the 0/1 indicator
+tensor [f(x) = 1] over chosen diagram indices by cofactoring its BDD in the
+diagram manager's rank order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import inf
+from typing import Sequence
 
-import numpy as np
-
-from .tdd import IndexId, Tdd, TddEdge, TddManager
-
-
-@dataclass(frozen=True)
-class BoolFunc:
-    """Total function {0,1}^n -> {0,1}^t stored as a truth table.
-
-    ``table[i]`` is the integer output for input ``i`` read MSB-first
-    (input bit 0 is the most significant position).
-    """
-
-    arity: int
-    outputs: int
-    table: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.table) != 1 << self.arity:
-            raise ValueError("truth table size does not match arity")
-        if any(v < 0 or v >= 1 << self.outputs for v in self.table):
-            raise ValueError("table value out of range")
-
-    def __call__(self, bits: Sequence[int]) -> int:
-        i = 0
-        for b in bits:
-            i = (i << 1) | (b & 1)
-        return self.table[i]
-
-    def output_bit(self, b: int) -> "BoolFunc":
-        """Single-output restriction to output bit ``b`` (MSB first)."""
-        shift = self.outputs - 1 - b
-        return BoolFunc(self.arity, 1, tuple((v >> shift) & 1 for v in self.table))
-
-    @staticmethod
-    def identity(n: int) -> "BoolFunc":
-        return BoolFunc(n, n, tuple(range(1 << n)))
-
-    @staticmethod
-    def constant(n: int, value: int, outputs: int = 1) -> "BoolFunc":
-        return BoolFunc(n, outputs, tuple(value for _ in range(1 << n)))
-
-    @staticmethod
-    def from_callable(n: int, outputs: int, fn) -> "BoolFunc":
-        vals = []
-        for i in range(1 << n):
-            bits = [(i >> (n - 1 - k)) & 1 for k in range(n)]
-            vals.append(int(fn(bits)))
-        return BoolFunc(n, outputs, tuple(vals))
-
-    # line-oriented truth table text: one `bits -> bits` line per assignment
-    def to_text(self) -> str:
-        lines = []
-        for i in range(1 << self.arity):
-            ins = format(i, f"0{self.arity}b") if self.arity else ""
-            outs = format(self.table[i], f"0{self.outputs}b")
-            lines.append(f"{ins} -> {outs}")
-        return "\n".join(lines)
-
-    @staticmethod
-    def from_text(text: str) -> "BoolFunc":
-        rows = {}
-        arity = outputs = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            left, _, right = line.partition("->")
-            ins, outs = left.strip(), right.strip()
-            if arity is None:
-                arity, outputs = len(ins), len(outs)
-            if len(ins) != arity or len(outs) != outputs:
-                raise ValueError(f"inconsistent truth table row: {line!r}")
-            rows[int(ins, 2) if ins else 0] = int(outs, 2)
-        if arity is None:
-            raise ValueError("empty truth table")
-        if len(rows) != 1 << arity:
-            raise ValueError("truth table is not total")
-        return BoolFunc(arity, outputs, tuple(rows[i] for i in range(1 << arity)))
+from .tdd import IndexId, Tdd, TddManager
 
 
 class BddNode:
-    """ROBDD node; terminals are the shared ``ZERO``/``ONE`` singletons."""
+    """Hash-consed BDD node; the terminals ``FALSE``/``TRUE`` have var inf."""
 
     __slots__ = ("var", "lo", "hi")
 
@@ -103,119 +34,166 @@ class BddNode:
         self.hi = hi
 
 
-class Bdd:
-    """Reduced ordered BDD over an explicit variable order (root first)."""
+FALSE = BddNode(inf, None, None)
+TRUE = BddNode(inf, None, None)
 
-    def __init__(self, order: Sequence[str]):
-        self.order = tuple(order)
-        self._level = {v: k for k, v in enumerate(self.order)}
-        self.zero = BddNode(None, None, None)
-        self.one = BddNode(None, None, None)
-        self._unique: dict[tuple, BddNode] = {}
-        self.root = self.zero
+_unique: dict[tuple, BddNode] = {}
+_computed: dict[tuple, BddNode] = {}
 
-    def _mk(self, var, lo, hi):
-        if lo is hi:
-            return lo
-        key = (var, id(lo), id(hi))
-        node = self._unique.get(key)
-        if node is None:
-            node = BddNode(var, lo, hi)
-            self._unique[key] = node
+
+def _mk(var: int, lo: BddNode, hi: BddNode) -> BddNode:
+    if lo is hi:
+        return lo
+    key = (var, lo, hi)
+    node = _unique.get(key)
+    if node is None:
+        node = _unique[key] = BddNode(var, lo, hi)
+    return node
+
+
+def var(k: int) -> BddNode:
+    """The BDD of input position ``k``."""
+    return _mk(k, FALSE, TRUE)
+
+
+def apply(op: str, a: BddNode, b: BddNode) -> BddNode:
+    """``a op b`` for op in and, or, xor; memoised across calls."""
+    if op == "and":
+        if a is FALSE or b is FALSE:
+            return FALSE
+        if a is TRUE:
+            return b
+        if b is TRUE or a is b:
+            return a
+    elif op == "or":
+        if a is TRUE or b is TRUE:
+            return TRUE
+        if a is FALSE:
+            return b
+        if b is FALSE or a is b:
+            return a
+    else:
+        if a is FALSE:
+            return b
+        if b is FALSE:
+            return a
+        if a is b:
+            return FALSE
+    if id(a) > id(b):    # all three operations commute
+        a, b = b, a
+    key = (op, a, b)
+    res = _computed.get(key)
+    if res is None:
+        v = min(a.var, b.var)
+        a0, a1 = (a.lo, a.hi) if a.var == v else (a, a)
+        b0, b1 = (b.lo, b.hi) if b.var == v else (b, b)
+        res = _computed[key] = _mk(v, apply(op, a0, b0), apply(op, a1, b1))
+    return res
+
+
+def negate(a: BddNode) -> BddNode:
+    return apply("xor", a, TRUE)
+
+
+def _restrict(node: BddNode, p: int, c: int) -> BddNode:
+    """Cofactor of ``node`` at input position ``p`` set to ``c``."""
+    if node.var > p:           # p lies above node, terminals included
         return node
+    if node.var == p:
+        return node.hi if c else node.lo
+    key = ("restrict", node, p, c)
+    res = _computed.get(key)
+    if res is None:
+        res = _computed[key] = _mk(node.var, _restrict(node.lo, p, c),
+                                   _restrict(node.hi, p, c))
+    return res
+
+
+@dataclass(frozen=True)
+class BoolFunc:
+    """Total function {0,1}^arity -> {0,1}^outputs.
+
+    ``roots[b]`` is the BDD of output bit ``b`` (MSB first) over the input
+    positions; input bit 0 is the most significant position of ``__call__``.
+    """
+
+    arity: int
+    roots: tuple[BddNode, ...]
+
+    @property
+    def outputs(self) -> int:
+        return len(self.roots)
+
+    def __call__(self, bits: Sequence[int]) -> int:
+        out = 0
+        for node in self.roots:
+            while node.lo is not None:
+                node = node.hi if bits[node.var] else node.lo
+            out = (out << 1) | (node is TRUE)
+        return out
+
+    def output_bit(self, b: int) -> "BoolFunc":
+        """Single-output restriction to output bit ``b`` (MSB first)."""
+        return BoolFunc(self.arity, (self.roots[b],))
+
+    def selector(self, i: int) -> "BoolFunc":
+        """The single-output function ``f(bits) == i``."""
+        t = self.outputs
+        node = TRUE
+        for b, root in enumerate(self.roots):
+            node = apply("and", node,
+                         root if (i >> (t - 1 - b)) & 1 else negate(root))
+        return BoolFunc(self.arity, (node,))
+
+    def _pointwise(self, op: str, other: "BoolFunc") -> "BoolFunc":
+        if (self.arity, self.outputs) != (other.arity, other.outputs):
+            raise ValueError("operands differ in arity or outputs")
+        return BoolFunc(self.arity, tuple(apply(op, a, b) for a, b
+                                          in zip(self.roots, other.roots)))
+
+    def __and__(self, other):
+        return self._pointwise("and", other)
+
+    def __or__(self, other):
+        return self._pointwise("or", other)
+
+    def __xor__(self, other):
+        return self._pointwise("xor", other)
+
+    def __invert__(self):
+        return BoolFunc(self.arity, tuple(negate(r) for r in self.roots))
 
     @staticmethod
-    def from_func(f: BoolFunc, order: Sequence[str]) -> "Bdd":
-        """Build the canonical BDD of a single-output function."""
-        if f.outputs != 1:
-            raise ValueError("from_func expects a single-output function")
-        if len(order) != f.arity:
-            raise ValueError("order length does not match arity")
-        b = Bdd(order)
-
-        def build(level, prefix):
-            if level == f.arity:
-                return b.one if f.table[prefix] else b.zero
-            lo = build(level + 1, prefix << 1)
-            hi = build(level + 1, (prefix << 1) | 1)
-            return b._mk(b.order[level], lo, hi)
-
-        b.root = build(0, 0)
-        return b
-
-    def evaluate(self, bits: Sequence[int]) -> int:
-        env = dict(zip(self.order, bits))
-        node = self.root
-        while node not in (self.zero, self.one):
-            node = node.hi if env[node.var] else node.lo
-        return 1 if node is self.one else 0
-
-    def node_count(self) -> int:
-        seen = set()
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if id(n) in seen:
-                continue
-            seen.add(id(n))
-            if n not in (self.zero, self.one):
-                stack.extend((n.lo, n.hi))
-        return len(seen)
+    def identity(n: int) -> "BoolFunc":
+        return BoolFunc(n, tuple(var(k) for k in range(n)))
 
 
-def func_to_tensor(mgr: TddManager, f: BoolFunc, inputs: Sequence[IndexId],
-                   y: IndexId) -> Tdd:
-    """Lift a single-output function to the 0/1 tensor [f(x) = y]."""
+def func_to_tensor(mgr: TddManager, f: BoolFunc,
+                   inputs: Sequence[IndexId]) -> Tdd:
+    """Lift a single-output function to the 0/1 indicator [f(x) = 1].
+
+    ``inputs[k]`` is the diagram index of input position ``k``.  The diagram
+    is built top-down in the manager's rank order, cofactoring the BDD on
+    the position of each index in turn.
+    """
     if f.outputs != 1:
         raise ValueError("func_to_tensor expects a single-output function")
     if len(inputs) != f.arity:
         raise ValueError("input index count does not match arity")
-    shape = (2,) * (f.arity + 1)
-    arr = np.zeros(shape)
-    for i in range(1 << f.arity):
-        bits = tuple((i >> (f.arity - 1 - k)) & 1 for k in range(f.arity))
-        arr[bits + (f.table[i],)] = 1.0
-    return mgr.from_dense(arr, list(inputs) + [y])
+    level = sorted(range(f.arity), key=lambda k: -inputs[k].rank)
+    memo: dict[tuple, object] = {}
 
+    def lift(node, d):
+        if node is TRUE:
+            return mgr.one
+        if node is FALSE:
+            return mgr.zero
+        got = memo.get((node, d))
+        if got is None:
+            p = level[d]
+            got = memo[node, d] = mgr.mk_edge(
+                inputs[p], lift(_restrict(node, p, 0), d + 1),
+                lift(_restrict(node, p, 1), d + 1))
+        return got
 
-def bdd_to_tdd(mgr: TddManager, b: Bdd, var_index: dict[str, IndexId],
-               y: IndexId) -> Tdd:
-    """Structural BDD import: terminal-0 edges are redirected to the y-node
-    with successors (1, 0), terminal-1 edges to the y-node with (0, 1).
-    """
-    for v, a in zip(b.order, b.order[1:]):
-        if var_index[v].rank <= var_index[a].rank:
-            raise ValueError("BDD variable order conflicts with the index order")
-    if any(var_index[v].rank <= y.rank for v in b.order):
-        raise ValueError("output index must sit below every BDD variable")
-    y0 = mgr.mk_edge(y, mgr.one, mgr.zero)   # indicator [y = 0]
-    y1 = mgr.mk_edge(y, mgr.zero, mgr.one)   # indicator [y = 1]
-    memo: dict[int, TddEdge] = {id(b.zero): y0, id(b.one): y1}
-
-    def rec(node):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        edge = mgr.mk_edge(var_index[node.var], rec(node.lo), rec(node.hi))
-        memo[id(node)] = edge
-        return edge
-
-    root = rec(b.root)
-    return mgr.tdd(root, [var_index[v] for v in b.order] + [y])
-
-
-def compose_logic(mgr: TddManager, parts: Iterable[Tdd],
-                  internal: Iterable[IndexId]) -> Tdd:
-    """Contract lifted gate tensors over their wired output/input indices."""
-    parts = list(parts)
-    internal = set(internal)
-    if not parts:
-        raise ValueError("nothing to compose")
-    out = parts[0]
-    for k, part in enumerate(parts[1:], start=1):
-        seen_later = set()
-        for later in parts[k + 1:]:
-            seen_later.update(later.indices)
-        dead = (set(out.indices) & set(part.indices) & internal) - seen_later
-        out = mgr.contract(out, part, dead)
-    return out
+    return mgr.tdd(lift(f.roots[0], 0), inputs)

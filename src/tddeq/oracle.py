@@ -21,11 +21,10 @@ import numpy as np
 
 from .circuits import (Branch, CircuitSpec, CondGate, Conventional, DynCircuit,
                        INIT_STATES, Measure, Seq, _embed, validate)
+from .tdd import ORACLE_ATOL, ORACLE_LIVE
 
 MAX_ORACLE_QUBITS = 12
 MAX_ENSEMBLE = 1 << 20
-
-ATOL = 1e-9
 
 
 class OracleScaleError(Exception):
@@ -220,7 +219,7 @@ def _povm_by_outputs(spec: CircuitSpec) -> dict[str, np.ndarray]:
     return out
 
 
-def oracle_m_eq(a: CircuitSpec, b: CircuitSpec, atol: float = ATOL) -> bool:
+def oracle_m_eq(a: CircuitSpec, b: CircuitSpec, atol: float = ORACLE_ATOL) -> bool:
     """Output distributions equal; with open inputs, the output POVMs equal."""
     if len(a.output_bits) != len(b.output_bits):
         raise ValueError("output bit counts differ")
@@ -237,7 +236,7 @@ def oracle_m_eq(a: CircuitSpec, b: CircuitSpec, atol: float = ATOL) -> bool:
 
 def _proportional_family(chois: dict, atol: float):
     """Common normalised Choi if all nonzero branches are proportional."""
-    live = {k: c for k, c in chois.items() if float(np.abs(c).max()) > 1e-12}
+    live = {k: c for k, c in chois.items() if float(np.abs(c).max()) > ORACLE_LIVE}
     if not live:
         return None, []
     ref_key = max(live, key=lambda k: float(np.trace(live[k]).real))
@@ -252,7 +251,7 @@ def _proportional_family(chois: dict, atol: float):
     return ref / tref, []
 
 
-def oracle_q_eq(a: CircuitSpec, b: CircuitSpec, atol: float = ATOL):
+def oracle_q_eq(a: CircuitSpec, b: CircuitSpec, atol: float = ORACLE_ATOL):
     """Outcome-independence of both circuits plus equality of the common map.
 
     Branch maps are compared through their Choi matrices: within one circuit
@@ -271,6 +270,6 @@ def oracle_q_eq(a: CircuitSpec, b: CircuitSpec, atol: float = ATOL):
     return bool(np.max(np.abs(na - nb)) <= atol)
 
 
-def oracle_full_eq(a: CircuitSpec, b: CircuitSpec, atol: float = ATOL) -> bool:
+def oracle_full_eq(a: CircuitSpec, b: CircuitSpec, atol: float = ORACLE_ATOL) -> bool:
     """Equality of the summed superoperators (Choi matrices entrywise)."""
     return bool(np.max(np.abs(superoperator(a) - superoperator(b))) <= atol)

@@ -39,8 +39,14 @@ KIND_PRINCIPAL = "principal-output"
 
 _KINDS = (KIND_WIRE, KIND_OUTCOME, KIND_PRINCIPAL)
 
-GRID = 1e-9        # weights are keyed on this grid (see ``wkey``)
-DENSE_LIMIT = 20   # most indices of a tensor built or read densely
+# Every tolerance of the package, and the dense-size limit.
+GRID = 1e-9           # weights are keyed on this grid (see ``wkey``)
+DEFAULT_EPS = 1e-10   # default outcome-mass tolerance of ``check``
+UNITARY_TOL = 1e-10   # largest entry of U^H U - I a gate may have
+FACTOR_TOL = 1e-9     # entrywise match of a branch family to per-bit factors
+ORACLE_ATOL = 1e-9    # entrywise tolerance of the dense oracle's comparisons
+ORACLE_LIVE = 1e-12   # a branch Choi matrix at most this large is impossible
+DENSE_LIMIT = 20      # most indices of a tensor built or read densely
 
 
 def wkey(w) -> tuple[int, int]:

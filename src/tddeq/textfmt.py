@@ -21,12 +21,19 @@ Control expressions use bits, ``!``, ``&``, ``|``, ``^`` and parentheses;
 ``ifc <expr> apply NAME(params) q...`` guards one gate, with an optional
 ``== 0|1`` comparison.  A ``dispatch`` consumes the immediately preceding
 ``measure`` lines of the bits it mentions.
+
+The parser turns each control expression straight into a BDD by apply over
+its syntax tree (``== 0`` negates), so a control's cost grows with its
+BDD, not with the 2^n assignments of its bits.  The printer writes the
+expression text kept from parsing, or else one product of literals per
+path to 1 in the BDD.
 """
 
 from __future__ import annotations
 
 import re
 
+from . import logic
 from .circuits import (Branch, CircuitSpec, CondGate, Conventional, Measure,
                        MeasureStep, flatten, gate, seq)
 from .logic import BoolFunc
@@ -118,36 +125,35 @@ class _ExprParser:
         return ("bit", t)
 
 
-def _eval_node(node, env):
+def _expr_ast(text: str, known_bits=None):
+    """(bits in order of appearance, AST) of one control expression."""
+    p = _ExprParser(_tokenize(text))
+    node = p.parse()
+    if known_bits is not None:
+        for b in p.bits:
+            if b not in known_bits:
+                raise ParseError(f"control references unmeasured bit {b!r}")
+    return tuple(p.bits), node
+
+
+def _bdd(node, pos: dict):
+    """BDD of an AST over the input positions ``pos`` of its bits."""
     op = node[0]
     if op == "bit":
-        return env[node[1]]
+        return logic.var(pos[node[1]])
     if op == "const":
-        return node[1]
+        return logic.TRUE if node[1] else logic.FALSE
     if op == "not":
-        return 1 - _eval_node(node[1], env)
-    a = _eval_node(node[1], env)
-    b = _eval_node(node[2], env)
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    return a ^ b
+        return logic.negate(_bdd(node[1], pos))
+    return logic.apply(op, _bdd(node[1], pos), _bdd(node[2], pos))
 
 
 def parse_expr(text: str, known_bits=None):
-    """(bits-in-use, BoolFunc, normalized text) for one control expression."""
-    p = _ExprParser(_tokenize(text))
-    node = p.parse()
-    bits = p.bits
-    if known_bits is not None:
-        for b in bits:
-            if b not in known_bits:
-                raise ParseError(f"control references unmeasured bit {b!r}")
-    func = BoolFunc.from_callable(
-        len(bits), 1,
-        lambda vals: _eval_node(node, dict(zip(bits, vals))))
-    return tuple(bits), func, _fmt_node(node)
+    """(bits-in-use, BoolFunc over them, normalized text) for one control
+    expression."""
+    bits, node = _expr_ast(text, known_bits)
+    pos = {b: k for k, b in enumerate(bits)}
+    return bits, BoolFunc(len(bits), (_bdd(node, pos),)), _fmt_node(node)
 
 
 def _fmt_node(node, prec=0):
@@ -164,20 +170,20 @@ def _fmt_node(node, prec=0):
 
 
 def expr_from_func(bits, func: BoolFunc) -> str:
-    """Canonical sum-of-minterms text for a control function."""
+    """Sum-of-products text of a single-output control function: one
+    product of literals per path to 1 in its BDD, low branches first."""
     terms = []
-    for i in range(1 << func.arity):
-        if not func.table[i]:
-            continue
-        lits = []
-        for k, b in enumerate(bits):
-            v = (i >> (func.arity - 1 - k)) & 1
-            lits.append(b if v else f"!{b}")
-        terms.append("&".join(lits) if lits else "1")
+    stack = [(func.roots[0], ())]
+    while stack:
+        node, lits = stack.pop()
+        if node is logic.TRUE:
+            terms.append("&".join(lits) or "1")
+        elif node is not logic.FALSE:
+            b = bits[node.var]
+            stack.append((node.hi, lits + (b,)))
+            stack.append((node.lo, lits + (f"!{b}",)))
     if not terms:
         return "0"
-    if len(terms) == len(func.table):
-        return "1"
     return "|".join(f"({t})" if len(terms) > 1 and "&" in t else t for t in terms)
 
 
@@ -316,7 +322,7 @@ def _parse_body(body, qubits, subs, measured):
             if not bits:
                 raise ParseError("control expression uses no bits", no)
             if cmp_val == "0":
-                func = BoolFunc(func.arity, 1, tuple(1 - v for v in func.table))
+                func = ~func
                 norm = f"!({norm})"
             qs = qlist.split()
             for q in qs:
@@ -332,14 +338,10 @@ def _parse_body(body, qubits, subs, measured):
             exprs = [e.strip() for e in exprs_text.split(",") if e.strip()]
             if not exprs:
                 raise ParseError("dispatch needs at least one expression", no)
-            parsed = [parse_expr(e, measured) for e in exprs]
-            used_bits: list[str] = []
-            for bits, _, _ in parsed:
-                for b in bits:
-                    if b not in used_bits:
-                        used_bits.append(b)
+            parsed = [_expr_ast(e, measured) for e in exprs]
+            used_bits = {b for bits, _ in parsed for b in bits}
             pend_bits = [b for _, b in pending_meas]
-            if set(used_bits) - set(pend_bits):
+            if used_bits - set(pend_bits):
                 raise ParseError("dispatch references bits without directly "
                                  "preceding measure lines", no)
             r_qubits = tuple(q for q, _ in pending_meas)
@@ -351,15 +353,8 @@ def _parse_body(body, qubits, subs, measured):
                 branch_names[int(item[0])] = item[1]
             if sorted(branch_names) != list(range(1 << t)):
                 raise ParseError(f"dispatch table must name branches 0..{(1 << t) - 1}", no)
-
-            def f_all(vals):
-                env = dict(zip(r_bits, vals))
-                out = 0
-                for bits, fn, _ in parsed:
-                    out = (out << 1) | fn([env[b] for b in bits])
-                return out
-
-            func = BoolFunc.from_callable(len(r_bits), t, f_all)
+            pos = {b: k for k, b in enumerate(r_bits)}
+            func = BoolFunc(len(r_bits), tuple(_bdd(node, pos) for _, node in parsed))
             branches = []
             for i in range(1 << t):
                 name = branch_names[i]
@@ -369,7 +364,7 @@ def _parse_body(body, qubits, subs, measured):
                 branches.append(seq(*sub_steps))
             steps.append(Branch(MeasureStep(r_qubits, r_bits), func,
                                 tuple(branches),
-                                exprs=tuple(norm for _, _, norm in parsed)))
+                                exprs=tuple(_fmt_node(node) for _, node in parsed)))
         else:
             raise ParseError(f"unknown directive {head!r}", no)
     flush_meas()

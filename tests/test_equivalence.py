@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -6,14 +8,14 @@ import pytest
 
 from tddeq import benchmarks as B
 from tddeq.circuits import (Branch, CircuitSpec, CondGate, Conventional,
-                            Measure, MeasureStep, gate, seq)
+                            Measure, MeasureStep, flatten, gate, seq, validate)
 from tddeq.encode import compile_pair
 from tddeq.equivalence import (IndexOrderError, check, get_nodes, m_eq,
                                outcome_masses, q_eq)
 from tddeq.logic import BoolFunc
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
-from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, Tdd, TddEdge, TddManager
-from tddeq.textfmt import parse
+from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, Tdd, TddEdge, TddError, TddManager
+from tddeq.textfmt import expr_from_func, parse, parse_expr, print_spec
 
 
 def meas_mgr(n_meas=1, n_wire=2):
@@ -139,19 +141,74 @@ def test_peel_walk_is_iterative_and_linear():
     assert len(m.support(t)) == n
 
 
-def test_engine_error_is_inconclusive():
-    # a 17-bit control: the dense control tensor has 21 indices, one over the
-    # dense limit, so the engine raises instead of compiling
+def wide_cx_spec(with_cond: bool) -> CircuitSpec:
+    """17 measured bits whose AND controls a CX; every qubit starts in 1."""
     bits = tuple(f"c{k}" for k in range(17))
     qs = tuple(f"q{k}" for k in range(19))
-    table = (0,) * ((1 << 17) - 1) + (1,)
-    circ = seq(Measure(MeasureStep(qs[:17], bits)),
-               CondGate(gate("CX", ["q17", "q18"]), bits, BoolFunc(17, 1, table)))
-    spec = CircuitSpec(qubits=qs, circuit=circ, fixed_init={q: "+" for q in qs},
-                       output_bits=bits)
+    x = BoolFunc.identity(17)
+    steps = [Measure(MeasureStep(qs[:17], bits))]
+    if with_cond:
+        f = functools.reduce(operator.and_, (x.output_bit(k) for k in range(17)))
+        steps.append(CondGate(gate("CX", ["q17", "q18"]), bits, f))
+    steps.append(Measure(MeasureStep(("q18",), ("t",))))
+    return CircuitSpec(qubits=qs, circuit=seq(*steps),
+                       fixed_init={q: "1" for q in qs}, output_bits=bits + ("t",))
+
+
+def test_engine_error_is_inconclusive(monkeypatch):
+    def broken(self, a, b, shared):
+        raise TddError("engine fault")
+
+    monkeypatch.setattr(TddManager, "contract", broken)
+    spec = wide_cx_spec(True)
     v, _ = check(spec, spec, "m")
     assert v.status == "inconclusive"
-    assert "dense limit" in v.reason
+    assert v.reason == "engine fault"
+
+
+def test_wide_control_is_decided():
+    # the 17-bit control fires on the all-ones record, so the CX flips q18
+    # to 0 and t reads 0; without the conditional t reads 1
+    spec = wide_cx_spec(True)
+    assert check(spec, spec, "m")[0].status == "equivalent"
+    for plan in ("basic", "partitioned"):
+        v, _ = check(spec, wide_cx_spec(False), "m", plan=plan)
+        assert v.status == "not-equivalent", plan
+
+
+WIDE_BITS = 64
+
+
+def wide_text(op: str, init: str, tail: str) -> str:
+    """64 bits read from 8 qubits measured 8 times each, then ``tail``.
+
+    Zero-padded names keep each qubit's bits adjacent in the index order.
+    """
+    qs = [f"q{k}" for k in range(8)]
+    lines = ["qubits " + " ".join(qs) + " t", "outbits r"]
+    lines += [f"init {q}={init}" for q in qs] + ["init t=0"]
+    lines += [f"measure q{k // 8} -> c{k:02d}" for k in range(WIDE_BITS)]
+    expr = op.join(f"c{k:02d}" for k in range(WIDE_BITS))
+    lines += [tail.replace("@", expr), "measure t -> r"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("op,init,fires", [
+    ("&", "1", True), ("|", "1", True), ("^", "1", False),
+    ("^", "+", False),              # each qubit gives 8 equal bits
+    ("&", "+", None), ("|", "+", None)])   # fires with probability 2^-8, 1 - 2^-8
+def test_wide_controls_known_answers(op, init, fires):
+    a = parse(wide_text(op, init, "ifc @ apply X t"))
+    assert validate(a) == []
+    again = parse(print_spec(a))
+    assert print_spec(again) == print_spec(a)
+    conds = [[(s.bits, s.func) for s in flatten(x.circuit) if isinstance(s, CondGate)]
+             for x in (a, again)]
+    assert conds[0] == conds[1] and len(conds[0]) == 1
+    for gate_line, applied in (("", False), ("gate X t", True)):
+        b = parse(wide_text(op, init, gate_line))
+        v, _ = check(a, b, "m")
+        assert v.status == ("equivalent" if fires is applied else "not-equivalent")
 
 
 def test_q_eq_teleport_vs_swap():
@@ -267,6 +324,124 @@ def test_verdict_agreement_with_oracle_random(plan, strict_q):
         assert v.status in ("equivalent", "not-equivalent")
         oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert (v.status == "equivalent") == oracle, (k, mode)
+
+
+def _random_expr(rng, bits, depth=2) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(bits)
+    op = rng.choice("!&|^")
+    if op == "!":
+        return f"!({_random_expr(rng, bits, depth - 1)})"
+    a, b = _random_expr(rng, bits, depth - 1), _random_expr(rng, bits, depth - 1)
+    return f"({a}{op}{b})"
+
+
+def _random_target_gate(rng) -> str:
+    if rng.random() < 0.25:
+        return rng.choice(["CX t0 t1", "CZ t0 t1", "CX t1 t0"])
+    return f"{rng.choice(['X', 'Z', 'H', 'S', 'T'])} {rng.choice(['t0', 't1'])}"
+
+
+def _control_pair(rng, mode):
+    """A .dqc pair whose controls are random expressions over 2-4 bits.
+
+    Lines are (template, expressions); ``%s`` slots take the expressions.
+    After the measurements comes a dispatch with random, mostly
+    non-factorable bodies or a run of ``ifc`` lines.  B re-renders A with
+    every expression printed back from its BDD and every ``== k`` folded
+    into it (same functions), with one expression redrawn, or with one
+    controlled gate redrawn.
+    """
+    k = rng.randint(2, 4)
+    anc = [f"a{i}" for i in range(k)]
+    bits = [f"c{i}" for i in range(k)]
+    lines = [("qubits " + " ".join(anc) + " t0 t1", [])]
+    if mode == "m":
+        outbits = ["r0", "r1"] + (bits if rng.random() < 0.5 else [])
+        lines.append(("outbits " + " ".join(outbits), []))
+        free = anc + ["t0", "t1"]
+    else:
+        ins = ["t0"] if rng.random() < 0.5 else []
+        if ins:
+            lines.append(("inputs t0", []))
+        lines.append(("outputs t0 t1", []))
+        free = [q for q in anc + ["t0", "t1"] if q not in ins]
+    lines += [(f"init {q}={rng.choice('01+')}", []) for q in free]
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.4:
+            lines.append((f"gate CX {rng.choice(anc)} {rng.choice(['t0', 't1'])}", []))
+        else:
+            q = rng.choice(anc + ["t0", "t1"])
+            lines.append((f"gate {rng.choice(['H', 'X', 'S', 'T'])} {q}", []))
+    lines += [(f"measure {a} -> {c}", []) for a, c in zip(anc, bits)]
+    subs = []
+    if rng.random() < 0.5:
+        t = rng.randint(1, 2)
+        names = [f"s{i}" for i in range(1 << t)]
+        table = " ".join(f"{i}: {n}" for i, n in enumerate(names))
+        lines.append(("dispatch " + ", ".join(["%s"] * t) + f" {{ {table} }}",
+                      [_random_expr(rng, bits) for _ in range(t)]))
+        for n in names:
+            subs.append((f"subcircuit {n} {{", []))
+            subs += [(f"  gate {_random_target_gate(rng)}", [])
+                     for _ in range(rng.randint(0, 3))]
+            subs.append(("}", []))
+    for _ in range(rng.randint(0 if subs else 1, 3)):
+        cmp = rng.choice(["", " == 0", " == 1"])
+        lines.append((f"ifc %s{cmp} apply {_random_target_gate(rng)}",
+                       [_random_expr(rng, bits)]))
+    if mode == "m":
+        lines += [("measure t0 -> r0", []), ("measure t1 -> r1", [])]
+    lines += subs
+
+    def render(ls):
+        return "\n".join(tpl % tuple(ex) for tpl, ex in ls) + "\n"
+
+    roll = rng.random()
+    slots = [i for i, (_, ex) in enumerate(lines) if ex]
+    other = list(lines)
+    if roll < 0.4:
+        for i in slots:
+            tpl, ex = other[i]
+            printed = []
+            for e in ex:
+                used, f, _ = parse_expr(e)
+                text = expr_from_func(used, f)
+                printed.append(text if any(b in text for b in used) else f"!(!({e}))")
+            if " == 0 " in tpl:     # the comparison becomes a negation
+                tpl, printed = tpl.replace(" == 0", ""), [f"!({printed[0]})"]
+            other[i] = (tpl.replace(" == 1", ""), printed)
+    elif roll < 0.7:
+        i = rng.choice(slots)
+        tpl, ex = other[i]
+        ex = list(ex)
+        ex[rng.randrange(len(ex))] = _random_expr(rng, bits)
+        other[i] = (tpl, ex)
+    else:
+        ifcs = [i for i in slots if other[i][0].startswith("ifc")]
+        if ifcs:
+            i = rng.choice(ifcs)
+            tpl, ex = other[i]
+            other[i] = (tpl.split(" apply ")[0] + f" apply {_random_target_gate(rng)}", ex)
+    return render(lines), render(other)
+
+
+@pytest.mark.parametrize("plan,strict_q", [
+    pytest.param(plan, strict, id=plan + ("-strict" if strict else ""))
+    for strict in (False, True) for plan in ("basic", "partitioned")])
+def test_multi_bit_controls_agree_with_oracle(plan, strict_q):
+    rng = random.Random(41)
+    verdicts = set()
+    for k in range(40):
+        mode = "m" if k % 2 == 0 else "q"
+        ta, tb = _control_pair(rng, mode)
+        a, b = parse(ta), parse(tb)
+        assert validate(a) == [] and validate(b) == [], ta
+        v, _ = check(a, b, mode, plan=plan, strict_q=strict_q)
+        oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
+        assert v.status == ("equivalent" if oracle else "not-equivalent"), (k, ta, tb)
+        verdicts.add((mode, v.status))
+    assert len(verdicts) == 4      # both verdicts occur in both modes
 
 
 def test_check_rejects_eps_outside_unit_interval():

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import pathlib
 import random
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from tddeq import benchmarks as B
-from tddeq.circuits import validate
+from tddeq.circuits import CondGate, flatten, validate
 from tddeq.oracle import oracle_full_eq, superoperator
 from tddeq.textfmt import ParseError, expr_from_func, parse, parse_expr, print_spec
 
@@ -62,6 +64,11 @@ def test_parse_ifc_expressions():
     assert validate(spec) == []
     steps = [s for s in print_spec(spec).splitlines() if s.startswith("ifc")]
     assert steps[0] == "ifc a&!b apply X q2"
+    conds = [s for s in flatten(spec.circuit) if isinstance(s, CondGate)]
+    for vals in itertools.product((0, 1), repeat=2):
+        a, b = vals
+        assert conds[0].func(vals) == a & (1 - b)
+        assert conds[1].func(vals) == a | b      # ((a|b)^1) == 0
 
 
 def test_parse_ifc_unmeasured_bit():
@@ -111,20 +118,37 @@ def test_parse_totality_fuzz():
     assert fine >= 0  # never crashed with anything but ParseError
 
 
+def random_expr(rng, bits, depth=3):
+    """(text, reference evaluator) of a random control expression."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.1:
+            v = rng.randint(0, 1)
+            return str(v), lambda env: v
+        b = rng.choice(bits)
+        return b, lambda env: env[b]
+    op = rng.choice("!&|^")
+    if op == "!":
+        text, f = random_expr(rng, bits, depth - 1)
+        return f"!({text})", lambda env: 1 - f(env)
+    ta, fa = random_expr(rng, bits, depth - 1)
+    tb, fb = random_expr(rng, bits, depth - 1)
+    fn = {"&": operator.and_, "|": operator.or_, "^": operator.xor}[op]
+    return f"({ta}{op}{tb})", lambda env: fn(fa(env), fb(env))
+
+
 def test_expr_from_func_roundtrips():
-    from tddeq.logic import BoolFunc
+    # random functions from random expression trees: the parsed BDD agrees
+    # with the tree, and so does the parse of its printed 1-paths
     rng = random.Random(17)
-    for _ in range(30):
-        arity = rng.randint(1, 3)
-        table = tuple(rng.randint(0, 1) for _ in range(1 << arity))
-        f = BoolFunc(arity, 1, table)
-        bits = tuple(f"c{k}" for k in range(arity))
-        text = expr_from_func(bits, f)
-        got_bits, got_f, _ = parse_expr(text)
-        for i in range(1 << arity):
-            vals = [(i >> (arity - 1 - k)) & 1 for k in range(arity)]
-            env = dict(zip(bits, vals))
-            assert got_f([env[b] for b in got_bits]) == f(vals)
+    for _ in range(60):
+        names = tuple(f"c{k}" for k in range(rng.randint(1, 4)))
+        text, ref = random_expr(rng, names)
+        bits, f, _ = parse_expr(text)
+        got_bits, got_f, _ = parse_expr(expr_from_func(bits, f))
+        for vals in itertools.product((0, 1), repeat=len(names)):
+            env = dict(zip(names, vals))
+            assert f([env[b] for b in bits]) == ref(env), text
+            assert got_f([env[b] for b in got_bits]) == ref(env), text
 
 
 def test_golden_full_equivalence_teleport_vs_swap():
