@@ -39,9 +39,9 @@ import numpy as np
 
 from .circuits import (Branch, CircuitSpec, CondGate, Conventional, DynCircuit,
                        INIT_STATES, Measure, flatten, lower_controls, qvar)
-from .logic import FALSE, TRUE, func_to_tensor, var
-from .tdd import (KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, IndexId, Tdd,
-                  TddManager)
+from .logic import func_to_tensor
+from .tdd import (KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, NORM_TOL, IndexId,
+                  Tdd, TddManager)
 
 
 class CompileError(Exception):
@@ -186,7 +186,8 @@ class _Builder:
         for st in steps:
             self._emit(st)
         self._finish_qubits()
-        self.net.in_names = [_wire_name(q, (0,)) for q in self.spec.inputs]
+        self.net.in_names = [_wire_name(q, (0,)) for q in self.spec.qubits
+                             if q in self.spec.inputs or self.open_inputs]
         self.net.out_names = [f"out:{q}" for q in self.spec.outputs
                               if f"out:{q}" in self.net.decls]
         self.net.m_set = [f"outbit:{k}" for k in range(len(self.spec.output_bits))]
@@ -399,6 +400,7 @@ class CompileStats:
     final_nodes: int = 0
     max_nodes: int = 0
     tdd_time: float = 0.0
+    wide: bool = False    # outcome indices took a diagram past max_open
 
 
 @dataclass
@@ -481,11 +483,10 @@ def _entry_tensor(mgr: TddManager, e: _Entry, net: _Netlist, stats,
 def _cond_tensor(mgr: TddManager, st: CondGate, bits, outs, ins) -> Tdd:
     f, u, k = st.func, st.gate.matrix, len(st.gate.qubits)
     cin = [mgr.index(n) for n in bits]
-    if k == 1 and f.arity == 1 and f.roots[0] not in (FALSE, TRUE):
+    if k == 1 and f.arity == 1 and f((0,)) != f((1,)):
         # c or !c: the rank-3 controlled gate, its slices swapped for !c
         return controlled_gate_tensor(mgr, u, cin[0], mgr.index(ins[0]),
-                                      mgr.index(outs[0]),
-                                      fire=int(f.roots[0] is var(0)))
+                                      mgr.index(outs[0]), fire=f((1,)))
     legs = [mgr.index(n) for n in outs + ins]
     shape = (2,) * (2 * k)
     fired = mgr.contract(func_to_tensor(mgr, f, cin),
@@ -518,7 +519,7 @@ def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
     and that is not in ``open_names`` is summed out at once.  The open rank
     is bounded by ``max_open`` and the peak diagram size goes to ``stats``.
     Outcome-kind indices (measurement outcomes and discarded legs) stay open
-    by design, so a wide classical register does not count towards the rank.
+    by design and do not count; a diagram they take past it sets ``wide``.
     """
     out = mgr.scalar(1.0)
     for g, names in factors:
@@ -532,6 +533,7 @@ def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
             if rank > max_open:
                 raise CompileScaleError(
                     f"open rank {rank} exceeds the limit {max_open}")
+            stats.wide = True
         _track(mgr, stats, out)
     return out
 
@@ -557,6 +559,14 @@ def evaluate(mgr: TddManager, net: _Netlist, max_open: int = 26) -> CompileResul
     stats = CompileStats()
     t0 = time.perf_counter()
     t = _fold(mgr, net.entries, net, stats, max_open, _count_uses(net.entries))
+    if stats.wide:
+        # a circuit is an isometry, of squared norm 2^k over its k open
+        # inputs; after n fair outcomes amplitudes are about 2^(-n/2), and
+        # from n of about 60 they round to zero on the grid
+        want = 2.0 ** sum(i.name in net.in_names for i in t.indices)
+        got = mgr.norm_edge(t.root, t.indices)
+        if not abs(got - want) <= NORM_TOL * want:
+            raise CompileScaleError(f"norm drift: squared norm {got:.6g}, not {want:g}")
     stats.tdd_time = time.perf_counter() - t0
     stats.final_nodes = mgr.node_count(t)
     stats.max_nodes = max(stats.max_nodes, stats.final_nodes)

@@ -6,8 +6,8 @@ IEEE TC 1986) per output bit over the input positions 0..n-1, position 0
 nearest the root.  Every BDD node comes from one process-wide unique table,
 so equal functions are the same nodes and compare equal; not, and, or and
 xor are memoised applies.  Nothing here enumerates the 2^n assignments.
-The tables are never pruned and are not locked: build functions from one
-thread.
+The unique table and the apply memo are never pruned and are not locked:
+build functions from one thread.
 
 ``func_to_tensor`` lifts a single-output function to the 0/1 indicator
 tensor [f(x) = 1] over chosen diagram indices by cofactoring its BDD in the
@@ -95,17 +95,17 @@ def negate(a: BddNode) -> BddNode:
     return apply("xor", a, TRUE)
 
 
-def _restrict(node: BddNode, p: int, c: int) -> BddNode:
+def _restrict(node: BddNode, p: int, c: int, memo: dict) -> BddNode:
     """Cofactor of ``node`` at input position ``p`` set to ``c``."""
     if node.var > p:           # p lies above node, terminals included
         return node
     if node.var == p:
         return node.hi if c else node.lo
-    key = ("restrict", node, p, c)
-    res = _computed.get(key)
+    key = (node, p, c)
+    res = memo.get(key)
     if res is None:
-        res = _computed[key] = _mk(node.var, _restrict(node.lo, p, c),
-                                   _restrict(node.hi, p, c))
+        res = memo[key] = _mk(node.var, _restrict(node.lo, p, c, memo),
+                              _restrict(node.hi, p, c, memo))
     return res
 
 
@@ -182,6 +182,7 @@ def func_to_tensor(mgr: TddManager, f: BoolFunc,
         raise ValueError("input index count does not match arity")
     level = sorted(range(f.arity), key=lambda k: -inputs[k].rank)
     memo: dict[tuple, object] = {}
+    cofactors: dict[tuple, BddNode] = {}
 
     def lift(node, d):
         if node is TRUE:
@@ -192,8 +193,8 @@ def func_to_tensor(mgr: TddManager, f: BoolFunc,
         if got is None:
             p = level[d]
             got = memo[node, d] = mgr.mk_edge(
-                inputs[p], lift(_restrict(node, p, 0), d + 1),
-                lift(_restrict(node, p, 1), d + 1))
+                inputs[p], lift(_restrict(node, p, 0, cofactors), d + 1),
+                lift(_restrict(node, p, 1, cofactors), d + 1))
         return got
 
     return mgr.tdd(lift(f.roots[0], 0), inputs)

@@ -46,6 +46,7 @@ UNITARY_TOL = 1e-10   # largest entry of U^H U - I a gate may have
 FACTOR_TOL = 1e-9     # entrywise match of a branch family to per-bit factors
 ORACLE_ATOL = 1e-9    # entrywise tolerance of the dense oracle's comparisons
 ORACLE_LIVE = 1e-12   # a branch Choi matrix at most this large is impossible
+NORM_TOL = 1e-6       # relative squared-norm drift a compiled circuit may show
 DENSE_LIMIT = 20      # most indices of a tensor built or read densely
 
 

@@ -211,6 +211,66 @@ def test_wide_controls_known_answers(op, init, fires):
         assert v.status == ("equivalent" if fires is applied else "not-equivalent")
 
 
+def reread_text(n: int, skip_h: int | None = None, outbits: bool = True,
+                flip: bool = False) -> str:
+    """``n`` fair bits read from one qubit, ``measure q -> c; gate H q`` each.
+
+    ``skip_h = k`` drops the H before measurement k, so bit k repeats bit
+    k - 1.  With ``outbits`` off the bits stay internal and q is read twice
+    more, into the output bits r and s; ``flip`` negates q between the two.
+    An idle qubit p keeps its fixed state on its open final wire.
+    """
+    bits = [f"c{k:02d}" for k in range(n)]
+    lines = ["qubits q p", "init q=+", "init p=1",
+             "outbits " + (" ".join(bits) if outbits else "r s")]
+    for k, c in enumerate(bits):
+        if k == skip_h:
+            lines.pop()
+        lines += [f"measure q -> {c}", "gate H q"]
+    if not outbits:
+        lines += ["measure q -> r"] + ["gate X q"] * flip + ["measure q -> s"]
+    return "\n".join(lines) + "\n"
+
+
+def test_m_eq_sums_each_side_over_its_own_indices():
+    # the H after the last measurement leaves q's final wire open in A only;
+    # both circuits give every outcome record mass 2^-n
+    for n in (2, 3):
+        a = parse(reread_text(n))
+        b = parse(reread_text(n).rsplit("gate H q\n", 1)[0])
+        assert oracle_m_eq(a, b)
+        for plan in ("basic", "partitioned"):
+            assert check(a, b, "m", plan=plan)[0].status == "equivalent", (n, plan)
+        assert not oracle_m_eq(a, parse(reread_text(n, skip_h=n - 1)))
+
+
+@pytest.mark.parametrize("n,outbits,reason", [
+    (64, False, "norm drift"),        # every amplitude rounds to zero
+    (64, True, "at most 26 output bits"),
+    (40, True, "at most 26 output bits")])   # masses of 2^-40 < eps
+def test_wide_outcome_register_is_not_vacuous(n, outbits, reason):
+    # the pairs differ: bit n-1 repeats bit n-2 in B, or s = r in A and
+    # s = !r in B
+    a = parse(reread_text(n, outbits=outbits))
+    b = parse(reread_text(n, skip_h=n - 1) if outbits else
+              reread_text(n, outbits=False, flip=True))
+    for plan in ("basic", "partitioned"):
+        v, _ = check(a, b, "m", plan=plan)
+        assert v.status == "inconclusive" and reason in v.reason, (plan, v)
+
+
+def test_wide_registers_are_decided():
+    # 40 internal fair bits, or 26 output bits and q's wire, take the
+    # diagram past 26 open indices; the norm holds
+    a = parse(reread_text(40, outbits=False))
+    flipped = parse(reread_text(40, outbits=False, flip=True))
+    c, d = parse(reread_text(26)), parse(reread_text(26, skip_h=25))
+    for plan in ("basic", "partitioned"):
+        assert check(a, a, "m", plan=plan)[0].status == "equivalent"
+        assert check(a, flipped, "m", plan=plan)[0].status == "not-equivalent"
+        assert check(c, d, "m", plan=plan)[0].status == "not-equivalent"
+
+
 def test_q_eq_teleport_vs_swap():
     pair = B.teleport_pair()
     ra, rb = compile_pair(pair.spec_a, pair.spec_b)

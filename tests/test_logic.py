@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tddeq import logic
 from tddeq.logic import FALSE, TRUE, BoolFunc, func_to_tensor
 from tddeq.tdd import KIND_OUTCOME, TddManager
 
@@ -171,6 +172,20 @@ def test_wide_and_indicator_is_a_chain():
     t = func_to_tensor(m, f, [m.index(c) for c in names])
     assert m.node_count(t) == n + 1       # 64 nodes and the terminal
     assert len(t.indices) == n
+
+
+def test_lift_keeps_its_cofactors_to_itself():
+    # the cofactor memo lives for one lift; the process-wide apply memo
+    # does not grow with every function lifted
+    x = BoolFunc.identity(6)
+    f = (x.output_bit(0) & x.output_bit(3)) ^ (x.output_bit(1) | x.output_bit(5))
+    names = [f"c{k}" for k in range(6)]
+    m = outcome_mgr(names[::-1])           # cofactors below the BDD's root
+    before = len(logic._computed)
+    t = func_to_tensor(m, f, [m.index(c) for c in names])
+    assert len(logic._computed) == before
+    assert [i.name for i in t.indices] == names[::-1]
+    assert np.array_equal(m.to_dense(t).real, dense_indicator(f).transpose())
 
 
 def test_boolfunc_validation():
