@@ -6,8 +6,8 @@ Composition is associative, so ``Seq`` holds a flat tuple of steps and every
 pass over a circuit loops over it, recursing only into branch bodies.  Two
 additional step forms, ``Measure`` and ``CondGate``, are the lowered shape of
 a branch (measure first, then classically controlled gates); generators and
-the text format use them directly and ``lower_controls`` rewrites branches
-into them where possible.
+the text format use them directly and ``lower_controls`` rewrites every
+branch into them whose bodies do not measure.
 
 A ``CircuitSpec`` wraps a circuit with its declared qubits, a fixed product
 input state on the non-principal inputs, the principal input/output qubits,
@@ -373,14 +373,15 @@ def validate(spec: CircuitSpec) -> list[str]:
 
 def _branch_unitary(c: DynCircuit) -> np.ndarray | None:
     """Product matrix of a purely conventional branch body over qvar order."""
-    if isinstance(c, Conventional):
-        qs = sorted(qvar(c))
-        dim = 1 << len(qs)
-        mat = np.eye(dim, dtype=complex)
-        for g in c.gates:
-            mat = _embed(g.matrix, [qs.index(q) for q in g.qubits], len(qs)) @ mat
-        return mat
-    return None
+    steps = flatten(c)
+    if not all(isinstance(st, Conventional) for st in steps):
+        return None
+    qs = sorted(qvar(c))
+    mat = np.eye(1 << len(qs), dtype=complex)
+    for st in steps:
+        g = st.gates[0]
+        mat = _embed(g.matrix, [qs.index(q) for q in g.qubits], len(qs)) @ mat
+    return mat
 
 
 def _embed(mat: np.ndarray, positions: list[int], n: int) -> np.ndarray:
@@ -401,13 +402,17 @@ def _embed(mat: np.ndarray, positions: list[int], n: int) -> np.ndarray:
 
 
 def lower_controls(c: DynCircuit) -> DynCircuit:
-    """Rewrite branches over conventional bodies into measure + cond-gate steps.
+    """Rewrite branches whose bodies hold only gates and ifcs into measure +
+    cond-gate steps.
 
+    Each body is read through ``flatten``, so a branch lowers the same
+    whether its bodies were built as one segment or parsed line by line.
     When the branch family factorises as products of per-bit gates the
-    rewrite emits one single-bit controlled gate per dispatch bit; otherwise
-    each branch body's gates are guarded by the indicator of its dispatch
-    value.  Branches with non-conventional bodies are lowered recursively but
-    keep their branch structure.
+    rewrite emits one single-bit controlled gate per dispatch bit.
+    Otherwise body i's gates are guarded by ``f == i``, and its ``ifc g``
+    becomes one gate on the dispatch bits and g's own bits under
+    ``f == i & g``.  Only branches with a measuring body stay branches,
+    their bodies lowered recursively.
     """
     if not isinstance(c, (Seq, Branch)):
         return c
@@ -415,7 +420,8 @@ def lower_controls(c: DynCircuit) -> DynCircuit:
     for st in flatten(c):
         if not isinstance(st, Branch):
             out.append(st)
-        elif all(isinstance(b, Conventional) for b in st.branches):
+        elif all(isinstance(s, (Conventional, CondGate))
+                 for b in st.branches for s in flatten(b)):
             out.append(Measure(st.measure))
             out.extend(_lower_branch_gates(st))
         else:
@@ -428,13 +434,18 @@ def _lower_branch_gates(c: Branch) -> list[CondGate]:
     factored = _try_factor(c)
     if factored is not None:
         return factored
+    bits = c.measure.bits
     out: list[CondGate] = []
     for i, body in enumerate(c.branches):
-        if not body.gates:
-            continue
         sel = c.func.selector(i)
-        for g in body.gates:
-            out.append(CondGate(g, c.measure.bits, sel))
+        for st in flatten(body):
+            if isinstance(st, Conventional):
+                out.append(CondGate(st.gates[0], bits, sel))
+                continue
+            union = bits + tuple(b for b in st.bits if b not in bits)
+            g = st.func.relabel([union.index(b) for b in st.bits], len(union))
+            out.append(CondGate(st.gate, union,
+                                BoolFunc(len(union), sel.roots) & g))
     return out
 
 
@@ -480,10 +491,7 @@ def _try_factor(c: Branch) -> list[CondGate] | None:
         return None
     out = []
     for b in emit_order:
-        gen_circ = c.branches[1 << (t - 1 - b)]
-        if not isinstance(gen_circ, Conventional) or not gen_circ.gates:
-            continue
         sel = c.func.output_bit(b)
-        for g in gen_circ.gates:
-            out.append(CondGate(g, c.measure.bits, sel))
+        for st in flatten(c.branches[1 << (t - 1 - b)]):
+            out.append(CondGate(st.gates[0], c.measure.bits, sel))
     return out

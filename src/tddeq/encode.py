@@ -9,15 +9,18 @@ qubit continues is a rank-3 COPY with a separate outcome leg.  Classical
 controls attach to outcome indices pointwise, so one bit may drive several
 gates.
 
-Classical logic enters through one lift, ``func_to_tensor``: the 0/1
-indicator [f(x) = 1] of a control function's BDD over its outcome indices.
-A gate under a control f is ind(f)*U + ind(!f)*I, a dispatch is the sum
-over i of ind(f == i) times body i; a control on one bit keeps its rank-3
-controlled-gate tensor.  No control tensor is built densely.
+Classical logic is compiled only as classically controlled gates:
+``lower_controls`` turns every dispatch into a measurement followed by
+gates under controls, and keeps a branch only when a body measures, which
+has no tensor here.  A control enters through one lift, ``func_to_tensor``:
+the 0/1 indicator [f(x) = 1] of its BDD over its outcome indices.  A gate
+under a control f is ind(f)*U + ind(!f)*I; a control on one bit keeps its
+rank-3 controlled-gate tensor.  No control tensor is built densely.
 
-Every contraction, of a whole netlist, of a branch body, of a per-qubit
-partition or of partition diagrams, runs through one loop, ``contract_all``:
-an index is summed out as soon as its last use has been contracted.
+Every contraction, of a whole netlist, of a per-qubit partition or of
+partition diagrams, runs through one loop, ``contract_all``: an index is
+summed out as soon as its last use has been contracted.  Every entry's
+tensor is built on its own, so the loop is never re-entered.
 
 Index ranking ("grouped", the default used for checking): classical outcome
 indices of output bits on top, then internal outcomes and discarded-qubit
@@ -29,7 +32,6 @@ conventional-circuit checking and is used for statistics.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import (Branch, CircuitSpec, CondGate, Conventional, DynCircuit,
-                       INIT_STATES, Measure, flatten, lower_controls, qvar)
+from .circuits import (Branch, CircuitSpec, CondGate, Conventional, INIT_STATES,
+                       Measure, flatten, lower_controls)
 from .logic import func_to_tensor
 from .tdd import (KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, NORM_TOL, IndexId,
                   Tdd, TddManager)
@@ -85,7 +87,7 @@ def controlled_gate_tensor(mgr: TddManager, u: np.ndarray, c: IndexId,
 
 @dataclass
 class _Entry:
-    kind: str            # init | gate | cond | measure2 | measure3 | dispatch | ident
+    kind: str            # init | gate | cond | measure2 | measure3 | ident
     indices: tuple[str, ...]
     payload: object = None
     partition: str = ""
@@ -133,7 +135,6 @@ class _Builder:
         self.bit_outcome: dict[str, str] = {}
         self.bit_source: dict[str, str] = {}
         self.ended: dict[str, str] = {}
-        self.uid = itertools.count(1)
 
     # index declarations
 
@@ -201,7 +202,10 @@ class _Builder:
         if isinstance(st, CondGate):
             return st.gate.qubits
         if isinstance(st, Branch):
-            return st.measure.qubits + tuple(sorted(qvar(st)))
+            # lower_controls keeps a branch only when a body measures; the
+            # COPY/controlled-gate tensor repertoire has nothing for that
+            raise CompileError("measurements nested inside branch bodies "
+                               "have no tensor encoding; flatten the circuit")
         raise TypeError(st)
 
     def _final_leg(self, q: str, fresh: bool = True) -> str:
@@ -236,27 +240,21 @@ class _Builder:
 
     def _emit(self, st):
         if isinstance(st, (Conventional, CondGate)):
-            self.net.entries += self._gate_entries(st, self._advance)
+            self.net.entries += self._gate_entries(st)
         elif isinstance(st, Measure):
             for q, b in zip(st.step.qubits, st.step.bits):
                 self._emit_measure(q, b)
-        elif isinstance(st, Branch):
-            self._emit_branch(st)
         else:
             raise TypeError(st)
 
-    def _gate_entries(self, st: Conventional | CondGate, advance) -> list[_Entry]:
-        """Entries of a gate segment or a classically controlled gate.
-
-        ``advance`` maps a qubit to its (in, out) wire names: the circuit's
-        segments at top level, a branch body's private segments inside one.
-        """
+    def _gate_entries(self, st: Conventional | CondGate) -> list[_Entry]:
+        """Entries of a gate segment or a classically controlled gate."""
         cond = isinstance(st, CondGate)
         bits = tuple(self.bit_outcome[b] for b in st.bits) if cond else ()
         sources = [self.bit_source[b] for b in st.bits] if cond else []
         entries = []
         for g in ((st.gate,) if cond else st.gates):
-            ins, outs = zip(*[advance(q) for q in g.qubits])
+            ins, outs = zip(*[self._advance(q) for q in g.qubits])
             part = self._owner(g.qubits, extra=sources)
             if cond:
                 entries.append(_Entry("cond", bits + outs + ins,
@@ -294,54 +292,6 @@ class _Builder:
             self.net.entries.append(_Entry("measure2", (cur, c), (cur, c),
                                            partition=q))
             self.ended[q] = c
-
-    def _emit_branch(self, st: Branch):
-        for q, b in zip(st.measure.qubits, st.measure.bits):
-            self._emit_measure(q, b)
-        bits = tuple(self.bit_outcome[b] for b in st.measure.bits)
-        body_qubits = tuple(sorted(qvar(st), key=lambda q: self.net.qubit_pos[q]))
-        uid = next(self.uid)
-        pre, post = {}, {}
-        for q in body_qubits:
-            i, o = self._advance(q)
-            pre[q], post[q] = i, o
-        bodies = [self._build_body(body, uid, i, pre, post, body_qubits)
-                  for i, body in enumerate(st.branches)]
-        part = self._owner(st.measure.qubits, extra=body_qubits)
-        self.net.entries.append(_Entry(
-            "dispatch",
-            bits + tuple(pre[q] for q in body_qubits) + tuple(post[q] for q in body_qubits),
-            (st, bits, bodies), partition=part))
-
-    def _build_body(self, body: DynCircuit, uid: int, i: int, pre, post,
-                    body_qubits) -> list[_Entry]:
-        """Sub-netlist of one branch body, bridged onto the shared segments."""
-        entries: list[_Entry] = []
-        cur = dict(pre)
-        counter = itertools.count(1)
-
-        def advance_sub(q):
-            k = next(counter)
-            inn = cur[q]
-            base = self.net.decls[pre[q]].sort_key[1]
-            out = self._decl(f"w:{q}.{uid}.{i}.{k}", KIND_WIRE, 4,
-                             (self.net.qubit_pos[q], tuple(base) + (uid, i, k)))
-            cur[q] = out
-            return inn, out
-
-        for st in flatten(lower_controls(body)):
-            if isinstance(st, (Conventional, CondGate)):
-                entries += self._gate_entries(st, advance_sub)
-            elif isinstance(st, (Measure, Branch)):
-                # the COPY/controlled-gate tensor repertoire covers
-                # measurements and classically controlled gates only
-                raise CompileError("measurements nested inside branch bodies "
-                                   "have no tensor encoding; flatten the circuit")
-            else:
-                raise TypeError(st)
-        for q in body_qubits:
-            entries.append(_Entry("ident", (cur[q], post[q]), (cur[q], post[q])))
-        return entries
 
     def _finish_qubits(self):
         for q in self.spec.qubits:
@@ -438,24 +388,10 @@ def prepare(specs: Sequence[CircuitSpec], *, mode: str | None = None,
 
 
 def _count_uses(entries) -> Counter:
-    uses: Counter = Counter()
-    for e in entries:
-        uses.update(e.indices)
-        if e.kind == "dispatch":
-            for body in e.payload[2]:
-                for b in body:
-                    uses.update(b.indices)
-    return uses
+    return Counter(n for e in entries for n in e.indices)
 
 
-def _track(mgr, stats, t: Tdd):
-    n = mgr.node_count(t)
-    if n > stats.max_nodes:
-        stats.max_nodes = n
-
-
-def _entry_tensor(mgr: TddManager, e: _Entry, net: _Netlist, stats,
-                  max_open, uses) -> Tdd:
+def _entry_tensor(mgr: TddManager, e: _Entry) -> Tdd:
     if e.kind == "init":
         _, state = e.payload
         return mgr.from_dense(INIT_STATES[state], [mgr.index(e.indices[0])])
@@ -475,8 +411,6 @@ def _entry_tensor(mgr: TddManager, e: _Entry, net: _Netlist, stats,
     if e.kind == "cond":
         st, bits, outs, ins = e.payload
         return _cond_tensor(mgr, st, bits, outs, ins)
-    if e.kind == "dispatch":
-        return _dispatch_tensor(mgr, e, net, stats, max_open, uses)
     raise CompileError(f"unknown entry kind {e.kind}")
 
 
@@ -494,19 +428,6 @@ def _cond_tensor(mgr: TddManager, st: CondGate, bits, outs, ins) -> Tdd:
     idle = mgr.contract(func_to_tensor(mgr, ~f, cin),
                         mgr.from_dense(np.eye(1 << k).reshape(shape), legs), set())
     return mgr.add(fired, idle)
-
-
-def _dispatch_tensor(mgr: TddManager, e: _Entry, net, stats, max_open, uses) -> Tdd:
-    st, bits, bodies = e.payload
-    bit_idx = [mgr.index(b) for b in bits]
-    total = None
-    for i, body in enumerate(bodies):
-        t = _fold(mgr, body, net, stats, max_open, uses)
-        sel = func_to_tensor(mgr, st.func.selector(i), bit_idx)
-        picked = mgr.contract(sel, t, set())
-        total = picked if total is None else mgr.add(total, picked)
-        _track(mgr, stats, total)
-    return total if total is not None else mgr.scalar(0.0)
 
 
 def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
@@ -534,15 +455,12 @@ def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
                 raise CompileScaleError(
                     f"open rank {rank} exceeds the limit {max_open}")
             stats.wide = True
-        _track(mgr, stats, out)
+        stats.max_nodes = max(stats.max_nodes, mgr.node_count(out))
     return out
 
 
 def _fold(mgr: TddManager, entries, net: _Netlist, stats, max_open, uses) -> Tdd:
-    # an entry accounts for its declared names; a dispatch entry's bodies
-    # account for their own while its tensor is built
-    factors = ((_entry_tensor(mgr, e, net, stats, max_open, uses), e.indices)
-               for e in entries)
+    factors = ((_entry_tensor(mgr, e), e.indices) for e in entries)
     return contract_all(mgr, factors, uses, net.open_names, stats, max_open)
 
 

@@ -167,6 +167,23 @@ class BoolFunc:
     def identity(n: int) -> "BoolFunc":
         return BoolFunc(n, tuple(var(k) for k in range(n)))
 
+    def relabel(self, positions: Sequence[int], arity: int) -> "BoolFunc":
+        """This function read with input ``k`` at position ``positions[k]``
+        of ``arity`` inputs; one memoised rebuild of each BDD node."""
+        memo: dict[BddNode, BddNode] = {}
+
+        def go(node):
+            if node.lo is None:
+                return node
+            got = memo.get(node)
+            if got is None:
+                v = var(positions[node.var])
+                got = memo[node] = apply("or", apply("and", v, go(node.hi)),
+                                         apply("and", negate(v), go(node.lo)))
+            return got
+
+        return BoolFunc(arity, tuple(go(r) for r in self.roots))
+
 
 def func_to_tensor(mgr: TddManager, f: BoolFunc,
                    inputs: Sequence[IndexId]) -> Tdd:

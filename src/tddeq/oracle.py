@@ -2,11 +2,13 @@
 
 The functionality of a dynamic circuit is an ensemble of linear operators,
 one per resolved measurement record: a conventional segment contributes its
-unitary, a measurement splits every member by outcome projectors, a dispatch
-runs the selected branch.  Wrapping a circuit with a fixed input state,
-principal inputs and principal outputs turns the ensemble into a
-superoperator (sum over members, partial trace over non-output qubits),
-represented here by its Choi matrix.
+unitary, a measurement splits every member by outcome projectors, a
+classically controlled gate reads the member's record, and a dispatch runs
+the selected branch on each member's own record.  Branches run as written,
+not lowered, so the oracle checks ``lower_controls`` too.  Wrapping a
+circuit with a fixed input state, principal inputs and principal outputs
+turns the ensemble into a superoperator (sum over members, partial trace
+over non-output qubits), represented here by its Choi matrix.
 
 Everything is dense and intentionally exponential; it exists as ground truth
 for the diagram-based checker at desk scale.
@@ -80,7 +82,8 @@ def semantics(circuit: DynCircuit, qubits: tuple[str, ...]) -> list[EnsembleMemb
                 out.append(EnsembleMember(m.record, (u @ m.op) if fired else m.op))
             return out
         if isinstance(c, Branch):
-            sub = [run_fresh(b) for b in c.branches]
+            # the selected body runs on each member's own record, so an
+            # ifc inside it can read the bits measured before it
             out = []
             for m in members:
                 for values in itertools.product((0, 1), repeat=len(c.measure.qubits)):
@@ -88,9 +91,8 @@ def semantics(circuit: DynCircuit, qubits: tuple[str, ...]) -> list[EnsembleMemb
                     for q, v in zip(c.measure.qubits, values):
                         p = _embed(_proj(v), [pos[q]], n) @ p
                     rec = m.record + tuple(zip(c.measure.bits, values))
-                    chosen = sub[c.func(values)]
-                    for sm in chosen:
-                        out.append(EnsembleMember(rec + sm.record, sm.op @ p @ m.op))
+                    out += run(c.branches[c.func(values)],
+                               [EnsembleMember(rec, p @ m.op)])
             _guard(out)
             return out
         if isinstance(c, Seq):
@@ -98,9 +100,6 @@ def semantics(circuit: DynCircuit, qubits: tuple[str, ...]) -> list[EnsembleMemb
                 members = run(st, members)
             return members
         raise TypeError(f"not a circuit: {c!r}")
-
-    def run_fresh(c):
-        return run(c, [EnsembleMember((), np.eye(1 << n, dtype=complex))])
 
     def _guard(ms):
         if len(ms) > MAX_ENSEMBLE:

@@ -65,7 +65,10 @@ def _tokenize(s: str):
 
 class _ExprParser:
     """exprs:  or := xor ('|' xor)*;  xor := and ('^' and)*;
-    and := atom ('&' atom)*;  atom := '!' atom | '(' or ')' | bit | 0 | 1"""
+    and := atom ('&' atom)*;  atom := '!' atom | '(' or ')' | bit | 0 | 1
+
+    A chain of one operator is one n-ary node ``(op, operand, ...)``, so no
+    walk of the tree recurses once per operand."""
 
     def __init__(self, tokens):
         self.toks = tokens
@@ -86,26 +89,21 @@ class _ExprParser:
             raise ParseError(f"trailing tokens in control expression: {self.peek()!r}")
         return node
 
-    def or_(self):
-        node = self.xor_()
-        while self.peek() == "|":
+    def chain(self, op, sym, operand):
+        nodes = [operand()]
+        while self.peek() == sym:
             self.take()
-            node = ("or", node, self.xor_())
-        return node
+            nodes.append(operand())
+        return nodes[0] if len(nodes) == 1 else (op, *nodes)
+
+    def or_(self):
+        return self.chain("or", "|", self.xor_)
 
     def xor_(self):
-        node = self.and_()
-        while self.peek() == "^":
-            self.take()
-            node = ("xor", node, self.and_())
-        return node
+        return self.chain("xor", "^", self.and_)
 
     def and_(self):
-        node = self.atom()
-        while self.peek() == "&":
-            self.take()
-            node = ("and", node, self.atom())
-        return node
+        return self.chain("and", "&", self.atom)
 
     def atom(self):
         t = self.take()
@@ -145,7 +143,10 @@ def _bdd(node, pos: dict):
         return logic.TRUE if node[1] else logic.FALSE
     if op == "not":
         return logic.negate(_bdd(node[1], pos))
-    return logic.apply(op, _bdd(node[1], pos), _bdd(node[2], pos))
+    acc = _bdd(node[1], pos)
+    for operand in node[2:]:
+        acc = logic.apply(op, acc, _bdd(operand, pos))
+    return acc
 
 
 def parse_expr(text: str, known_bits=None):
@@ -165,7 +166,7 @@ def _fmt_node(node, prec=0):
     if op == "not":
         return "!" + _fmt_node(node[1], 3)
     sym, mine = {"and": ("&", 3), "xor": ("^", 2), "or": ("|", 1)}[op]
-    s = f"{_fmt_node(node[1], mine)}{sym}{_fmt_node(node[2], mine)}"
+    s = sym.join(_fmt_node(operand, mine) for operand in node[1:])
     return f"({s})" if mine < prec else s
 
 
@@ -274,7 +275,11 @@ def parse(text: str) -> CircuitSpec:
     if len(set(qubits)) != len(qubits):
         raise ParseError("duplicate qubit in declaration")
 
-    steps, measured = _parse_body(body, qubits, subs, set())
+    try:
+        steps, measured = _parse_body(body, qubits, subs, set())
+    except RecursionError:
+        # operator chains are flat, so only `!` or `(` nesting gets here
+        raise ParseError("control expression nested too deeply") from None
     return CircuitSpec(qubits=qubits, circuit=seq(*steps), fixed_init=init,
                        inputs=tuple(header["inputs"]),
                        outputs=tuple(header["outputs"]),

@@ -11,6 +11,7 @@ from tddeq.circuits import (Branch, CircuitSpec, CondGate, Conventional,
                             lower_controls, qvar, seq, validate)
 from tddeq.logic import BoolFunc
 from tddeq.oracle import superoperator
+from tddeq.textfmt import parse, print_spec
 
 
 @pytest.mark.parametrize("name,k", [
@@ -110,6 +111,35 @@ def test_lower_controls_teleport_factorises():
     assert [conds[0].func(b) for b in inputs] == [0, 1, 0, 1]
     assert [conds[1].func(b) for b in inputs] == [0, 0, 1, 1]
     assert all(c.bits == ("c0", "c1") for c in conds)
+
+
+def _cond_gates(c):
+    return [(s.gate.name, s.gate.qubits, s.bits, s.func)
+            for s in flatten(lower_controls(c)) if isinstance(s, CondGate)]
+
+
+def test_lower_controls_parsed_teleport_factorises_like_built():
+    # the parsed X-then-Z body is a Seq of two gate segments, not one
+    parsed = parse(print_spec(B.teleport())).circuit
+    assert not any(isinstance(s, Branch) for s in flatten(lower_controls(parsed)))
+    built = _cond_gates(B.teleport().circuit)
+    assert [c[0] for c in built] == ["X", "Z"]
+    assert _cond_gates(parsed) == built
+
+
+def test_lower_controls_reads_body_ifc_on_the_union_of_bits():
+    spec = parse("qubits p a t\ninit p=+\ninit a=+\ninit t=0\n"
+                 "measure p -> e\ngate H t\nmeasure a -> c\n"
+                 "dispatch c { 0: s0 1: s1 }\n"
+                 "subcircuit s0 {\n  gate X t\n}\n"
+                 "subcircuit s1 {\n  ifc e^c apply Z t\n  gate H t\n}\n")
+    (x, z, h) = _cond_gates(spec.circuit)
+    assert (x[0], x[2], z[0], z[2], h[0], h[2]) == \
+        ("X", ("c",), "Z", ("c", "e"), "H", ("c",))
+    assert [x[3]((v,)) for v in (0, 1)] == [1, 0]
+    assert [h[3]((v,)) for v in (0, 1)] == [0, 1]
+    # body 1 runs when c = 1, where its ifc e^c fires on e = 0
+    assert [z[3](v) for v in itertools.product((0, 1), repeat=2)] == [0, 0, 1, 0]
 
 
 def test_lower_controls_without_branch_is_identity():

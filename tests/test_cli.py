@@ -5,6 +5,7 @@ import pytest
 
 from tddeq.circuits import validate
 from tddeq.cli import main
+from tddeq.equivalence import check
 from tddeq.oracle import oracle_m_eq
 from tddeq.textfmt import parse, print_spec
 
@@ -136,6 +137,43 @@ def test_long_circuit_needs_no_recursion(tmp_path, capsys):
     code, recs = run(capsys, "check", str(fa), str(fb), "--mode", "m")
     assert code == 0
     assert recs[0]["verdict"] == "equivalent"
+
+
+def test_deep_negation_exits_two(tmp_path, capsys):
+    f = tmp_path / "deep.dqc"
+    f.write_text("qubits q t\ninit q=+\ninit t=0\nmeasure q -> c0\n"
+                 f"ifc {'!' * 1200}c0 apply X t\n")
+    code, _ = run(capsys, "check", str(f), str(f), "--mode", "q")
+    assert code == 2
+
+
+IFC_IN_BODY = ("qubits a t\noutputs t\ninit a=+\ninit t=0\nmeasure a -> c0\n"
+               "dispatch c0 { 0: s0 1: s1 }\n"
+               "subcircuit s0 {\n}\nsubcircuit s1 {\n  ifc c0 apply X t\n}\n")
+
+
+def test_full_mode_reads_ifc_inside_a_body(tmp_path, capsys):
+    f = tmp_path / "ifc_body.dqc"
+    f.write_text(IFC_IN_BODY)
+    code, recs = run(capsys, "check", str(f), str(f), "--mode", "full")
+    assert code == 0
+    assert recs[0]["verdict"] == "equivalent"
+
+
+def test_measuring_body_has_no_tensor_encoding(tmp_path, capsys):
+    text = ("qubits a b t\noutputs t\ninit a=+\ninit b=+\ninit t=0\n"
+            "measure a -> c0\ndispatch c0 { 0: s0 1: s1 }\n"
+            "subcircuit s0 {\n}\nsubcircuit s1 {\n  measure b -> d\n"
+            "  ifc d apply X t\n}\n")
+    spec = parse(text)
+    assert validate(spec) == []
+    v, _ = check(spec, spec, "q")
+    assert v.status == "inconclusive" and "no tensor encoding" in v.reason
+    f = tmp_path / "nested.dqc"
+    f.write_text(text)
+    code, recs = run(capsys, "check", str(f), str(f), "--mode", "q")
+    assert code == 2
+    assert recs[0]["verdict"] == "inconclusive"
 
 
 REPRO_A = "qubits q\noutbits c0\ninit q=0\nmeasure q -> c0\n"

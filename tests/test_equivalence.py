@@ -504,6 +504,104 @@ def test_multi_bit_controls_agree_with_oracle(plan, strict_q):
     assert len(verdicts) == 4      # both verdicts occur in both modes
 
 
+def _body_ifc_pair(rng, mode):
+    """A .dqc pair whose dispatch bodies mix ``gate`` and ``ifc`` lines.
+
+    Bit ``e`` is measured before the dispatch and the body ``ifc`` lines
+    read it along with the dispatch bits.  B writes the dispatch out by
+    hand as top-level ``ifc`` lines (body i's gate under ``sel_i``, its
+    ``ifc g`` under ``sel_i&(g)``), or is A with one body expression
+    redrawn, one body gate redrawn or one body line dropped.
+    """
+    k = rng.randint(1, 3)
+    anc = [f"a{i}" for i in range(k)]
+    bits = [f"c{i}" for i in range(k)]
+    head = ["qubits p " + " ".join(anc) + " t0 t1"]
+    if mode == "m":
+        head.append("outbits r0 r1" + (" e" if rng.random() < 0.5 else ""))
+        free = ["p"] + anc + ["t0", "t1"]
+    else:
+        ins = ["t0"] if rng.random() < 0.5 else []
+        if ins:
+            head.append("inputs t0")
+        head.append("outputs t0 t1")
+        free = [q for q in ["p"] + anc + ["t0", "t1"] if q not in ins]
+    # in m mode the measured qubits start in |+>, so every body can run
+    head += [f"init {q}={'+' if mode == 'm' and q[0] in 'pa' else rng.choice('01+')}"
+             for q in free]
+    head.append("measure p -> e")
+    for _ in range(rng.randint(1, 3)):     # the first gate ends e's measure run
+        if rng.random() < 0.4:
+            head.append(f"gate CX {rng.choice(['p'] + anc)} {rng.choice(['t0', 't1'])}")
+        else:
+            q = rng.choice(anc + ["t0", "t1"])
+            head.append(f"gate {rng.choice(['H', 'X', 'S', 'T'])} {q}")
+    head += [f"measure {a} -> {c}" for a, c in zip(anc, bits)]
+    t = rng.randint(1, 2)
+    exprs = [_random_expr(rng, bits) for _ in range(t)]
+    # body lines are (expression or None, gate)
+    bodies = [[(_random_expr(rng, bits + ["e"]) if rng.random() < 0.5 else None,
+                _random_target_gate(rng)) for _ in range(rng.randint(0, 3))]
+              for _ in range(1 << t)]
+    # H before the readout lets a phase gate change the distribution
+    tail = ["gate H t0", "gate H t1", "measure t0 -> r0", "measure t1 -> r1"] \
+        if mode == "m" else []
+
+    def dispatch(bodies):
+        table = " ".join(f"{i}: s{i}" for i in range(1 << t))
+        lines = [f"dispatch {', '.join(exprs)} {{ {table} }}"] + tail
+        for i, body in enumerate(bodies):
+            lines.append(f"subcircuit s{i} {{")
+            lines += [f"  ifc {g} apply {u}" if g else f"  gate {u}" for g, u in body]
+            lines.append("}")
+        return lines
+
+    def by_hand(bodies):
+        lines = []
+        for i, body in enumerate(bodies):
+            sel = "&".join(f"({e})" if (i >> (t - 1 - b)) & 1 else f"!({e})"
+                           for b, e in enumerate(exprs))
+            lines += [f"ifc {sel}&({g}) apply {u}" if g else f"ifc {sel} apply {u}"
+                      for g, u in body]
+        return lines + tail
+
+    def render(lines):
+        return "\n".join(head + lines) + "\n"
+
+    other = [list(body) for body in bodies]
+    spots = [(i, j) for i, body in enumerate(bodies) for j in range(len(body))]
+    roll = rng.random()
+    if roll < 0.4 or not spots:
+        return render(dispatch(bodies)), render(by_hand(bodies))
+    i, j = rng.choice(spots)
+    g, u = other[i][j]
+    if roll < 0.6 and g:
+        other[i][j] = (_random_expr(rng, bits + ["e"]), u)
+    elif roll < 0.8:
+        other[i][j] = (g, _random_target_gate(rng))
+    else:
+        del other[i][j]
+    return render(dispatch(bodies)), render(dispatch(other))
+
+
+@pytest.mark.parametrize("plan,strict_q", [
+    pytest.param(plan, strict, id=plan + ("-strict" if strict else ""))
+    for strict in (False, True) for plan in ("basic", "partitioned")])
+def test_body_controls_agree_with_oracle(plan, strict_q):
+    rng = random.Random(43)
+    verdicts = set()
+    for k in range(40):
+        mode = "m" if k % 2 == 0 else "q"
+        ta, tb = _body_ifc_pair(rng, mode)
+        a, b = parse(ta), parse(tb)
+        assert validate(a) == [] and validate(b) == [], ta
+        v, _ = check(a, b, mode, plan=plan, strict_q=strict_q)
+        oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
+        assert v.status == ("equivalent" if oracle else "not-equivalent"), (k, ta, tb)
+        verdicts.add((mode, v.status))
+    assert len(verdicts) == 4      # both verdicts occur in both modes
+
+
 def test_check_rejects_eps_outside_unit_interval():
     a = parse("qubits q\noutbits c0\ninit q=0\nmeasure q -> c0\n")
     b = parse("qubits q\noutbits c0\ninit q=0\ngate X q\nmeasure q -> c0\n")

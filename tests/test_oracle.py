@@ -12,6 +12,7 @@ from tddeq.logic import BoolFunc
 from tddeq.oracle import (OracleScaleError, identity_choi,
                           oracle_full_eq, oracle_m_eq, oracle_q_eq,
                           outcome_distribution, semantics, superoperator)
+from tddeq.textfmt import parse
 
 
 def test_semantics_conventional_is_singleton():
@@ -92,6 +93,17 @@ def test_outcome_distribution_measure_h():
                        fixed_init={"a": "0"}, outputs=("a",), output_bits=("c",))
     dist = outcome_distribution(spec)
     assert abs(dist["0"] - 0.5) < 1e-9 and abs(dist["1"] - 0.5) < 1e-9
+
+
+def test_ifc_inside_a_body_reads_the_record():
+    # body s1 runs only on c0 = 1, and its ifc reads c0 from the record
+    head = "qubits a t\noutbits r\ninit a=+\ninit t=0\nmeasure a -> c0\n"
+    spec = parse(head + "dispatch c0 { 0: s0 1: s1 }\nmeasure t -> r\n"
+                 "subcircuit s0 {\n}\nsubcircuit s1 {\n  ifc c0 apply X t\n}\n")
+    flat = parse(head + "ifc c0 apply X t\nmeasure t -> r\n")
+    dist = outcome_distribution(spec)
+    assert abs(dist["0"] - 0.5) < 1e-9 and abs(dist["1"] - 0.5) < 1e-9
+    assert oracle_full_eq(spec, flat)
 
 
 def test_outcome_distribution_requires_m_mode():

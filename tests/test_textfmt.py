@@ -8,6 +8,7 @@ import pytest
 
 from tddeq import benchmarks as B
 from tddeq.circuits import CondGate, flatten, validate
+from tddeq.equivalence import check
 from tddeq.oracle import oracle_full_eq, superoperator
 from tddeq.textfmt import ParseError, expr_from_func, parse, parse_expr, print_spec
 
@@ -69,6 +70,31 @@ def test_parse_ifc_expressions():
         a, b = vals
         assert conds[0].func(vals) == a & (1 - b)
         assert conds[1].func(vals) == a | b      # ((a|b)^1) == 0
+
+
+BITS8 = ("qubits " + " ".join(f"q{k}" for k in range(8)) + " t\noutbits r\n"
+         + "".join(f"init q{k}=+\n" for k in range(8)) + "init t=0\n"
+         + "".join(f"measure q{k} -> c{k}\n" for k in range(8)))
+
+
+def test_long_operator_chain_parses_and_checks():
+    # 1200 operands, more than the interpreter's recursion limit
+    chain = "&".join(f"c{k % 8}" for k in range(1200))
+    spec = parse(BITS8 + f"ifc {chain} apply X t\nmeasure t -> r\n")
+    assert validate(spec) == []
+    assert f"ifc {chain} apply X t" in print_spec(spec).splitlines()
+    short = "&".join(f"c{k}" for k in range(8))
+    same = parse(BITS8 + f"ifc {short} apply X t\nmeasure t -> r\n")
+    other = parse(BITS8 + f"ifc {short} apply Z t\nmeasure t -> r\n")
+    assert check(spec, same, "m")[0].status == "equivalent"
+    assert check(spec, other, "m")[0].status == "not-equivalent"
+
+
+@pytest.mark.parametrize("expr", ["!" * 1200 + "c0", "(" * 400 + "c0" + ")" * 400],
+                         ids=["negation", "parentheses"])
+def test_deep_nesting_is_a_parse_error(expr):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(BITS8 + f"ifc {expr} apply X t\nmeasure t -> r\n")
 
 
 def test_parse_ifc_unmeasured_bit():
