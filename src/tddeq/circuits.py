@@ -453,9 +453,10 @@ def _try_factor(c: Branch) -> list[CondGate] | None:
     """Detect branch families of the form prod_b G_b^{bit_b(i)}.
 
     When the family factorises, one classically controlled gate per dispatch
-    bit is emitted instead of one guard per branch value (e.g. the
-    teleportation corrections {I, X, Z, ZX} become X under the low bit
-    followed by Z under the high bit).
+    bit is emitted instead of one guard per branch value, on only the
+    measured bits that bit's selector reads (e.g. the teleportation
+    corrections {I, X, Z, ZX} become X under the low bit followed by Z under
+    the high bit, each a one-bit control).
     """
     t = c.func.outputs
     all_qs = sorted(qvar(c))
@@ -491,7 +492,12 @@ def _try_factor(c: Branch) -> list[CondGate] | None:
         return None
     out = []
     for b in emit_order:
+        # each correction reads only the bits its selector depends on
         sel = c.func.output_bit(b)
+        used = sel.support()
+        sel = sel.relabel([used.index(p) if p in used else 0
+                           for p in range(sel.arity)], len(used))
+        bits = tuple(c.measure.bits[p] for p in used)
         for st in flatten(c.branches[1 << (t - 1 - b)]):
-            out.append(CondGate(st.gates[0], c.measure.bits, sel))
+            out.append(CondGate(st.gates[0], bits, sel))
     return out

@@ -3,9 +3,12 @@
 Every gate, fixed input state, measurement and classically controlled gate
 becomes a small tensor over wire-segment indices; the diagram of the circuit
 is the contraction of all of them.  Measurements follow the COPY-tensor
-encoding: a measurement whose qubit ends there is a rank-2 COPY (identity)
-whose output leg doubles as the classical outcome index, a measurement whose
-qubit continues is a rank-3 COPY with a separate outcome leg.  Classical
+encoding: a measurement whose qubit continues is a rank-3 COPY with a
+separate outcome leg.  A measurement that ends its qubit is the rank-2 COPY,
+the identity, so it costs no tensor: the qubit's previous gate or ``init``
+names its output leg after the classical outcome index.  The rank-2 COPY
+stays an entry only where that leg cannot be renamed, on an open input wire
+or when the outcome index is already a leg of the same tensor.  Classical
 controls attach to outcome indices pointwise, so one bit may drive several
 gates.
 
@@ -23,8 +26,9 @@ summed out as soon as its last use has been contracted.  Every entry's
 tensor is built on its own, so the loop is never re-entered.
 
 Index ranking ("grouped", the default used for checking): classical outcome
-indices of output bits on top, then internal outcomes and discarded-qubit
-legs, then principal output legs, then wire segments by (qubit, segment).
+indices of output bits on top, then internal outcomes by (measuring qubit,
+measurement order), then discarded-qubit legs, then principal output legs,
+then wire segments by (qubit, segment).
 The alternative "interleaved" ranking keeps each qubit's wires and outcome
 adjacent; it reproduces the construction node counts reported for
 conventional-circuit checking and is used for statistics.
@@ -87,7 +91,8 @@ def controlled_gate_tensor(mgr: TddManager, u: np.ndarray, c: IndexId,
 
 @dataclass
 class _Entry:
-    kind: str            # init | gate | cond | measure2 | measure3 | ident
+    kind: str            # init | gate | cond | measure3 | ident, or measure2
+                         # for an end leg that cannot take the outcome's name
     indices: tuple[str, ...]
     payload: object = None
     partition: str = ""
@@ -135,6 +140,8 @@ class _Builder:
         self.bit_outcome: dict[str, str] = {}
         self.bit_source: dict[str, str] = {}
         self.ended: dict[str, str] = {}
+        self.meas_seq: dict[str, int] = {}    # bit -> measurement counter
+        self.final_bit: dict[str, str] = {}   # qubit -> bit of the measurement ending it
 
     # index declarations
 
@@ -153,7 +160,9 @@ class _Builder:
         if bit in self.spec.output_bits:
             pos = self.spec.output_bits.index(bit)
             return self._decl(f"outbit:{pos}", KIND_OUTCOME, 1, (pos,), qpos=qpos)
-        return self._decl(f"bit:{bit}", KIND_OUTCOME, 2, (0, bit), qpos=qpos)
+        # ranked by who measured it and when, never by the bit's name
+        return self._decl(f"bit:{bit}", KIND_OUTCOME, 2,
+                          (0, qpos, self.meas_seq[bit]), qpos=qpos)
 
     def discard_index(self, q: str) -> str:
         # a discarded qubit's leg is peeled like an outcome, so it lives in
@@ -172,16 +181,29 @@ class _Builder:
 
     def build(self) -> _Netlist:
         steps = flatten(lower_controls(self.spec.circuit))
+        last = {}
         for st in steps:
             for q in self._touched(st):
                 self.touches_left[q] += 1
+                last[q] = st
+            if isinstance(st, Measure):
+                for b in st.step.bits:
+                    self.meas_seq.setdefault(b, len(self.meas_seq))
+        for q, st in last.items():
+            if isinstance(st, Measure) and not self._keeps_leg(q):
+                self.final_bit[q] = st.step.bits[st.step.qubits.index(q)]
         for q in self.spec.qubits:
             if q in self.spec.inputs or self.open_inputs:
                 self.net.open_names.add(self.wire(q, (0,)))
             else:
                 state = self.spec.fixed_init.get(q, "0")
-                idx = (self.wire(q, (0,)) if self.touches_left[q]
-                       else self._final_leg(q, fresh=False))
+                if not self.touches_left[q]:
+                    idx = self._final_leg(q, fresh=False)
+                elif self.touches_left[q] == 1 and q in self.final_bit:
+                    # measured and nothing else: the init is on the outcome
+                    idx = self.ended[q] = self.outcome_index(self.final_bit[q], q)
+                else:
+                    idx = self.wire(q, (0,))
                 self.net.entries.append(_Entry("init", (idx,), (q, state),
                                                partition=q))
         for st in steps:
@@ -208,6 +230,10 @@ class _Builder:
                                "have no tensor encoding; flatten the circuit")
         raise TypeError(st)
 
+    def _keeps_leg(self, q: str) -> bool:
+        """Whether a final measurement of ``q`` keeps a principal leg."""
+        return q in self.spec.outputs and self.mode == "q"
+
     def _final_leg(self, q: str, fresh: bool = True) -> str:
         """Name of the qubit's terminal leg and its open/peel registration.
 
@@ -230,12 +256,22 @@ class _Builder:
         self.seg[q] = key
         return key
 
-    def _advance(self, q: str) -> tuple[str, str]:
-        """Consume the current segment of ``q``; return (in, out) names."""
+    def _advance(self, q: str, legs) -> tuple[str, str]:
+        """Consume the current segment of ``q``; return (in, out) names.
+
+        Before a measurement that ends ``q``, the output leg is named after
+        its outcome index, so that measurement emits no tensor; not when
+        the name is among ``legs``, those the tensor already has.
+        """
         cur = self.wire(q, self.seg[q])
         self.touches_left[q] -= 1
         if self.touches_left[q] == 0:
             return cur, self._final_leg(q)
+        if self.touches_left[q] == 1 and q in self.final_bit:
+            c = self.outcome_index(self.final_bit[q], q)
+            if c not in legs:
+                self.ended[q] = c
+                return cur, c
         return cur, self.wire(q, self._next_key(q))
 
     def _emit(self, st):
@@ -254,7 +290,12 @@ class _Builder:
         sources = [self.bit_source[b] for b in st.bits] if cond else []
         entries = []
         for g in ((st.gate,) if cond else st.gates):
-            ins, outs = zip(*[self._advance(q) for q in g.qubits])
+            ins, legs = [], list(bits)
+            for q in g.qubits:
+                cur, out = self._advance(q, legs)
+                ins.append(cur)
+                legs.append(out)
+            ins, outs = tuple(ins), tuple(legs[len(bits):])
             part = self._owner(g.qubits, extra=sources)
             if cond:
                 entries.append(_Entry("cond", bits + outs + ins,
@@ -274,11 +315,12 @@ class _Builder:
         self.net.open_names.add(c)
         if bit not in self.spec.output_bits and self.mode == "q":
             self.net.peel_set.add(c)
-        cur = self.wire(q, self.seg[q])
         self.touches_left[q] -= 1
+        if q in self.ended:
+            return      # the qubit's last tensor already ends on c
+        cur = self.wire(q, self.seg[q])
         continues = self.touches_left[q] > 0
-        keeps_quantum_leg = q in self.spec.outputs and self.mode == "q"
-        if continues or keeps_quantum_leg:
+        if continues or self._keeps_leg(q):
             if continues:
                 y = self.wire(q, self._next_key(q))
             else:
@@ -288,7 +330,7 @@ class _Builder:
             self.net.entries.append(_Entry("measure3", (c, cur, y), (c, cur, y),
                                            partition=q))
         else:
-            # the qubit ends here: the outcome leg is also the final wire
+            # an open input wire, or c was taken: the rank-2 COPY renames
             self.net.entries.append(_Entry("measure2", (cur, c), (cur, c),
                                            partition=q))
             self.ended[q] = c

@@ -167,6 +167,17 @@ class BoolFunc:
     def identity(n: int) -> "BoolFunc":
         return BoolFunc(n, tuple(var(k) for k in range(n)))
 
+    def support(self) -> tuple[int, ...]:
+        """Input positions that some output's BDD reads, ascending."""
+        seen: set[BddNode] = set()
+        stack = list(self.roots)
+        while stack:
+            node = stack.pop()
+            if node.lo is not None and node not in seen:
+                seen.add(node)
+                stack += (node.lo, node.hi)
+        return tuple(sorted({node.var for node in seen}))
+
     def relabel(self, positions: Sequence[int], arity: int) -> "BoolFunc":
         """This function read with input ``k`` at position ``positions[k]``
         of ``arity`` inputs; one memoised rebuild of each BDD node."""

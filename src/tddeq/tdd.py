@@ -369,8 +369,10 @@ class TddManager:
             # shared indices absent from both operands each contribute a factor 2
             res = self._cont(e1, e2, srt[k:])
             return self._canon((1 << k) * res.weight, res.node)
-        if r == 0:
-            return self._canon(e1.weight * e2.weight, self.terminal)
+        if not srt and (n1 is self.terminal or n2 is self.terminal):
+            # a scalar times a canonical node: nothing to walk
+            return self._canon(e1.weight * e2.weight,
+                               n2 if n1 is self.terminal else n1)
         key = (n1, n2, srt) if id(n1) < id(n2) else (n2, n1, srt)
         res = self._cont_cache.get(key)
         if res is None:

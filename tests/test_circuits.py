@@ -106,11 +106,22 @@ def test_lower_controls_teleport_factorises():
     steps = flatten(lowered)
     conds = [s for s in steps if isinstance(s, CondGate)]
     assert [c.gate.name for c in conds] == ["X", "Z"]
-    # X is driven by the second measured bit (q1's), Z by the first (q's)
-    inputs = list(itertools.product((0, 1), repeat=2))
-    assert [conds[0].func(b) for b in inputs] == [0, 1, 0, 1]
-    assert [conds[1].func(b) for b in inputs] == [0, 0, 1, 1]
-    assert all(c.bits == ("c0", "c1") for c in conds)
+    # X is driven by the second measured bit (q1's), Z by the first (q's),
+    # each a one-bit control on only the bit it reads
+    assert [c.bits for c in conds] == [("c1",), ("c0",)]
+    assert all(c.func.arity == 1 and [c.func((v,)) for v in (0, 1)] == [0, 1]
+               for c in conds)
+
+
+def test_factorised_teleport_lifts_no_control_function(monkeypatch):
+    # one-bit controls take the rank-3 controlled-gate tensor
+    import tddeq.encode as E
+    calls = []
+    lift = E.func_to_tensor
+    monkeypatch.setattr(E, "func_to_tensor",
+                        lambda *a: calls.append(a) or lift(*a))
+    E.compile_spec(B.teleport())
+    assert calls == []
 
 
 def _cond_gates(c):

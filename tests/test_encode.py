@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from tddeq import benchmarks as B
-from tddeq.circuits import CircuitSpec, Conventional, gate
+from tddeq.circuits import (CircuitSpec, Conventional, Measure, MeasureStep,
+                            gate, seq, validate)
 from tddeq.encode import (CompileScaleError, CompileStats, compile_pair,
                           compile_spec, contract_pieces, controlled_gate_tensor,
                           evaluate_pieces, measurement_tensor, prepare)
+from tddeq.equivalence import check
+from tddeq.oracle import oracle_m_eq, oracle_q_eq
 from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, TddManager
+from tddeq.textfmt import parse
 
 
 def compile_by_pieces(spec, **kw):
@@ -139,12 +143,11 @@ def test_teleport_partition_assignment():
     for e in net.entries:
         parts.setdefault(e.partition, []).append(e)
     assert set(parts) == {"q", "q1", "q2"}
-    # CX(q, q1) is owned by q, as is the measurement of q
+    # CX(q, q1) is owned by q, as is q's outcome index: the measurement
+    # that ends q names the output leg of q's last gate
     assert any(e.kind == "gate" and e.payload[0].name == "CX"
                and e.payload[0].qubits == ("q", "q1") for e in parts["q"])
-    assert any(e.kind.startswith("measure")
-               and any(n.startswith("w:q.") for n in e.indices)
-               for e in parts["q"])
+    assert any("bit:c0" in e.indices for e in parts["q"])
     assert any(e.kind == "gate" and e.payload[0].name == "H" for e in parts["q2"])
     # every tensor lands in exactly one partition
     assert sum(map(len, parts.values())) == len(net.entries)
@@ -206,3 +209,138 @@ def test_compile_stats_deterministic():
 def test_max_open_guard():
     with pytest.raises(CompileScaleError):
         compile_spec(B.qft(14), order="interleaved", open_inputs=True, max_open=10)
+
+
+# -- a final measurement names the qubit's last leg ------------------------------
+
+
+def _kinds(spec, **kw):
+    _, (net,) = prepare([spec], **kw)
+    return [e.kind for e in net.entries], net
+
+
+def _agrees_with_oracle(a, b, mode):
+    """Both plans give the dense oracle's verdict; returns that verdict."""
+    want = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
+    for plan in ("basic", "partitioned"):
+        v, _ = check(a, b, mode, plan=plan)
+        assert v.status == ("equivalent" if want else "not-equivalent"), plan
+    return want
+
+
+def _dense_by_name(mgr, t, names):
+    d = mgr.to_dense(t)
+    have = [i.name for i in t.indices]
+    return np.transpose(d, [have.index(n) for n in names])
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_qft_measurements_cost_no_tensor(n):
+    kinds, net = _kinds(B.qft(n))
+    assert not any(k.startswith("measure") for k in kinds)
+    # every outcome index is the output leg of its qubit's last gate
+    legs = {x for e in net.entries if e.kind == "gate" for x in e.payload[1]}
+    assert {f"outbit:{k}" for k in range(n)} <= legs
+
+
+@pytest.mark.parametrize("mode", ["m", "q"])
+def test_init_then_measure_puts_the_init_on_the_outcome(mode):
+    # q-mode compares outcome-independent maps: Z on t = |0> does nothing
+    if mode == "m":
+        head, tail = "qubits a t\noutbits r\n", "ifc c apply X t\nmeasure t -> r\n"
+        other = "init a=1\nmeasure a -> c\n"
+    else:
+        head, tail = "qubits a t\noutputs t\n", "ifc c apply Z t\n"
+        other = "init a=+\ngate X t\nmeasure a -> c\n"
+    head += "init t=0\n"
+    a = parse(head + "init a=+\nmeasure a -> c\n" + tail)
+    kinds, net = _kinds(a)
+    assert "init" in kinds and not any(k.startswith("measure") for k in kinds)
+    assert any(e.kind == "init" and e.indices == ("bit:c",) for e in net.entries)
+    verdicts = {_agrees_with_oracle(a, parse(head + body + tail), mode)
+                for body in ("init a=0\ngate H a\nmeasure a -> c\n", other)}
+    assert verdicts == {True, False}
+
+
+def test_open_input_measured_without_gate_keeps_rank2_copy():
+    head = "qubits a t\ninputs a\noutputs t\ninit t=0\n"
+    tail = "measure a -> c\nifc c apply Z t\n"
+    a = parse(head + tail)
+    kinds, net = _kinds(a)
+    # the open input wire stays a distinct index from the outcome
+    assert [e.indices for e in net.entries if e.kind == "measure2"] == \
+        [("w:a.0", "bit:c")]
+    # the branch maps read the input, so no such circuit is q-equivalent
+    for g in ("Z", "X"):
+        assert not _agrees_with_oracle(a, parse(head + f"gate {g} a\n" + tail), "q")
+    want = np.zeros((2, 2, 2))          # (c, a in, t out): delta(c, a) |0>
+    want[0, 0, 0] = want[1, 1, 0] = 1.0
+    names = ["bit:c", "w:a.0", "out:t"]
+    r = compile_spec(a)
+    mgr, t, _, _ = compile_by_pieces(a)
+    for m, d in ((r.mgr, r.tdd), (mgr, t)):
+        assert np.max(np.abs(_dense_by_name(m, d, names) - want)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_open_input_operator_build_with_an_ungated_measurement(n):
+    base = B.qft(n)
+    r0 = compile_spec(base, order="interleaved", open_inputs=True)
+    assert r0.stats.final_nodes == 2 ** (n + 1) - 1
+    assert "measure2" not in [e.kind for e in r0.net.entries]
+    # qubit x is measured with no gate: its open wire w:x.0 and outcome
+    # outbit:n stay apart through one rank-2 COPY, the identity
+    spec = CircuitSpec(
+        qubits=base.qubits + ("x",),
+        circuit=seq(base.circuit, Measure(MeasureStep(("x",), ("cx",)))),
+        fixed_init={**base.fixed_init, "x": "0"}, outputs=base.outputs,
+        output_bits=base.output_bits + ("cx",))
+    names = [i.name for i in r0.tdd.indices]
+    want = np.multiply.outer(_dense_by_name(r0.mgr, r0.tdd, names), np.eye(2))
+    names += ["w:x.0", f"outbit:{n}"]
+    r = compile_spec(spec, order="interleaved", open_inputs=True)
+    assert [e.indices for e in r.net.entries if e.kind == "measure2"] == \
+        [("w:x.0", f"outbit:{n}")]
+    mgr, t, _, _ = compile_by_pieces(spec, order="interleaved", open_inputs=True)
+    for m, d in ((r.mgr, r.tdd), (mgr, t)):
+        assert np.max(np.abs(_dense_by_name(m, d, names) - want)) < 1e-9
+
+
+def test_shared_outcome_after_a_shared_gate_keeps_rank2_copy():
+    # two qubits read into one bit: validate refuses a bit written twice,
+    # so there is no oracle verdict; the compiled tensor still matches the
+    # pointwise COPY semantics, <c c|CX|+0>, in both plans
+    spec = CircuitSpec(
+        qubits=("a", "b"),
+        circuit=seq(Conventional((gate("CX", ["a", "b"]),)),
+                    Measure(MeasureStep(("a", "b"), ("c", "c")))),
+        fixed_init={"a": "+", "b": "0"}, output_bits=("c",))
+    assert any("measured twice" in err for err in validate(spec))
+    kinds, net = _kinds(spec)
+    # a's outcome names the CX's leg; b's cannot take the same name there
+    assert kinds.count("measure2") == 1
+    assert [e.indices for e in net.entries if e.kind == "gate"] == \
+        [("outbit:0", "w:b.1", "w:a.0", "w:b.0")]
+    psi = gate("CX", ["a", "b"]).matrix @ np.kron([1, 1], [1, 0]) / np.sqrt(2)
+    want = np.array([psi[0], psi[3]])
+    r = compile_spec(spec)
+    mgr, t, _, _ = compile_by_pieces(spec)
+    for m, d in ((r.mgr, r.tdd), (mgr, t)):
+        assert np.max(np.abs(m.to_dense(d) - want)) < 1e-9
+
+
+def test_q_mode_discarded_qubit_ends_on_its_peeled_outcome():
+    # a is not an output: its last step, a measurement, names the output
+    # leg of its last gate, and that outcome is peeled in q-mode
+    # CX from a = |+> flips t on c = 1 and the ifc flips it back: the map
+    # is the identity on every branch, up to the phase a's T leaves
+    head = "qubits a t\ninputs t\noutputs t\ninit a=+\ngate CX a t\n"
+    tail = "measure a -> c\nifc c apply X t\n"
+    a = parse(head + "gate T a\n" + tail)
+    kinds, net = _kinds(a)
+    assert not any(k.startswith("measure") for k in kinds)
+    assert "bit:c" in net.peel_set
+    assert any(e.kind == "gate" and e.payload[1] == ("bit:c",)
+               for e in net.entries)
+    assert {_agrees_with_oracle(a, parse(head + f"gate {g} a\n" + tail), "q")
+            for g in ("S", "H")} == {True, False}

@@ -211,6 +211,29 @@ def test_wide_controls_known_answers(op, init, fires):
         assert v.status == ("equivalent" if fires is applied else "not-equivalent")
 
 
+def test_bit_names_do_not_rank_outcomes():
+    # 12 internal bits read unevenly from 4 |+> qubits; the renaming
+    # c_k -> c_(11-k) reverses the bits' sort order, and the outcome indices
+    # keep their ranks, by measuring qubit and then measurement order
+    src = [0, 1, 2, 0, 0, 0, 0, 1, 2, 3, 3, 1]
+
+    def text(name, op, tail):
+        lines = ["qubits q0 q1 q2 q3 t", "outbits r", "init t=0"]
+        lines += [f"init q{k}=+" for k in range(4)]
+        lines += [f"measure q{q} -> {name(k)}" for k, q in enumerate(src)]
+        lines += [tail.replace("@", op.join(map(name, range(len(src))))),
+                  "measure t -> r"]
+        return "\n".join(lines) + "\n"
+
+    for op in "&^":
+        got = set()
+        for name in (lambda k: f"c{k:02d}", lambda k: f"c{11 - k:02d}"):
+            v, report = check(parse(text(name, op, "ifc @ apply X t")),
+                              parse(text(name, op, "")), "m")
+            got.add((v.status, report.max_nodes))
+        assert len(got) == 1, (op, got)
+
+
 def reread_text(n: int, skip_h: int | None = None, outbits: bool = True,
                 flip: bool = False) -> str:
     """``n`` fair bits read from one qubit, ``measure q -> c; gate H q`` each.

@@ -160,6 +160,15 @@ def test_selector_picks_one_output_value():
             assert f.selector(i)(bits) == int(f(bits) == i)
 
 
+def test_support_lists_the_positions_read():
+    x = BoolFunc.identity(4)
+    f = x.output_bit(3) ^ (x.output_bit(1) & ~x.output_bit(1))
+    assert f.support() == (3,)
+    assert (x.output_bit(2) | x.output_bit(0)).support() == (0, 2)
+    assert x.support() == (0, 1, 2, 3)
+    assert BoolFunc(2, (TRUE,)).support() == ()
+
+
 def test_wide_and_indicator_is_a_chain():
     n = 64
     names = [f"c{k}" for k in range(n)]
