@@ -7,7 +7,8 @@ pass over a circuit loops over it, recursing only into branch bodies.  Two
 additional step forms, ``Measure`` and ``CondGate``, are the lowered shape of
 a branch (measure first, then classically controlled gates); generators and
 the text format use them directly and ``lower_controls`` rewrites every
-branch into them whose bodies do not measure.
+branch into them whose bodies do not measure, merging the gates that its
+mutually exclusive bodies share into one gate under the OR of their guards.
 
 A ``CircuitSpec`` wraps a circuit with its declared qubits, a fixed product
 input state on the non-principal inputs, the principal input/output qubits,
@@ -23,8 +24,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .logic import BoolFunc
-from .tdd import FACTOR_TOL, UNITARY_TOL
+from .logic import FALSE, TRUE, BoolFunc
+from .tdd import UNITARY_TOL
 
 
 def _frozen(mat) -> np.ndarray:
@@ -371,48 +372,18 @@ def validate(spec: CircuitSpec) -> list[str]:
 # -- lowering -----------------------------------------------------------------
 
 
-def _branch_unitary(c: DynCircuit) -> np.ndarray | None:
-    """Product matrix of a purely conventional branch body over qvar order."""
-    steps = flatten(c)
-    if not all(isinstance(st, Conventional) for st in steps):
-        return None
-    qs = sorted(qvar(c))
-    mat = np.eye(1 << len(qs), dtype=complex)
-    for st in steps:
-        g = st.gates[0]
-        mat = _embed(g.matrix, [qs.index(q) for q in g.qubits], len(qs)) @ mat
-    return mat
-
-
-def _embed(mat: np.ndarray, positions: list[int], n: int) -> np.ndarray:
-    """Expand a k-qubit matrix to n qubits (MSB-first qubit positions)."""
-    k = len(positions)
-    tensor = mat.reshape((2,) * (2 * k))
-    full = np.eye(1 << n, dtype=complex).reshape((2,) * (2 * n))
-    full = np.tensordot(tensor, full, axes=(list(range(k, 2 * k)), positions))
-    # tensordot puts the k fresh output axes first; move them back in place
-    remaining = [a for a in range(2 * n) if a not in positions]
-    perm = [0] * (2 * n)
-    for i, p in enumerate(positions):
-        perm[p] = i
-    for i, p in enumerate(remaining):
-        perm[p] = k + i
-    full = np.transpose(full, perm)
-    return full.reshape(1 << n, 1 << n)
-
-
 def lower_controls(c: DynCircuit) -> DynCircuit:
     """Rewrite branches whose bodies hold only gates and ifcs into measure +
     cond-gate steps.
 
     Each body is read through ``flatten``, so a branch lowers the same
     whether its bodies were built as one segment or parsed line by line.
-    When the branch family factorises as products of per-bit gates the
-    rewrite emits one single-bit controlled gate per dispatch bit.
-    Otherwise body i's gates are guarded by ``f == i``, and its ``ifc g``
-    becomes one gate on the dispatch bits and g's own bits under
-    ``f == i & g``.  Only branches with a measuring body stay branches,
-    their bodies lowered recursively.
+    Body i's gate is guarded by ``f == i``, its ``ifc g`` by ``f == i & g``.
+    At most one body runs, so gates of different bodies commute, and a gate
+    that bodies share becomes one gate under the OR of their guards, on
+    only the bits that guard reads (teleportation's {I, X, Z, XZ} become X
+    and Z, each under one bit).  Only branches with a measuring body stay
+    branches, their bodies lowered recursively.
     """
     if not isinstance(c, (Seq, Branch)):
         return c
@@ -430,74 +401,52 @@ def lower_controls(c: DynCircuit) -> DynCircuit:
     return seq(*out)
 
 
-def _lower_branch_gates(c: Branch) -> list[CondGate]:
-    factored = _try_factor(c)
-    if factored is not None:
-        return factored
+def _lower_branch_gates(c: Branch) -> list[DynCircuit]:
+    bodies = [flatten(b) for b in c.branches]
     bits = c.measure.bits
-    out: list[CondGate] = []
-    for i, body in enumerate(c.branches):
-        sel = c.func.selector(i)
-        for st in flatten(body):
-            if isinstance(st, Conventional):
-                out.append(CondGate(st.gates[0], bits, sel))
-                continue
-            union = bits + tuple(b for b in st.bits if b not in bits)
-            g = st.func.relabel([union.index(b) for b in st.bits], len(union))
-            out.append(CondGate(st.gate, union,
-                                BoolFunc(len(union), sel.roots) & g))
+    for st in (s for body in bodies for s in body if isinstance(s, CondGate)):
+        bits += tuple(b for b in st.bits if b not in bits)
+    merged: list[tuple[Gate, BoolFunc]] = []
+    for i, body in enumerate(bodies):
+        sel = BoolFunc(len(bits), c.func.selector(i).roots)
+        merged = _merge(merged, [
+            (st.gates[0], sel) if isinstance(st, Conventional) else
+            (st.gate, sel & st.func.relabel([bits.index(b) for b in st.bits],
+                                            len(bits)))
+            for st in body])
+    out: list[DynCircuit] = []
+    for g, f in merged:
+        if f.roots[0] is TRUE:
+            out.append(Conventional((g,)))
+        elif f.roots[0] is not FALSE:
+            # each gate reads only the bits its guard depends on
+            used = f.support()
+            f = f.relabel([used.index(p) if p in used else 0
+                           for p in range(f.arity)], len(used))
+            out.append(CondGate(g, tuple(bits[p] for p in used), f))
     return out
 
 
-def _try_factor(c: Branch) -> list[CondGate] | None:
-    """Detect branch families of the form prod_b G_b^{bit_b(i)}.
-
-    When the family factorises, one classically controlled gate per dispatch
-    bit is emitted instead of one guard per branch value, on only the
-    measured bits that bit's selector reads (e.g. the teleportation
-    corrections {I, X, Z, ZX} become X under the low bit followed by Z under
-    the high bit, each a one-bit control).
-    """
-    t = c.func.outputs
-    all_qs = sorted(qvar(c))
-    if not all_qs:
-        return []
-    mats = [_branch_unitary(b) for b in c.branches]
-    if any(m is None for m in mats):
-        return None
-    dim = 1 << len(all_qs)
-    full = []
-    for b, m in zip(c.branches, mats):
-        qs = sorted(qvar(b))
-        full.append(_embed(m, [all_qs.index(q) for q in qs], len(all_qs))
-                    if qs else np.eye(dim, dtype=complex))
-    gens = [full[1 << (t - 1 - b)] for b in range(t)]
-
-    def matches(low_bit_first: bool) -> bool:
-        for i in range(1 << t):
-            prod = np.eye(dim, dtype=complex)
-            order = range(t) if low_bit_first else reversed(range(t))
-            for b in order:
-                if (i >> (t - 1 - b)) & 1:
-                    prod = prod @ gens[b]   # rightmost factor acts first
-            if np.max(np.abs(prod - full[i])) > FACTOR_TOL:
-                return False
-        return True
-
-    if matches(low_bit_first=True):
-        emit_order = list(reversed(range(t)))
-    elif matches(low_bit_first=False):
-        emit_order = list(range(t))
-    else:
-        return None
-    out = []
-    for b in emit_order:
-        # each correction reads only the bits its selector depends on
-        sel = c.func.output_bit(b)
-        used = sel.support()
-        sel = sel.relabel([used.index(p) if p in used else 0
-                           for p in range(sel.arity)], len(used))
-        bits = tuple(c.measure.bits[p] for p in used)
-        for st in flatten(c.branches[1 << (t - 1 - b)]):
-            out.append(CondGate(st.gates[0], bits, sel))
-    return out
+def _merge(a: list, b: list) -> list:
+    """Two (gate, guard) lists aligned by a longest common subsequence of
+    gate keys: an aligned pair ORs its guards, unaligned entries keep their
+    order, ``a``'s first."""
+    ka, kb = ([(g.name, g.params, g.qubits) for g, _ in x] for x in (a, b))
+    n, m = len(a), len(b)
+    lcs = [[0] * (m + 1) for _ in range(n + 1)]   # LCS lengths of a[i:], b[j:]
+    for i in reversed(range(n)):
+        for j in reversed(range(m)):
+            lcs[i][j] = (lcs[i + 1][j + 1] + 1 if ka[i] == kb[j]
+                         else max(lcs[i + 1][j], lcs[i][j + 1]))
+    out, i, j = [], 0, 0
+    while i < n and j < m:
+        if ka[i] == kb[j]:
+            out.append((a[i][0], a[i][1] | b[j][1]))
+            i, j = i + 1, j + 1
+        elif lcs[i + 1][j] >= lcs[i][j + 1]:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return out + a[i:] + b[j:]

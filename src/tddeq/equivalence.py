@@ -21,7 +21,7 @@ and compares the contracted remainder.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuits import CircuitSpec, Verdict, validate
 from .encode import (CompileError, CompileScaleError, CompileStats,
@@ -33,8 +33,8 @@ class IndexOrderError(Exception):
     """Measurement indices are not on top of the compared diagrams."""
 
 
-# m_eq compares one mass per outcome record: past 2^26 records the masses
-# may fall below eps, and its walk has no useful bound
+# m_eq compares per-record masses, and past 2^26 records they may fall
+# below eps
 MAX_OUTPUT_BITS = 26
 
 
@@ -68,11 +68,14 @@ def m_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, eps: float = DEFAULT_EPS,
     m_set = set(m_set)
     _check_top(mgr, (t1, t2), m_set)
     below = tuple(tuple(sorted(t.indices, key=lambda i: -i.rank)) for t in (t1, t2))
-    return _m_eq(mgr, t1.root, t2.root, m_set, below, eps, witness, ())
+    return _m_eq(mgr, t1.root, t2.root, m_set, below, eps, witness, (), set())
 
 
-def _m_eq(mgr, e1: TddEdge, e2: TddEdge, m_set, below, eps, witness, path) -> bool:
-    if e1.node is e2.node and mgr.weights_equal(e1.weight, e2.weight):
+def _m_eq(mgr, e1: TddEdge, e2: TddEdge, m_set, below, eps, witness, path,
+          done: set) -> bool:
+    # ``done`` holds the comparisons that held; a False ends the whole walk
+    key = (e1, e2, len(below[0]), len(below[1]))    # below is a suffix
+    if key in done or e1.node is e2.node and mgr.weights_equal(e1.weight, e2.weight):
         return True
     r1, r2 = e1.node.rank, e2.node.rank
     top = max(r1, r2)
@@ -81,6 +84,7 @@ def _m_eq(mgr, e1: TddEdge, e2: TddEdge, m_set, below, eps, witness, path) -> bo
         n1, n2 = (mgr.norm_edge(e, tuple(i for i in b if i.rank <= top or i not in m_set))
                   for e, b in zip((e1, e2), below))
         if abs(n1 - n2) <= eps:
+            done.add(key)
             return True
         if witness is not None:
             witness.append({"kind": "outcome-mass", "path": list(path),
@@ -97,8 +101,11 @@ def _m_eq(mgr, e1: TddEdge, e2: TddEdge, m_set, below, eps, witness, path) -> bo
             lo = hi = e
         sides.append((lo, hi))
     (l1, h1), (l2, h2) = sides
-    return (_m_eq(mgr, l1, l2, m_set, rest, eps, witness, path + ((top_idx.name, 0),))
-            and _m_eq(mgr, h1, h2, m_set, rest, eps, witness, path + ((top_idx.name, 1),)))
+    ok = (_m_eq(mgr, l1, l2, m_set, rest, eps, witness, path + ((top_idx.name, 0),), done)
+          and _m_eq(mgr, h1, h2, m_set, rest, eps, witness, path + ((top_idx.name, 1),), done))
+    if ok:
+        done.add(key)
+    return ok
 
 
 def _peel(mgr: TddManager, t: Tdd, m_set):
@@ -215,7 +222,6 @@ class CheckReport:
     max_nodes: int = 0
     discarded: int = 0
     fallback: bool = False
-    notes: list[str] = field(default_factory=list)
 
 
 def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
@@ -253,6 +259,8 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
             raise ValueError(f"unknown plan {plan!r}")
     except (CompileScaleError, CompileError, IndexOrderError, TddError) as exc:
         verdict = Verdict.inconclusive(str(exc))
+    except (RecursionError, MemoryError) as exc:
+        verdict = Verdict.inconclusive(f"engine error: {type(exc).__name__}")
     report.verdict = verdict
     report.total_time = time.perf_counter() - t_start
     return verdict, report
@@ -351,7 +359,6 @@ def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, report) -> Verdict:
         ok = _decide(mgr, nets, ta, tb, mode, eps, strict_q, witness)
     except IndexOrderError:
         ok = False
-        report.notes.append("partitioned comparison hit an index-order violation")
     if ok:
         return Verdict.equivalent()
     # discarding is only justified in the equivalent direction: confirm any

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (Branch, CircuitSpec, CondGate, Conventional, DynCircuit,
-                       INIT_STATES, Measure, Seq, _embed, validate)
+                       INIT_STATES, Measure, Seq, validate)
 from .tdd import ORACLE_ATOL, ORACLE_LIVE
 
 MAX_ORACLE_QUBITS = 12
@@ -37,6 +37,14 @@ class OracleScaleError(Exception):
 class EnsembleMember:
     record: tuple[tuple[str, int], ...]  # (bit, value) in execution order
     op: np.ndarray
+
+
+def _embed(mat: np.ndarray, positions: list[int], n: int) -> np.ndarray:
+    """Expand a k-qubit matrix to n qubits (MSB-first qubit positions)."""
+    order = list(positions) + [p for p in range(n) if p not in positions]
+    full = np.kron(mat, np.eye(1 << (n - len(positions)))).reshape((2,) * (2 * n))
+    axes = [order.index(p) for p in range(n)]      # qubit p's axis in full
+    return full.transpose(axes + [n + a for a in axes]).reshape(1 << n, 1 << n)
 
 
 def _proj(value: int) -> np.ndarray:

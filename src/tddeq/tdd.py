@@ -43,7 +43,6 @@ _KINDS = (KIND_WIRE, KIND_OUTCOME, KIND_PRINCIPAL)
 GRID = 1e-9           # weights are keyed on this grid (see ``wkey``)
 DEFAULT_EPS = 1e-10   # default outcome-mass tolerance of ``check``
 UNITARY_TOL = 1e-10   # largest entry of U^H U - I a gate may have
-FACTOR_TOL = 1e-9     # entrywise match of a branch family to per-bit factors
 ORACLE_ATOL = 1e-9    # entrywise tolerance of the dense oracle's comparisons
 ORACLE_LIVE = 1e-12   # a branch Choi matrix at most this large is impossible
 NORM_TOL = 1e-6       # relative squared-norm drift a compiled circuit may show

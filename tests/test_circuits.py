@@ -10,7 +10,8 @@ from tddeq.circuits import (Branch, CircuitSpec, CondGate, Conventional,
                             Measure, MeasureStep, flatten, gate,
                             lower_controls, qvar, seq, validate)
 from tddeq.logic import BoolFunc
-from tddeq.oracle import superoperator
+from tddeq.equivalence import check
+from tddeq.oracle import oracle_q_eq, superoperator
 from tddeq.textfmt import parse, print_spec
 
 
@@ -159,7 +160,7 @@ def test_lower_controls_without_branch_is_identity():
 
 
 def test_lower_controls_general_fallback():
-    # branches {I, X, H, Z} do not factorise into per-bit generators
+    # branches {I, X, H, Z} share no gate: each keeps its own guard
     br = Branch(MeasureStep(("a", "b"), ("c0", "c1")), BoolFunc.identity(2),
                 (Conventional(()), Conventional((gate("X", ["t"]),)),
                  Conventional((gate("H", ["t"]),)),
@@ -170,6 +171,44 @@ def test_lower_controls_general_fallback():
     for c in conds:
         # one guard per branch value
         assert sum(c.func(b) for b in itertools.product((0, 1), repeat=2)) == 1
+
+
+def _same_channel(circuit, lowered, qubits, init, outputs):
+    specs = [CircuitSpec(qubits=qubits, circuit=c, fixed_init=dict(init),
+                         inputs=(), outputs=outputs) for c in (circuit, lowered)]
+    assert validate(specs[1]) == []
+    return np.max(np.abs(superoperator(specs[0]) - superoperator(specs[1]))) < 1e-10
+
+
+def test_lower_controls_merges_a_gate_shared_by_bodies():
+    # bodies {I, I, Z, XZ}: Z runs whenever c0 = 1, X only when both bits are
+    x, z = gate("X", ["t"]), gate("Z", ["t"])
+    br = Branch(MeasureStep(("a", "b"), ("c0", "c1")), BoolFunc.identity(2),
+                (Conventional(()), Conventional(()), Conventional((z,)),
+                 Conventional((x, z))))
+    circuit = seq(Conventional((gate("H", ["t"]),)), br)
+    lowered = lower_controls(circuit)
+    (cx, cz) = [s for s in flatten(lowered) if isinstance(s, CondGate)]
+    assert (cx.gate.name, cx.bits, cz.gate.name, cz.bits) == \
+        ("X", ("c0", "c1"), "Z", ("c0",))
+    assert cz.func.arity == 1 and [cz.func((v,)) for v in (0, 1)] == [0, 1]
+    assert [cx.func(v) for v in itertools.product((0, 1), repeat=2)] == [0, 0, 0, 1]
+    assert _same_channel(circuit, lowered, ("a", "b", "t"),
+                         {"a": "+", "b": "+", "t": "0"}, ("t",))
+
+
+def test_lower_controls_gate_in_every_body_is_unconditional():
+    text = ("qubits a t\ninit a=+\ninit t=0\noutputs t\n"
+            "measure a -> c\n{}")
+    a = parse(text.format("dispatch c { 0: s 1: s }\n"
+                          "subcircuit s {\n  gate H t\n}\n"))
+    b = parse(text.format("gate H t\n"))
+    lowered = flatten(lower_controls(a.circuit))
+    assert [type(s).__name__ for s in lowered] == ["Measure", "Conventional"]
+    assert lowered[1].gates[0].name == "H"
+    assert oracle_q_eq(a, b)
+    for plan in ("basic", "partitioned"):
+        assert check(a, b, "q", plan=plan)[0].status == "equivalent", plan
 
 
 def test_lower_controls_preserves_semantics_on_random_circuits():
@@ -185,17 +224,40 @@ def test_lower_controls_preserves_semantics_on_random_circuits():
             branches.append(Conventional(gates))
         br = Branch(MeasureStep(("q0", "q1"), ("c0", "c1")),
                     BoolFunc.identity(2), tuple(branches))
-        spec = CircuitSpec(qubits=("q0", "q1", "q2"), circuit=seq(prep, br),
-                           fixed_init={"q0": "0", "q1": "+", "q2": "0"},
-                           inputs=(), outputs=("q2",))
-        lowered = CircuitSpec(qubits=spec.qubits,
-                              circuit=lower_controls(spec.circuit),
-                              fixed_init=dict(spec.fixed_init),
-                              inputs=spec.inputs, outputs=spec.outputs)
-        assert validate(lowered) == []
-        c1 = superoperator(spec)
-        c2 = superoperator(lowered)
-        assert np.max(np.abs(c1 - c2)) < 1e-10
+        assert _same_channel(seq(prep, br), lower_controls(seq(prep, br)),
+                             ("q0", "q1", "q2"),
+                             {"q0": "0", "q1": "+", "q2": "0"}, ("q2",))
+    # bodies on two target qubits that share gates, with ifcs reading a bit
+    # e measured before the dispatch, alone or with a dispatch bit
+    e, pair = BoolFunc.identity(1), BoolFunc.identity(2)
+    reads = [(("e",), e), (("e",), ~e),
+             (("e", "c0"), pair.output_bit(0) ^ pair.output_bit(1)),
+             (("c1", "e"), pair.output_bit(0) & pair.output_bit(1))]
+    for trial in range(40):
+        prep = Conventional(tuple(
+            gate(rng.choice(["H", "S", "T"]), [rng.choice(["p", "q0", "q1", "t", "u"])])
+            for _ in range(5)))
+        bodies = []
+        for _ in range(4):
+            steps = []
+            for _ in range(rng.randint(0, 3)):
+                g = rng.choice([gate("X", ["t"]), gate("X", ["u"]), gate("H", ["t"]),
+                                gate("CX", ["t", "u"]), gate("CX", ["u", "t"]),
+                                gate("S", ["u"])])
+                if rng.random() < 0.3:
+                    bits, f = rng.choice(reads)
+                    steps.append(CondGate(g, bits, f))
+                else:
+                    steps.append(Conventional((g,)))
+            bodies.append(seq(*steps))
+        br = Branch(MeasureStep(("q0", "q1"), ("c0", "c1")),
+                    BoolFunc.identity(2), tuple(bodies))
+        circuit = seq(Measure(MeasureStep(("p",), ("e",))), prep, br)
+        lowered = lower_controls(circuit)
+        assert not any(isinstance(s, Branch) for s in flatten(lowered))
+        assert _same_channel(circuit, lowered, ("p", "q0", "q1", "t", "u"),
+                             {"p": "+", "q0": "+", "q1": "+", "t": "0", "u": "+"},
+                             ("t", "u")), trial
 
 
 def test_qvar_invariant_under_lower_controls():

@@ -152,6 +152,20 @@ IFC_IN_BODY = ("qubits a t\noutputs t\ninit a=+\ninit t=0\nmeasure a -> c0\n"
                "subcircuit s0 {\n}\nsubcircuit s1 {\n  ifc c0 apply X t\n}\n")
 
 
+def test_engine_error_exits_two(monkeypatch, capsys):
+    from tddeq.tdd import TddManager
+
+    def deep(*a, **k):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(TddManager, "contract", deep)
+    code, recs = run(capsys, "check", str(GOLDEN / "teleport.dqc"),
+                     str(GOLDEN / "swap_teleport.dqc"), "--mode", "q")
+    assert code == 2
+    assert recs[0]["verdict"] == "inconclusive"
+    assert recs[0]["reason"].startswith("engine error")
+
+
 def test_full_mode_reads_ifc_inside_a_body(tmp_path, capsys):
     f = tmp_path / "ifc_body.dqc"
     f.write_text(IFC_IN_BODY)

@@ -267,6 +267,41 @@ def test_m_eq_sums_each_side_over_its_own_indices():
         assert not oracle_m_eq(a, parse(reread_text(n, skip_h=n - 1)))
 
 
+def test_m_eq_compares_each_pair_of_sub_diagrams_once(monkeypatch):
+    # equal records share sub-diagram pairs: 16 bits cost 2^17 norm_edge
+    # calls without a memo of the comparisons that held
+    calls = []
+    norm = TddManager.norm_edge
+    monkeypatch.setattr(TddManager, "norm_edge",
+                        lambda *a: calls.append(a) or norm(*a))
+    n = 16
+    a = parse(reread_text(n))
+    assert check(a, parse(reread_text(n).rsplit("gate H q\n", 1)[0]),
+                 "m")[0].status == "equivalent"
+    assert len(calls) <= 4 * n
+    wide = reread_text(26)
+    assert check(parse(wide), parse(wide.rsplit("gate H q\n", 1)[0]),
+                 "m")[0].status == "equivalent"
+    # a False still ends the walk at the first differing record
+    v, _ = check(a, parse(reread_text(n, skip_h=8)), "m")
+    assert v.status == "not-equivalent"
+    (w,) = v.witness
+    assert (w["kind"], w["path"]) == \
+        ("outcome-mass", [(f"outbit:{k}", 0) for k in range(n)])
+    assert (w["mass_a"], w["mass_b"]) == pytest.approx((2.0 ** -16, 2.0 ** -15))
+
+
+def test_engine_errors_are_inconclusive(monkeypatch):
+    def deep(*a, **k):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(TddManager, "contract", deep)
+    pair = B.teleport_pair()
+    for plan in ("basic", "partitioned"):
+        v, _ = check(pair.spec_a, pair.spec_b, "q", plan=plan)
+        assert v.status == "inconclusive" and v.reason.startswith("engine error")
+
+
 @pytest.mark.parametrize("n,outbits,reason", [
     (64, False, "norm drift"),        # every amplitude rounds to zero
     (64, True, "at most 26 output bits"),
