@@ -21,9 +21,11 @@ under a control f is ind(f)*U + ind(!f)*I; a control on one bit keeps its
 rank-3 controlled-gate tensor.  No control tensor is built densely.
 
 Every contraction, of a whole netlist, of a per-qubit partition or of
-partition diagrams, runs through one loop, ``contract_all``: an index is
-summed out as soon as its last use has been contracted.  Every entry's
-tensor is built on its own, so the loop is never re-entered.
+partition diagrams, runs through one loop, ``contract_all``: it folds runs
+of entries into blocks of at most ``BLOCK_LEGS`` open legs, so the running
+circuit diagram is rebuilt, and its peak counted, once per block, not once
+per gate.  An index is summed out once no tensor left holds it.  Every
+entry's tensor is built on its own, so the loop is never re-entered.
 
 Index ranking ("grouped", the default used for checking): classical outcome
 indices of output bits on top, then internal outcomes by (measuring qubit,
@@ -57,6 +59,8 @@ class CompileError(Exception):
 class CompileScaleError(CompileError):
     pass
 
+
+BLOCK_LEGS = 8    # most open legs a block keeps before it joins the running diagram
 
 COPY3 = np.zeros((2, 2, 2))
 COPY3[0, 0, 0] = COPY3[1, 1, 1] = 1.0
@@ -390,7 +394,7 @@ def _order_indices(decls: dict[str, _IndexDecl], policy: str) -> list[tuple[str,
 @dataclass
 class CompileStats:
     final_nodes: int = 0
-    max_nodes: int = 0
+    max_nodes: int = 0    # largest running diagram, counted after each block
     tdd_time: float = 0.0
     wide: bool = False    # outcome indices took a diagram past max_open
 
@@ -472,33 +476,48 @@ def _cond_tensor(mgr: TddManager, st: CondGate, bits, outs, ins) -> Tdd:
     return mgr.add(fired, idle)
 
 
+def _dead(a: Tdd, b: Tdd, uses: Counter, open_names, held=()) -> set[IndexId]:
+    return {i for i in set(a.indices).intersection(b.indices)
+            if uses[i.name] == 0 and i.name not in open_names and i not in held}
+
+
 def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
                  stats: CompileStats, max_open: int) -> Tdd:
-    """Contract ``(tensor, names)`` factors left to right.
+    """Contract ``(tensor, names)`` factors left to right, in blocks.
 
     This is the one contraction loop of the compiler.  ``uses`` holds the
     remaining-use count of every index name; each factor decrements the
-    ``names`` it accounts for, and a shared index whose count reaches zero
-    and that is not in ``open_names`` is summed out at once.  The open rank
-    is bounded by ``max_open`` and the peak diagram size goes to ``stats``.
-    Outcome-kind indices (measurement outcomes and discarded legs) stay open
-    by design and do not count; a diagram they take past it sets ``wide``.
+    ``names`` it accounts for.  Factors join a pending block while it keeps
+    at most ``BLOCK_LEGS`` open legs; then the block is flushed into the
+    running diagram (the first block becomes it).  A shared index is summed
+    out at count zero unless open or held by a third tensor: the running
+    diagram in a block, the next block's first factor at a flush.  Each
+    flush bounds the open rank by ``max_open`` (outcome-kind indices do not
+    count; past it they set ``wide``) and counts the peak into ``stats``.
     """
-    out = mgr.scalar(1.0)
+    def flush(out, block, held=()) -> Tdd:
+        if out is not None:
+            block = mgr.contract(out, block, _dead(out, block, uses, open_names, held))
+        if len(block.indices) > max_open:
+            rank = sum(i.kind != KIND_OUTCOME for i in block.indices)
+            if rank > max_open:
+                raise CompileScaleError(f"open rank {rank} exceeds the limit {max_open}")
+            stats.wide = True
+        stats.max_nodes = max(stats.max_nodes, mgr.node_count(block))
+        return block
+
+    out = block = None
     for g, names in factors:
         for n in names:
             uses[n] -= 1
-        dead = {i for i in set(out.indices) & set(g.indices)
-                if uses[i.name] == 0 and i.name not in open_names}
-        out = mgr.contract(out, g, dead)
-        if len(out.indices) > max_open:
-            rank = sum(i.kind != KIND_OUTCOME for i in out.indices)
-            if rank > max_open:
-                raise CompileScaleError(
-                    f"open rank {rank} exceeds the limit {max_open}")
-            stats.wide = True
-        stats.max_nodes = max(stats.max_nodes, mgr.node_count(out))
-    return out
+        if block is not None:
+            dead = _dead(block, g, uses, open_names, () if out is None else out.indices)
+            if len(set(block.indices + g.indices)) - len(dead) <= BLOCK_LEGS:
+                block = mgr.contract(block, g, dead)
+                continue
+            out = flush(out, block, g.indices)
+        block = g
+    return mgr.scalar(1.0) if block is None else flush(out, block)
 
 
 def _fold(mgr: TddManager, entries, net: _Netlist, stats, max_open, uses) -> Tdd:

@@ -149,12 +149,20 @@ def _bdd(node, pos: dict):
     return acc
 
 
+def _control_func(bits, nodes) -> BoolFunc:
+    pos = {b: k for k, b in enumerate(bits)}
+    try:
+        return BoolFunc(len(bits), tuple(_bdd(node, pos) for node in nodes))
+    except RecursionError:    # logic.apply recurses once per BDD level
+        raise ParseError(f"control expression over {len(bits)} bits: building "
+                         "its BDD exceeds the recursion limit") from None
+
+
 def parse_expr(text: str, known_bits=None):
     """(bits-in-use, BoolFunc over them, normalized text) for one control
     expression."""
     bits, node = _expr_ast(text, known_bits)
-    pos = {b: k for k, b in enumerate(bits)}
-    return bits, BoolFunc(len(bits), (_bdd(node, pos),)), _fmt_node(node)
+    return bits, _control_func(bits, (node,)), _fmt_node(node)
 
 
 def _fmt_node(node, prec=0):
@@ -278,7 +286,7 @@ def parse(text: str) -> CircuitSpec:
     try:
         steps, measured = _parse_body(body, qubits, subs, set())
     except RecursionError:
-        # operator chains are flat, so only `!` or `(` nesting gets here
+        # chains are flat and _control_func reports a deep BDD: only nesting
         raise ParseError("control expression nested too deeply") from None
     return CircuitSpec(qubits=qubits, circuit=seq(*steps), fixed_init=init,
                        inputs=tuple(header["inputs"]),
@@ -358,8 +366,7 @@ def _parse_body(body, qubits, subs, measured):
                 branch_names[int(item[0])] = item[1]
             if sorted(branch_names) != list(range(1 << t)):
                 raise ParseError(f"dispatch table must name branches 0..{(1 << t) - 1}", no)
-            pos = {b: k for k, b in enumerate(r_bits)}
-            func = BoolFunc(len(r_bits), tuple(_bdd(node, pos) for _, node in parsed))
+            func = _control_func(r_bits, [node for _, node in parsed])
             branches = []
             for i in range(1 << t):
                 name = branch_names[i]

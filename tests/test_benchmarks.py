@@ -30,8 +30,8 @@ def test_qft_generator_range_checks():
 
 
 def test_qft_node_count_sequence():
-    # conventional-circuit construction: 2^(n+1) - 1 nodes for n = 2..9
-    for n in range(2, 10):
+    # conventional-circuit construction: 2^(n+1) - 1 nodes for n = 2..10
+    for n in range(2, 11):
         r = compile_spec(B.qft(n), order="interleaved", open_inputs=True)
         assert r.stats.final_nodes == (1 << (n + 1)) - 1, n
 

@@ -1,13 +1,17 @@
 import itertools
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from dense_ref import dense_contract
 from tddeq import benchmarks as B
 from tddeq.circuits import (CircuitSpec, Conventional, Measure, MeasureStep,
                             gate, seq, validate)
-from tddeq.encode import (CompileScaleError, CompileStats, compile_pair,
-                          compile_spec, contract_pieces, controlled_gate_tensor,
+from tddeq.encode import (BLOCK_LEGS, CompileScaleError, CompileStats,
+                          _count_uses, _entry_tensor, compile_pair, compile_spec,
+                          contract_all, contract_pieces, controlled_gate_tensor,
                           evaluate_pieces, measurement_tensor, prepare)
 from tddeq.equivalence import check
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
@@ -344,3 +348,141 @@ def test_q_mode_discarded_qubit_ends_on_its_peeled_outcome():
                for e in net.entries)
     assert {_agrees_with_oracle(a, parse(head + f"gate {g} a\n" + tail), "q")
             for g in ("S", "H")} == {True, False}
+
+
+# -- blocked contraction against the gate-by-gate fold ------------------------------
+
+
+def gate_by_gate(mgr, factors, uses, open_names):
+    """Each factor straight into the running diagram; (result, peak nodes)."""
+    out, peak = mgr.scalar(1.0), 1
+    for g, names in factors:
+        for n in names:
+            uses[n] -= 1
+        dead = {i for i in set(out.indices) & set(g.indices)
+                if uses[i.name] == 0 and i.name not in open_names}
+        out = mgr.contract(out, g, dead)
+        peak = max(peak, mgr.node_count(out))
+    return out, peak
+
+
+def _entry_factors(mgr, entries):
+    return [(_entry_tensor(mgr, e), e.indices) for e in entries]
+
+
+def _random_specs(count=40):
+    rng = random.Random(1105)
+    specs = []
+    while len(specs) < count:
+        mode = rng.choice("mq")
+        spec = B.random_dqc(rng, mode, n_qubits=rng.randint(2, 4))
+        specs.append((spec, mode, rng.random() < 0.5))
+    return specs
+
+
+@pytest.mark.parametrize("spec,mode,open_inputs", _random_specs())
+def test_blocked_fold_matches_gate_by_gate(spec, mode, open_inputs):
+    kw = dict(mode=mode, open_inputs=open_inputs)
+    r = compile_spec(spec, **kw)
+    entries = r.net.entries
+    ref, peak = gate_by_gate(r.mgr, _entry_factors(r.mgr, entries),
+                             _count_uses(entries), r.net.open_names)
+    assert r.mgr.identical(r.tdd, ref)
+    assert r.stats.max_nodes <= peak
+    # per-qubit pieces, then the pieces, through the same loop
+    mgr, t, stats, pieces = compile_by_pieces(spec, **kw)
+    net = prepare([spec], **kw)[1][0]
+    uses, peak, refs = _count_uses(net.entries), 0, []
+    for q, piece in pieces.items():
+        group = [e for e in net.entries if (e.partition or spec.qubits[0]) == q]
+        p, k = gate_by_gate(mgr, _entry_factors(mgr, group), uses.copy(),
+                            net.open_names)
+        assert mgr.identical(piece, p)
+        refs.append(p)
+        peak = max(peak, k)
+    piece_uses = Counter(i.name for p in refs for i in p.indices)
+    ref, k = gate_by_gate(mgr, [(p, [i.name for i in p.indices]) for p in refs],
+                          piece_uses, net.open_names)
+    assert mgr.identical(t, ref)
+    assert stats.max_nodes <= max(peak, k)
+
+
+def _dense_fold(factors, open_names):
+    """Dense reference of ``contract_all``: (array, names) after summing
+    each non-open index once no factor left holds it."""
+    uses = Counter(n for _, names in factors for n in names)
+    arr, names = np.ones(()), []
+    for b, bnames in factors:
+        uses.subtract(bnames)
+        shared = [n for n in names if n in bnames and uses[n] == 0
+                  and n not in open_names]
+        arr, names = dense_contract(arr, names, b, bnames, shared)
+    return arr, names
+
+
+def _check_against_dense(mgr, dense_factors, open_names):
+    factors = [(mgr.from_dense(a, [mgr.index(n) for n in names]), names)
+               for a, names in dense_factors]
+    uses = Counter(n for _, names in dense_factors for n in names)
+    t = contract_all(mgr, factors, uses, open_names, CompileStats(), 26)
+    want, names = _dense_fold(dense_factors, open_names)
+    assert sorted(names) == sorted(i.name for i in t.indices)
+    assert np.max(np.abs(_dense_by_name(mgr, t, names) - want)) < 1e-9
+    return t
+
+
+def _rand(rng, k):
+    return rng.normal(size=(2,) * k) + 1j * rng.normal(size=(2,) * k)
+
+
+def test_index_held_by_the_running_diagram_is_summed_at_the_flush():
+    # w0 is held by the running diagram and by both factors of the next
+    # block: it stays open inside the block and is summed at the flush
+    rng = np.random.default_rng(3)
+    wide = [f"a{k}" for k in range(BLOCK_LEGS)] + ["w0"]
+    mgr = TddManager([(n, KIND_WIRE) for n in wide + ["b", "c"]])
+    factors = [(_rand(rng, len(wide)), wide), (_rand(rng, 2), ["w0", "b"]),
+               (_rand(rng, 2), ["c", "w0"])]
+    t = _check_against_dense(mgr, factors, set(wide[:-1]) | {"b", "c"})
+    assert mgr.index("w0") not in t.indices
+
+
+def test_index_held_by_the_next_block_is_summed_after_it():
+    # w0 is held by the running diagram, the block and the wide factor that
+    # starts the next block: the flush keeps it, the last flush sums it
+    rng = np.random.default_rng(5)
+    wide = ["w0"] + [f"x{k}" for k in range(BLOCK_LEGS)]
+    mgr = TddManager([(n, KIND_WIRE) for n in wide + ["c"]])
+    factors = [(_rand(rng, len(wide)), wide), (_rand(rng, 2), ["c", "w0"]),
+               (_rand(rng, len(wide)), wide[::-1])]
+    t = _check_against_dense(mgr, factors, {"c"})
+    assert [i.name for i in t.indices] == ["c"]
+
+
+def test_factor_wider_than_a_block_contracts():
+    rng = np.random.default_rng(4)
+    names = [f"x{k}" for k in range(BLOCK_LEGS + 2)]
+    mgr = TddManager([(n, KIND_WIRE) for n in names + ["y", "z"]])
+    factors = [(_rand(rng, 2), ["x0", "y"]), (_rand(rng, len(names)), names),
+               (_rand(rng, 3), ["x1", "x2", "z"])]
+    _check_against_dense(mgr, factors, set(names[3:]) | {"y", "z"})
+
+
+def test_partition_piece_wider_than_a_block_contracts():
+    spec = B.qft(5)
+    mgr, t, _, pieces = compile_by_pieces(spec, order="interleaved",
+                                          open_inputs=True)
+    assert max(len(p.indices) for p in pieces.values()) > BLOCK_LEGS
+    net = prepare([spec], order="interleaved", open_inputs=True)[1][0]
+    dense = [(mgr.to_dense(p), [i.name for i in p.indices])
+             for p in pieces.values()]
+    want, names = _dense_fold(dense, net.open_names)
+    assert np.max(np.abs(_dense_by_name(mgr, t, names) - want)) < 1e-9
+
+
+def test_no_factors_is_the_scalar_one():
+    mgr = small_mgr()
+    stats = CompileStats()
+    t = contract_all(mgr, [], Counter(), set(), stats, 26)
+    assert t.indices == () and mgr.identical(t, mgr.scalar(1.0))
+    assert stats.max_nodes == 0

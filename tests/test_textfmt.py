@@ -97,6 +97,18 @@ def test_deep_nesting_is_a_parse_error(expr):
         parse(BITS8 + f"ifc {expr} apply X t\nmeasure t -> r\n")
 
 
+def test_wide_flat_xor_names_the_bdd_build_not_nesting():
+    # a flat chain has no nesting; the BDD of a 1200-bit XOR is 1200 levels
+    # deep and its apply recurses once per level
+    n = 1200
+    text = ("qubits q t\ninit q=+\ninit t=0\n"
+            + "".join(f"measure q -> c{k}\n" for k in range(n))
+            + "ifc " + "^".join(f"c{k}" for k in range(n)) + " apply X t\n")
+    with pytest.raises(ParseError, match=f"over {n} bits: building its BDD") as err:
+        parse(text)
+    assert "nested" not in str(err.value)
+
+
 def test_parse_ifc_unmeasured_bit():
     with pytest.raises(ParseError):
         parse("qubits q0 q1\nifc c apply X q1\n")
