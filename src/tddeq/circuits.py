@@ -20,12 +20,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
 from .logic import FALSE, TRUE, BoolFunc
-from .tdd import UNITARY_TOL
+from .tdd import DENSE_CACHE, UNITARY_TOL
 
 
 def _frozen(mat) -> np.ndarray:
@@ -102,9 +103,16 @@ def controlled_power(phi: float, j: int, control: str, target: str) -> Gate:
 
 def _check_unitary(g: Gate):
     d = g.matrix.shape[0]
-    err = np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(d)))
+    err = _unitary_deviation(np.asarray(g.matrix, dtype=complex).tobytes(), d)
     if err > UNITARY_TOL:
         raise ValueError(f"{g.name}: matrix is not unitary (deviation {err:.2e})")
+
+
+@lru_cache(maxsize=DENSE_CACHE)
+def _unitary_deviation(data: bytes, d: int) -> float:
+    """Largest entry of |U^H U - I| for the complex d x d matrix in ``data``."""
+    u = np.frombuffer(data, dtype=complex).reshape(d, d)
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
 
 
 @dataclass(frozen=True)

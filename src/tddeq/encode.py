@@ -393,7 +393,7 @@ def _order_indices(decls: dict[str, _IndexDecl], policy: str) -> list[tuple[str,
 
 @dataclass
 class CompileStats:
-    final_nodes: int = 0
+    final_nodes: int = 0  # nodes of the latest contract_all result
     max_nodes: int = 0    # largest running diagram, counted after each block
     tdd_time: float = 0.0
     wide: bool = False    # outcome indices took a diagram past max_open
@@ -493,7 +493,9 @@ def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
     out at count zero unless open or held by a third tensor: the running
     diagram in a block, the next block's first factor at a flush.  Each
     flush bounds the open rank by ``max_open`` (outcome-kind indices do not
-    count; past it they set ``wide``) and counts the peak into ``stats``.
+    count; past it they set ``wide``) and counts the running diagram into
+    ``stats``: ``final_nodes`` is the result's count (1 for the scalar of an
+    empty list), ``max_nodes`` the peak.
     """
     def flush(out, block, held=()) -> Tdd:
         if out is not None:
@@ -503,7 +505,8 @@ def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
             if rank > max_open:
                 raise CompileScaleError(f"open rank {rank} exceeds the limit {max_open}")
             stats.wide = True
-        stats.max_nodes = max(stats.max_nodes, mgr.node_count(block))
+        stats.final_nodes = mgr.node_count(block)
+        stats.max_nodes = max(stats.max_nodes, stats.final_nodes)
         return block
 
     out = block = None
@@ -517,7 +520,10 @@ def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
                 continue
             out = flush(out, block, g.indices)
         block = g
-    return mgr.scalar(1.0) if block is None else flush(out, block)
+    if block is None:
+        stats.final_nodes = 1
+        return mgr.scalar(1.0)
+    return flush(out, block)
 
 
 def _fold(mgr: TddManager, entries, net: _Netlist, stats, max_open, uses) -> Tdd:
@@ -547,7 +553,6 @@ def evaluate(mgr: TddManager, net: _Netlist, max_open: int = 26) -> CompileResul
         if not abs(got - want) <= NORM_TOL * want:
             raise CompileScaleError(f"norm drift: squared norm {got:.6g}, not {want:g}")
     stats.tdd_time = time.perf_counter() - t0
-    stats.final_nodes = mgr.node_count(t)
     stats.max_nodes = max(stats.max_nodes, stats.final_nodes)
     return CompileResult(
         tdd=t, mgr=mgr,

@@ -347,9 +347,10 @@ def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, report) -> Verdict:
     kept_a = [p for q, p in pieces_a.items() if q not in dropped]
     kept_b = [p for q, p in pieces_b.items() if q not in dropped]
     ta = contract_pieces(mgr, kept_a, nets[0], stats)
+    final_a = stats.final_nodes
     tb = contract_pieces(mgr, kept_b, nets[1], stats)
     stats.tdd_time = time.perf_counter() - t0
-    stats.final_nodes = max(mgr.node_count(ta), mgr.node_count(tb))
+    stats.final_nodes = max(final_a, stats.final_nodes)
     _merge_stats(report, stats)
     if stats.wide:      # pieces have no norm to check; whole circuits do
         report.fallback = True

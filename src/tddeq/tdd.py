@@ -22,12 +22,23 @@ by identity, and take node successors as cofactors directly.
 All diagrams built by one ``TddManager`` share a single global index order;
 the root of a diagram carries the highest-ranked index, the terminal node has
 rank 0.
+
+``from_dense`` replays a recipe.  ``_recipe`` builds a tensor once, with
+``mk_edge``, in a private manager over placeholder indices, and lists the
+nodes that build made bottom-up; it is cached per distinct values and leg
+order.  The replay forms, for each listed node, the unique-table key
+``mk_edge`` would form and reuses or creates the node under it.  A key
+depends only on weights computed from the values and on the identities of
+the successor nodes, never on weights stored in nodes already present, so
+the replay gives the very nodes, weights and table a direct ``mk_edge``
+build gives, and the canonical form is unchanged.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf, ldexp
 from typing import Iterable, NamedTuple, Sequence
 
@@ -39,7 +50,7 @@ KIND_PRINCIPAL = "principal-output"
 
 _KINDS = (KIND_WIRE, KIND_OUTCOME, KIND_PRINCIPAL)
 
-# Every tolerance of the package, and the dense-size limit.
+# Every tolerance of the package, and the dense-size and cache limits.
 GRID = 1e-9           # weights are keyed on this grid (see ``wkey``)
 DEFAULT_EPS = 1e-10   # default outcome-mass tolerance of ``check``
 UNITARY_TOL = 1e-10   # largest entry of U^H U - I a gate may have
@@ -47,6 +58,7 @@ ORACLE_ATOL = 1e-9    # entrywise tolerance of the dense oracle's comparisons
 ORACLE_LIVE = 1e-12   # a branch Choi matrix at most this large is impossible
 NORM_TOL = 1e-6       # relative squared-norm drift a compiled circuit may show
 DENSE_LIMIT = 20      # most indices of a tensor built or read densely
+DENSE_CACHE = 4096    # most entries of each cache keyed on dense values
 
 
 def wkey(w) -> tuple[int, int]:
@@ -225,7 +237,8 @@ class TddManager:
         """Build the diagram of a dense tensor.
 
         ``values`` has shape (2,)*n with axes matching ``indices``; the
-        result's index tuple is re-sorted into rank order.
+        result's index tuple is re-sorted into rank order.  The diagram is
+        replayed from the cached ``_recipe`` of the values and leg order.
         """
         arr = np.asarray(values, dtype=complex)
         indices = list(indices)
@@ -233,11 +246,24 @@ class TddManager:
             raise TddError(f"shape {arr.shape} does not match {len(indices)} indices")
         if len(indices) > DENSE_LIMIT:
             raise DenseLimitError(f"{len(indices)} indices exceed dense limit {DENSE_LIMIT}")
-        order = sorted(range(len(indices)), key=lambda k: -indices[k].rank)
-        arr = np.transpose(arr, order) if indices else arr
+        if len(set(indices)) != len(indices):
+            raise TddError("repeated index")
+        order = tuple(sorted(range(len(indices)), key=lambda k: -indices[k].rank))
         sorted_idx = [indices[k] for k in order]
-        root = self._from_dense_rec(arr, sorted_idx)
-        return Tdd(root, tuple(sorted_idx))
+        weight, root, nodes = _recipe(arr.tobytes(), order)
+        unique, zero = self._unique, self.zero
+        made = [self.terminal]
+        for pos, lk, lw, lo, hk, hw, hi in nodes:
+            index, low, high = sorted_idx[pos], made[lo], made[hi]
+            key = (index.rank, lk, low, hk, high)
+            node = unique.get(key)
+            if node is None:
+                node = TddNode(index, zero if lk == ZERO_KEY else TddEdge(lw, low),
+                               zero if hk == ZERO_KEY else TddEdge(hw, high))
+                unique[key] = node
+            made.append(node)
+        edge = zero if root is None else TddEdge(weight, made[root])
+        return Tdd(edge, tuple(sorted_idx))
 
     def _from_dense_rec(self, arr, idx) -> TddEdge:
         if not idx:
@@ -564,3 +590,30 @@ def _times_pow2(x: float, k: int) -> float:
         return ldexp(x, k)
     except OverflowError:
         return inf
+
+
+@lru_cache(maxsize=DENSE_CACHE)
+def _recipe(data: bytes, order: tuple) -> tuple:
+    """Index-free build of a dense tensor: ``(root weight, root, nodes)``.
+
+    ``data`` holds the complex values of a (2,)*n tensor and ``order`` the
+    axis permutation into rank order.  The tensor is built once by
+    ``_from_dense_rec`` in a private manager over n placeholder indices.
+    ``nodes`` lists every node that build made, bottom-up, as (leg position,
+    low key, low weight, low child, high key, high weight, high child); a
+    child is 0 for the terminal and k for the k-th listed node.  ``root`` is
+    such a position, or None for the zero edge.
+    """
+    n = len(order)
+    arr = np.frombuffer(data, dtype=complex).reshape((2,) * n).transpose(order)
+    mgr = TddManager((str(k), KIND_WIRE) for k in range(n))
+    edge = mgr._from_dense_rec(arr, [mgr.index(str(k)) for k in range(n)])
+    pos = {mgr.terminal: 0}
+    nodes = []
+    # the unique table keeps insertion order: every node after its successors
+    for key, node in mgr._unique.items():
+        nodes.append((n - node.rank, key[1], node.low.weight, pos[node.low.node],
+                      key[3], node.high.weight, pos[node.high.node]))
+        pos[node] = len(nodes)
+    root = None if edge is mgr.zero else pos[edge.node]
+    return edge.weight, root, tuple(nodes)

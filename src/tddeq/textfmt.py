@@ -143,10 +143,12 @@ def _bdd(node, pos: dict):
         return logic.TRUE if node[1] else logic.FALSE
     if op == "not":
         return logic.negate(_bdd(node[1], pos))
-    acc = _bdd(node[1], pos)
-    for operand in node[2:]:
-        acc = logic.apply(op, acc, _bdd(operand, pos))
-    return acc
+    # fold pairwise: a left fold re-walks the whole BDD built so far per operand
+    acc = [_bdd(operand, pos) for operand in node[1:]]
+    while len(acc) > 1:
+        acc = [logic.apply(op, acc[k], acc[k + 1]) if k + 1 < len(acc) else acc[k]
+               for k in range(0, len(acc), 2)]
+    return acc[0]
 
 
 def _control_func(bits, nodes) -> BoolFunc:

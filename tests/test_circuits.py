@@ -7,7 +7,8 @@ import pytest
 
 from tddeq import benchmarks as B
 from tddeq.circuits import (Branch, CircuitSpec, CondGate, Conventional,
-                            Measure, MeasureStep, flatten, gate,
+                            Gate, Measure, MeasureStep, _check_unitary,
+                            _unitary_deviation, flatten, gate,
                             lower_controls, qvar, seq, validate)
 from tddeq.logic import BoolFunc
 from tddeq.equivalence import check
@@ -40,6 +41,41 @@ def test_sdg_matrix_value():
 def test_unknown_gate_rejected():
     with pytest.raises(ValueError):
         gate("FOO", ["q"])
+
+
+def _one_gate_spec(g):
+    return CircuitSpec(qubits=g.qubits, circuit=Conventional((g,)),
+                       fixed_init={q: "0" for q in g.qubits})
+
+
+def test_non_unitary_gate_rejected_on_every_use():
+    # the deviation is cached by matrix bytes; a cache hit must still reject
+    mat = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-4j]])  # deviation 1e-8
+    before = _unitary_deviation.cache_info().hits
+    for _ in range(3):
+        bad = Gate("M", (), ("q0",), mat.copy())
+        with pytest.raises(ValueError, match="M: matrix is not unitary"):
+            _check_unitary(bad)
+        errs = validate(_one_gate_spec(bad))
+        assert any("M: matrix is not unitary" in e for e in errs)
+    assert _unitary_deviation.cache_info().hits >= before + 5
+
+
+def test_hand_built_float_and_odd_dtype_gates_are_checked():
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])           # float64, unitary
+    for _ in range(2):
+        _check_unitary(Gate("X", (), ("q0",), x))
+        assert validate(_one_gate_spec(Gate("X", (), ("q0",), x))) == []
+    # the same eight-byte items read as complex64 hold 1.875j, not 1: keyed
+    # on raw bytes and dimension, this matrix would hit the float X's entry
+    odd = x.view(np.complex64)
+    assert odd.shape == (2, 2) and odd.tobytes() == x.tobytes()
+    aliased = Gate("Y", (), ("q0",), odd)
+    with pytest.raises(ValueError, match="not unitary"):
+        _check_unitary(aliased)
+    assert any("not unitary" in e for e in validate(_one_gate_spec(aliased)))
+    with pytest.raises(ValueError, match="not unitary"):
+        _check_unitary(Gate("D", (), ("q0",), np.diag([1.0, 2.0])))
 
 
 def test_qvar_single_gate():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tddeq.tdd import (KIND_WIRE, ONE_KEY, DenseLimitError, Tdd, TddEdge,
-                       TddError, TddManager, wkey)
+                       TddError, TddManager, _recipe, wkey)
 
 from dense_ref import dense_add, dense_contract, dense_norm, dense_slice
 
@@ -109,6 +109,98 @@ def test_dense_limit_enforced():
     m = TddManager([(f"x{k}", KIND_WIRE) for k in range(25)])
     with pytest.raises(DenseLimitError):
         m.from_dense(np.zeros((2,) * 21), [m.index(f"x{k}") for k in range(21)])
+
+
+def _direct(m, arr, idx):
+    """The build ``from_dense`` replays: ``_from_dense_rec`` in rank order."""
+    order = sorted(range(len(idx)), key=lambda k: -idx[k].rank)
+    arr = np.transpose(np.asarray(arr, dtype=complex), order)
+    return Tdd(m._from_dense_rec(arr, [idx[k] for k in order]),
+               tuple(idx[k] for k in order))
+
+
+def _bits(w):
+    return complex(w).real.hex(), complex(w).imag.hex()
+
+
+def _table(m, t):
+    """Unique table in insertion order and root of ``t``, nodes by position."""
+    pos = {m.terminal: 0}
+    rows = []
+    for key, node in m._unique.items():
+        rows.append((node.index.name, key[1], pos[key[2]], key[3], pos[key[4]],
+                     _bits(node.low.weight), pos[node.low.node],
+                     _bits(node.high.weight), pos[node.high.node]))
+        pos[node] = len(rows)
+    return (rows, t.root is m.zero, _bits(t.root.weight), pos[t.root.node],
+            [i.name for i in t.indices])
+
+
+_PALETTE = np.array([0.0, 1.0, -1.0, 1j, 0.5 - 0.5j, 1e3, 1e-7,
+                     3e-10, -4e-10j, 7e-10])    # 3e-10 and 4e-10 are grid zero
+
+
+def _structured_tensor(rng, n):
+    """All zeros, palette values or random ones, with repeated sub-blocks."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return np.zeros((2,) * n, dtype=complex)
+    if kind == 1:
+        arr = _PALETTE[rng.integers(len(_PALETTE), size=(2,) * n)]
+    else:
+        arr = rand_tensor(rng, range(n))
+    for _ in range(int(rng.integers(0, n + 1))):
+        # one half along an axis repeats the other, scaled; 2e-13 makes
+        # ratios that snap to zero
+        ax = int(rng.integers(n))
+        src = arr[(slice(None),) * ax + (0,)]
+        arr[(slice(None),) * ax + (1,)] = src * (1, -1, 1j, 2e-13)[rng.integers(4)]
+    return arr
+
+
+def test_from_dense_replays_the_direct_build():
+    # node for node, with bitwise-equal weights, in a fresh manager and in
+    # managers already holding nodes with the same keys
+    rng = np.random.default_rng(53)
+    held_a, held_b = mgr(6), mgr(6)
+    for trial in range(200):
+        n = int(rng.integers(0, 7))
+        perm = [int(k) for k in rng.permutation(6)[:n]]
+        arr = _structured_tensor(rng, n)
+        near = arr * (1 + 1e-13)   # grid-equal to arr, bitwise different
+        fresh_a, fresh_b = mgr(6), mgr(6)
+        for ma, mb in ((fresh_a, fresh_b), (held_a, held_b)):
+            ia = [ma.index(f"x{k}") for k in perm]
+            ib = [mb.index(f"x{k}") for k in perm]
+            if trial % 3 == 0:    # nodes made by mk_edge itself
+                _direct(ma, near * 3, ia)
+                _direct(mb, near * 3, ib)
+            for x in (arr, near):
+                assert _table(ma, ma.from_dense(x, ia)) == _table(mb, _direct(mb, x, ib))
+    assert len(held_a._unique) > 500
+
+
+def test_from_dense_hits_the_recipe_cache():
+    m = mgr(3)
+    idx = [m.index("x2"), m.index("x0"), m.index("x1")]
+    arr = rand_tensor(np.random.default_rng(59), idx)
+    before = _recipe.cache_info()
+    t1 = m.from_dense(arr, idx)
+    first = _recipe.cache_info()
+    assert (first.hits, first.misses) == (before.hits, before.misses + 1)
+    t2 = m.from_dense(arr.copy(), idx)
+    other = mgr(3)
+    t3 = other.from_dense(arr, [other.index(i.name) for i in idx])
+    again = _recipe.cache_info()
+    assert (again.hits, again.misses) == (first.hits + 2, first.misses)
+    assert t2.root.node is t1.root.node and m.identical(t1, t2)
+    assert np.allclose(other.to_dense(t3), m.to_dense(t1))
+
+
+def test_from_dense_rejects_a_repeated_index():
+    m = mgr(2)
+    with pytest.raises(TddError, match="repeated index"):
+        m.from_dense(np.eye(2), [m.index("x0"), m.index("x0")])
 
 
 def test_slice_hadamard():
