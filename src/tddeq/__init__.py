@@ -6,7 +6,7 @@ from .circuits import (Branch, CircuitSpec, CondGate, Conventional, Gate,
                        lower_controls, qvar, seq, validate)
 from .encode import (CompileError, CompileScaleError, compile_pair,
                      compile_spec, controlled_gate_tensor, measurement_tensor)
-from .equivalence import check, get_nodes, m_eq, outcome_masses, q_eq
+from .equivalence import check, get_nodes, m_eq, q_eq
 from .logic import BoolFunc, func_to_tensor
 from .oracle import (OracleScaleError, oracle_full_eq, oracle_m_eq,
                      oracle_q_eq, outcome_distribution, semantics,

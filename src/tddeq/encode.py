@@ -27,13 +27,15 @@ circuit diagram is rebuilt, and its peak counted, once per block, not once
 per gate.  An index is summed out once no tensor left holds it.  Every
 entry's tensor is built on its own, so the loop is never re-entered.
 
-Index ranking ("grouped", the default used for checking): classical outcome
-indices of output bits on top, then internal outcomes by (measuring qubit,
-measurement order), then discarded-qubit legs, then principal output legs,
-then wire segments by (qubit, segment).
-The alternative "interleaved" ranking keeps each qubit's wires and outcome
-adjacent; it reproduces the construction node counts reported for
-conventional-circuit checking and is used for statistics.
+Index ranking is one sort key, (owner, key).  The owner is the owning
+qubit's position; within it a qubit's wire segments come first, in segment
+order, then its output bits, internal outcomes (by measurement order),
+discard leg and principal output, so each qubit's input wire sits next to
+its own output leg.  That is the "interleaved" order, the per-qubit layout
+of conventional-circuit TDDs, and it reproduces their node counts.  The
+"grouped" order, used for checking, lifts every outcome-kind index (output
+bits, internal outcomes by (measuring qubit, measurement order), then
+discards) above all qubits, where the deciders need them.
 """
 
 from __future__ import annotations
@@ -106,10 +108,8 @@ class _Entry:
 class _IndexDecl:
     name: str
     kind: str
-    zone: int            # 1 output bits, 2 internal outcomes/discards, 3 principal, 4 wires
-    sort_key: tuple
-    qpos: int | None = None      # owning qubit position, for interleaved ranking
-    seg: tuple = ()              # wire segment key, for interleaved ranking
+    qpos: int            # owning qubit position
+    key: tuple           # rank within the owner; see ``_order_indices``
 
 
 @dataclass
@@ -149,37 +149,31 @@ class _Builder:
 
     # index declarations
 
-    def _decl(self, name, kind, zone, sort_key, qpos=None, seg=()):
+    def _decl(self, name, kind, q, key):
         if name not in self.net.decls:
-            self.net.decls[name] = _IndexDecl(name, kind, zone, sort_key, qpos, seg)
+            self.net.decls[name] = _IndexDecl(name, kind, self.net.qubit_pos[q], key)
         return name
 
     def wire(self, q: str, key: tuple) -> str:
-        qpos = self.net.qubit_pos[q]
-        return self._decl(_wire_name(q, key), KIND_WIRE, 4, (qpos, key),
-                          qpos=qpos, seg=key)
+        return self._decl(_wire_name(q, key), KIND_WIRE, q, (0, key))
 
     def outcome_index(self, bit: str, q: str) -> str:
-        qpos = self.net.qubit_pos[q]
         if bit in self.spec.output_bits:
             pos = self.spec.output_bits.index(bit)
-            return self._decl(f"outbit:{pos}", KIND_OUTCOME, 1, (pos,), qpos=qpos)
+            return self._decl(f"outbit:{pos}", KIND_OUTCOME, q, (1, pos))
         # ranked by who measured it and when, never by the bit's name
-        return self._decl(f"bit:{bit}", KIND_OUTCOME, 2,
-                          (0, qpos, self.meas_seq[bit]), qpos=qpos)
+        return self._decl(f"bit:{bit}", KIND_OUTCOME, q,
+                          (2, 0, self.net.qubit_pos[q], self.meas_seq[bit]))
 
     def discard_index(self, q: str) -> str:
-        # a discarded qubit's leg is peeled like an outcome, so it lives in
-        # the classical zone
-        name = self._decl(f"disc:{q}", KIND_OUTCOME, 2, (1, q),
-                          qpos=self.net.qubit_pos[q])
+        # a discarded qubit's leg is peeled like an outcome, so it has its kind
+        name = self._decl(f"disc:{q}", KIND_OUTCOME, q, (2, 1, q))
         self.net.peel_set.add(name)
         return name
 
     def principal_out(self, q: str) -> str:
-        return self._decl(f"out:{q}", KIND_PRINCIPAL, 3,
-                          (self.spec.outputs.index(q),),
-                          qpos=self.net.qubit_pos[q])
+        return self._decl(f"out:{q}", KIND_PRINCIPAL, q,
+                          (3, self.spec.outputs.index(q)))
 
     # walking
 
@@ -369,22 +363,16 @@ class _Builder:
 
 
 def _order_indices(decls: dict[str, _IndexDecl], policy: str) -> list[tuple[str, str]]:
-    """Root-first (name, kind) list for the manager."""
-    items = list(decls.values())
-    if policy == "grouped":
-        items.sort(key=lambda d: (d.zone, d.sort_key))
-    elif policy == "interleaved":
-        # each qubit's wire segments followed by its outcome/principal legs;
-        # indices with no owning qubit sink to the bottom
-        def key(d):
-            if d.qpos is None:
-                return (10 ** 6, d.zone, 0, d.sort_key)
-            if d.zone == 4:
-                return (d.qpos, 0, 0, tuple(d.seg))
-            return (d.qpos, 1, d.zone, d.sort_key)
-        items.sort(key=key)
-    else:
+    """Root-first (name, kind) list for the manager, sorted by (owner, key).
+
+    The owner is the owning qubit's position; the grouped policy lifts every
+    outcome-kind index (outcomes and discards) above all qubits, owner -1.
+    """
+    if policy not in ("grouped", "interleaved"):
         raise CompileError(f"unknown order policy {policy!r}")
+    lift = policy == "grouped"
+    items = sorted(decls.values(), key=lambda d: (
+        -1 if lift and d.kind == KIND_OUTCOME else d.qpos, d.key))
     return [(d.name, d.kind) for d in items]
 
 
@@ -426,7 +414,7 @@ def prepare(specs: Sequence[CircuitSpec], *, mode: str | None = None,
     for net in nets:
         for name, d in net.decls.items():
             old = decls.get(name)
-            if old is not None and (old.kind, old.zone) != (d.kind, d.zone):
+            if old is not None and old.kind != d.kind:
                 raise CompileError(f"index {name} declared inconsistently")
             decls.setdefault(name, d)
     mgr = TddManager(_order_indices(decls, order))

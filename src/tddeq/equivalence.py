@@ -187,27 +187,6 @@ def q_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, strict: bool = False,
     return True
 
 
-def outcome_masses(mgr: TddManager, t: Tdd, m_set) -> dict[str, float]:
-    """Probability mass of every measurement-index assignment.
-
-    Slicing handles indices the diagram does not depend on, so masses always
-    cover the full assignment grid of ``m_set``.
-    """
-    m_list = tuple(sorted(m_set, key=lambda i: -i.rank))
-    rest = tuple(i for i in t.indices if i not in set(m_list))
-
-    def rec(cur: Tdd, k: int, bits: str, out):
-        if k == len(m_list):
-            out[bits] = mgr.norm_edge(cur.root, rest)
-            return
-        for c in (0, 1):
-            rec(mgr.slice(cur, m_list[k], c), k + 1, bits + str(c), out)
-
-    out: dict[str, float] = {}
-    rec(t, 0, "", out)
-    return out
-
-
 # -- the check driver ----------------------------------------------------------
 
 

@@ -25,9 +25,11 @@ rank 0.
 
 ``from_dense`` replays a recipe.  ``_recipe`` builds a tensor once, with
 ``mk_edge``, in a private manager over placeholder indices, and lists the
-nodes that build made bottom-up; it is cached per distinct values and leg
-order.  The replay forms, for each listed node, the unique-table key
-``mk_edge`` would form and reuses or creates the node under it.  A key
+nodes that build made bottom-up.  A recipe of at most ``RECIPE_LEGS`` legs
+(every gate, init, COPY and controlled-gate tensor) is cached per distinct
+values and leg order; a wider one is built afresh, since a cache would keep
+its bytes alive.  The replay forms, for each listed node, the unique-table
+key ``mk_edge`` would form and reuses or creates the node under it.  A key
 depends only on weights computed from the values and on the identities of
 the successor nodes, never on weights stored in nodes already present, so
 the replay gives the very nodes, weights and table a direct ``mk_edge``
@@ -59,6 +61,7 @@ ORACLE_LIVE = 1e-12   # a branch Choi matrix at most this large is impossible
 NORM_TOL = 1e-6       # relative squared-norm drift a compiled circuit may show
 DENSE_LIMIT = 20      # most indices of a tensor built or read densely
 DENSE_CACHE = 4096    # most entries of each cache keyed on dense values
+RECIPE_LEGS = 4       # widest tensor whose ``from_dense`` recipe is cached
 
 
 def wkey(w) -> tuple[int, int]:
@@ -238,7 +241,7 @@ class TddManager:
 
         ``values`` has shape (2,)*n with axes matching ``indices``; the
         result's index tuple is re-sorted into rank order.  The diagram is
-        replayed from the cached ``_recipe`` of the values and leg order.
+        replayed from the ``_recipe`` of the values and leg order.
         """
         arr = np.asarray(values, dtype=complex)
         indices = list(indices)
@@ -250,7 +253,8 @@ class TddManager:
             raise TddError("repeated index")
         order = tuple(sorted(range(len(indices)), key=lambda k: -indices[k].rank))
         sorted_idx = [indices[k] for k in order]
-        weight, root, nodes = _recipe(arr.tobytes(), order)
+        build = _recipe if len(order) <= RECIPE_LEGS else _recipe.__wrapped__
+        weight, root, nodes = build(arr.tobytes(), order)
         unique, zero = self._unique, self.zero
         made = [self.terminal]
         for pos, lk, lw, lo, hk, hw, hi in nodes:
@@ -518,35 +522,6 @@ class TddManager:
         """Indices actually occurring on nodes of the diagram."""
         return frozenset(node.index for node in self._reachable(t.root.node)
                          if node.index is not None)
-
-    def import_tdd(self, t: Tdd, source: "TddManager") -> Tdd:
-        """Re-canonicalise a diagram built by another manager.
-
-        Index names are mapped by identity; their relative order must agree.
-        """
-        names = [i.name for i in t.indices]
-        mapped = [self.index(n) for n in names]
-        for a, b in zip(mapped, mapped[1:]):
-            if a.rank <= b.rank:
-                raise TddError("index order mismatch between managers")
-        memo: dict[TddNode, TddEdge] = {}
-
-        def rec(node):
-            if node is source.terminal:
-                return self.one
-            got = memo.get(node)
-            if got is not None:
-                return got
-            lo = rec(node.low.node)
-            hi = rec(node.high.node)
-            lo = self._canon(node.low.weight * lo.weight, lo.node)
-            hi = self._canon(node.high.weight * hi.weight, hi.node)
-            edge = self.mk_edge(self.index(node.index.name), lo, hi)
-            memo[node] = edge
-            return edge
-
-        root = rec(t.root.node)
-        return Tdd(self._canon(t.root.weight * root.weight, root.node), tuple(mapped))
 
     # -- debug export ----------------------------------------------------------
 

@@ -52,3 +52,19 @@ def dense_contract(a, anames, b, bnames, shared):
 
 def dense_norm(arr):
     return float(np.sum(np.abs(np.asarray(arr)) ** 2))
+
+
+def record_masses(mgr, t, m_set):
+    """Mass of every assignment of ``m_set``, read off ``mgr.to_dense(t)``.
+
+    Keys are the assignment's bits, highest-ranked index first; an index of
+    ``m_set`` that is not a leg of ``t`` does not split the mass.
+    """
+    arr, names = mgr.to_dense(t), list(t.indices)
+    m_list = sorted(m_set, key=lambda i: -i.rank)
+    out = {}
+    for bits in entries(m_list):
+        env = dict(zip(m_list, bits))
+        sub = arr[tuple(env.get(n, slice(None)) for n in names)]
+        out["".join(map(str, bits))] = dense_norm(sub)
+    return out

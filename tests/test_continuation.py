@@ -6,9 +6,11 @@ from tddeq import benchmarks as B
 from tddeq.circuits import (CircuitSpec, CondGate, Conventional, Measure,
                             MeasureStep, gate, seq, validate)
 from tddeq.encode import compile_spec
-from tddeq.equivalence import check, outcome_masses, q_eq
+from tddeq.equivalence import check, q_eq
 from tddeq.logic import BoolFunc
 from tddeq.oracle import oracle_q_eq, outcome_distribution
+
+from dense_ref import record_masses
 
 
 def remeasure_spec():
@@ -27,7 +29,7 @@ def test_remeasured_qubit_distribution():
     assert validate(spec) == []
     dist = outcome_distribution(spec)
     r = compile_spec(spec)
-    masses = outcome_masses(r.mgr, r.tdd, r.m_set)
+    masses = record_masses(r.mgr, r.tdd, r.m_set)
     for key in ("00", "01", "10", "11"):
         assert abs(dist[key] - 0.25) < 1e-9
         assert abs(masses[key] - 0.25) < 1e-9
@@ -46,7 +48,7 @@ def test_control_from_earlier_measurement_on_continuing_qubit():
     assert abs(dist.get("00", 0) - 0.5) < 1e-9
     assert abs(dist.get("10", 0) - 0.5) < 1e-9  # corrected back to 0
     r = compile_spec(spec)
-    masses = outcome_masses(r.mgr, r.tdd, r.m_set)
+    masses = record_masses(r.mgr, r.tdd, r.m_set)
     for key, p in dist.items():
         assert abs(masses.get(key, 0.0) - p) < 1e-9
 

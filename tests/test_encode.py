@@ -486,3 +486,44 @@ def test_no_factors_is_the_scalar_one():
     t = contract_all(mgr, [], Counter(), set(), stats, 26)
     assert t.indices == () and mgr.identical(t, mgr.scalar(1.0))
     assert stats.max_nodes == 0
+
+
+# -- index order -------------------------------------------------------------------
+
+
+def _ranked(spec, order, **kw):
+    return [(i.name, i.kind) for i in prepare([spec], order=order, **kw)[0].indices]
+
+
+@pytest.mark.parametrize("spec,mode,open_inputs", _random_specs(12))
+def test_grouped_order_is_interleaved_with_outcomes_lifted(spec, mode, open_inputs):
+    kw = dict(mode=mode, open_inputs=open_inputs)
+    grouped, inter = _ranked(spec, "grouped", **kw), _ranked(spec, "interleaved", **kw)
+    lifted = sum(kind == KIND_OUTCOME for _, kind in grouped)
+    assert all(kind == KIND_OUTCOME for _, kind in grouped[:lifted])
+    assert grouped[lifted:] == [d for d in inter if d[1] != KIND_OUTCOME]
+
+
+def _hh_pair(n, drop=False):
+    qs = " ".join(f"q{k}" for k in range(n))
+    head = f"qubits {qs}\ninputs {qs}\noutputs {qs}\n"
+    body = "".join(f"gate H q{k}\ngate H q{k}\n" for k in range(n))
+    if drop:
+        body = body.split("\n", 1)[1]
+    return parse(head + body), parse(head)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("plan", ["basic", "partitioned"])
+def test_q_mode_pair_on_every_qubit_stays_per_qubit(n, plan):
+    # each qubit's input wire ranks next to its own output leg, so H.H on
+    # n qubits against the empty circuit never couples two qubits
+    v, rep = check(*_hh_pair(n), "q", plan=plan)
+    assert v.status == "equivalent" and rep.max_nodes <= 4 * n
+    assert check(*_hh_pair(n, drop=True), "q", plan=plan)[0].status == "not-equivalent"
+
+
+def test_q_mode_pair_on_every_qubit_agrees_with_oracle():
+    for drop in (False, True):
+        a, b = _hh_pair(3, drop)
+        assert (check(a, b, "q")[0].status == "equivalent") == oracle_q_eq(a, b)

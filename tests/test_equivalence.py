@@ -10,12 +10,13 @@ from tddeq import benchmarks as B
 from tddeq.circuits import (Branch, CircuitSpec, CondGate, Conventional,
                             Measure, MeasureStep, flatten, gate, seq, validate)
 from tddeq.encode import compile_pair
-from tddeq.equivalence import (IndexOrderError, check, get_nodes, m_eq,
-                               outcome_masses, q_eq)
+from tddeq.equivalence import IndexOrderError, check, get_nodes, m_eq, q_eq
 from tddeq.logic import BoolFunc
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
 from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, Tdd, TddEdge, TddError, TddManager
 from tddeq.textfmt import expr_from_func, parse, parse_expr, print_spec
+
+from dense_ref import record_masses
 
 
 def meas_mgr(n_meas=1, n_wire=2):
@@ -675,13 +676,22 @@ def test_check_incompatible_interfaces_inconclusive():
     assert v.status == "inconclusive"
 
 
-def test_outcome_masses_uniform_split_on_absent_index():
+def test_m_eq_uniform_split_on_absent_index():
     m = meas_mgr(2, 1)
+    legs = [m.index("c0"), m.index("c1"), m.index("x0")]
     # tensor ignores c1: its mass splits evenly
     amps = np.zeros((2, 2, 2))
     amps[0, :, 0] = 1.0
     amps[1, :, 1] = 1.0
-    t = m.from_dense(amps / np.sqrt(4.0),
-                     [m.index("c0"), m.index("c1"), m.index("x0")])
-    masses = outcome_masses(m, t, {m.index("c0"), m.index("c1")})
+    t = m.from_dense(amps / np.sqrt(4.0), legs)
+    masses = record_masses(m, t, {m.index("c0"), m.index("c1")})
     assert all(abs(v - 0.25) < 1e-9 for v in masses.values())
+    # the same split made explicit: c1 steers x0, every record keeps 1/4
+    split = np.zeros((2, 2, 2))
+    split[:, 0, 0] = split[:, 1, 1] = 0.5
+    u = m.from_dense(split, legs)
+    assert not m.identical(t, u)
+    assert m_eq(m, t, u, legs[:2])
+    lopsided = np.zeros((2, 2, 2))
+    lopsided[:, 0, 0] = np.sqrt(0.5)
+    assert not m_eq(m, t, m.from_dense(lopsided, legs), legs[:2])

@@ -7,12 +7,13 @@ from tddeq import benchmarks as B
 from tddeq.circuits import (Branch, CircuitSpec, Conventional, Measure,
                             MeasureStep, gate, seq)
 from tddeq.encode import compile_spec
-from tddeq.equivalence import outcome_masses
 from tddeq.logic import BoolFunc
 from tddeq.oracle import (OracleScaleError, identity_choi,
                           oracle_full_eq, oracle_m_eq, oracle_q_eq,
                           outcome_distribution, semantics, superoperator)
 from tddeq.textfmt import parse
+
+from dense_ref import record_masses
 
 
 def test_semantics_conventional_is_singleton():
@@ -117,7 +118,7 @@ def test_distribution_matches_tdd_readoff_on_random_circuits():
         spec = B.random_dqc(rng, "m", n_qubits=3)
         dist = outcome_distribution(spec)
         r = compile_spec(spec)
-        masses = outcome_masses(r.mgr, r.tdd, r.m_set)
+        masses = record_masses(r.mgr, r.tdd, r.m_set)
         for key in set(dist) | set(masses):
             assert abs(dist.get(key, 0.0) - masses.get(key, 0.0)) < 1e-9
 

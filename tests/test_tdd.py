@@ -197,6 +197,16 @@ def test_from_dense_hits_the_recipe_cache():
     assert np.allclose(other.to_dense(t3), m.to_dense(t1))
 
 
+def test_wide_from_dense_is_not_cached():
+    m = mgr(12)
+    idx = [m.index(f"x{k}") for k in range(12)]
+    arr = rand_tensor(np.random.default_rng(61), idx)
+    before = _recipe.cache_info().currsize
+    t = m.from_dense(arr, idx)
+    assert _recipe.cache_info().currsize == before
+    assert np.allclose(m.to_dense(t), arr)
+
+
 def test_from_dense_rejects_a_repeated_index():
     m = mgr(2)
     with pytest.raises(TddError, match="repeated index"):
@@ -499,16 +509,12 @@ def test_contract_and_add_snap_grid_zero_roots():
     assert m.add(tiny, Tdd(TddEdge(-1e-12 + 0j, h.root.node), h.indices)).root is m.zero
 
 
-def test_node_count_and_import():
+def test_node_count():
     m = mgr(3)
     names = [m.index(f"x{k}") for k in range(3)]
     arr = np.random.default_rng(47).standard_normal((2, 2, 2))
     t = m.from_dense(arr, names)
     assert m.node_count(t) >= 2
-    m2 = mgr(3)
-    t2 = m2.import_tdd(t, m)
-    assert np.allclose(m2.to_dense(t2), m.to_dense(t))
-    assert m2.node_count(t2) == m.node_count(t)
 
 
 def test_to_dot_runs():
