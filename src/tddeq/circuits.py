@@ -96,11 +96,6 @@ def gate(name: str, qubits: Sequence[str], params: Sequence[float] = ()) -> Gate
     return g
 
 
-def controlled_power(phi: float, j: int, control: str, target: str) -> Gate:
-    """controlled-U^(2^j) for the diagonal phase U = diag(1, e^{2 pi i phi})."""
-    return gate("CP", (control, target), (2.0 * math.pi * phi * (1 << j) % (2.0 * math.pi),))
-
-
 def _check_unitary(g: Gate):
     d = g.matrix.shape[0]
     err = _unitary_deviation(np.asarray(g.matrix, dtype=complex).tobytes(), d)

@@ -3,14 +3,16 @@
 Every gate, fixed input state, measurement and classically controlled gate
 becomes a small tensor over wire-segment indices; the diagram of the circuit
 is the contraction of all of them.  Measurements follow the COPY-tensor
-encoding: a measurement whose qubit continues is a rank-3 COPY with a
-separate outcome leg.  A measurement that ends its qubit is the rank-2 COPY,
-the identity, so it costs no tensor: the qubit's previous gate or ``init``
-names its output leg after the classical outcome index.  The rank-2 COPY
-stays an entry only where that leg cannot be renamed, on an open input wire
-or when the outcome index is already a leg of the same tensor.  Classical
-controls attach to outcome indices pointwise, so one bit may drive several
-gates.
+encoding: a measurement is a rank-3 COPY with a separate outcome leg.  The
+netlist is built in three steps.  A walk gives each qubit a fresh wire
+segment at every step and emits every measurement as that rank-3 COPY.  A
+finish turns a measurement that ends its qubit into the rank-2 COPY, the
+identity, and joins a principal or discard leg through an identity.  A
+rename then drops each identity: an identity only renames an index, so the
+entry that produced its wire takes its other leg instead.  An identity
+stays only on an open input wire, or where that entry already holds the
+other leg.  Classical controls attach to outcome indices pointwise, so one
+bit may drive several gates.
 
 Classical logic is compiled only as classically controlled gates:
 ``lower_controls`` turns every dispatch into a measurement followed by
@@ -97,10 +99,10 @@ def controlled_gate_tensor(mgr: TddManager, u: np.ndarray, c: IndexId,
 
 @dataclass
 class _Entry:
-    kind: str            # init | gate | cond | measure3 | ident, or measure2
-                         # for an end leg that cannot take the outcome's name
+    kind: str            # init | gate | cond | measure3, or the identities
+                         # measure2 (a COPY without its dangling leg) and ident
     indices: tuple[str, ...]
-    payload: object = None
+    payload: object = None   # the Gate, the CondGate or the init state
     partition: str = ""
 
 
@@ -126,12 +128,18 @@ class _Netlist:
     qubit_pos: dict[str, int] = field(default_factory=dict)
 
 
-def _wire_name(q: str, key: tuple) -> str:
-    return f"w:{q}." + ".".join(str(k) for k in key)
-
-
 class _Builder:
-    """Pass 1: walk the lowered circuit and emit netlist entries."""
+    """Emit the netlist of a lowered circuit: walk, finish, rename.
+
+    The walk gives each qubit a fresh wire segment at every step and emits
+    every measurement as a rank-3 COPY.  The finish ends each qubit: a last
+    measurement that nothing follows and that keeps no principal leg drops
+    its dangling leg and becomes the rank-2 COPY, the identity; a qubit
+    that needs a principal or discard leg gets an identity onto it.  The
+    rename drops each identity whose wire has a producer, an earlier entry,
+    by renaming that wire to the identity's other leg there; not when the
+    producer already holds that leg.
+    """
 
     def __init__(self, spec: CircuitSpec, mode: str, open_inputs: bool):
         self.spec = spec
@@ -139,13 +147,11 @@ class _Builder:
         self.open_inputs = open_inputs
         self.net = _Netlist(spec=spec, mode=mode)
         self.net.qubit_pos = {q: k for k, q in enumerate(spec.qubits)}
-        self.seg: dict[str, tuple] = {q: (0,) for q in spec.qubits}
-        self.touches_left: dict[str, int] = {q: 0 for q in spec.qubits}
+        self.seg: dict[str, int] = {q: 0 for q in spec.qubits}
+        self.last_measure: dict[str, _Entry] = {}
         self.bit_outcome: dict[str, str] = {}
         self.bit_source: dict[str, str] = {}
-        self.ended: dict[str, str] = {}
         self.meas_seq: dict[str, int] = {}    # bit -> measurement counter
-        self.final_bit: dict[str, str] = {}   # qubit -> bit of the measurement ending it
 
     # index declarations
 
@@ -154,8 +160,10 @@ class _Builder:
             self.net.decls[name] = _IndexDecl(name, kind, self.net.qubit_pos[q], key)
         return name
 
-    def wire(self, q: str, key: tuple) -> str:
-        return self._decl(_wire_name(q, key), KIND_WIRE, q, (0, key))
+    def wire(self, q: str) -> str:
+        """The current wire segment of ``q``."""
+        k = self.seg[q]
+        return self._decl(f"w:{q}.{k}", KIND_WIRE, q, (0, k))
 
     def outcome_index(self, bit: str, q: str) -> str:
         if bit in self.spec.output_bits:
@@ -175,188 +183,102 @@ class _Builder:
         return self._decl(f"out:{q}", KIND_PRINCIPAL, q,
                           (3, self.spec.outputs.index(q)))
 
-    # walking
-
     def build(self) -> _Netlist:
-        steps = flatten(lower_controls(self.spec.circuit))
-        last = {}
-        for st in steps:
-            for q in self._touched(st):
-                self.touches_left[q] += 1
-                last[q] = st
-            if isinstance(st, Measure):
-                for b in st.step.bits:
-                    self.meas_seq.setdefault(b, len(self.meas_seq))
-        for q, st in last.items():
-            if isinstance(st, Measure) and not self._keeps_leg(q):
-                self.final_bit[q] = st.step.bits[st.step.qubits.index(q)]
-        for q in self.spec.qubits:
-            if q in self.spec.inputs or self.open_inputs:
-                self.net.open_names.add(self.wire(q, (0,)))
+        spec, net = self.spec, self.net
+        for q in spec.qubits:
+            w = self.wire(q)
+            if q in spec.inputs or self.open_inputs:
+                net.in_names.append(w)
+                net.open_names.add(w)
             else:
-                state = self.spec.fixed_init.get(q, "0")
-                if not self.touches_left[q]:
-                    idx = self._final_leg(q, fresh=False)
-                elif self.touches_left[q] == 1 and q in self.final_bit:
-                    # measured and nothing else: the init is on the outcome
-                    idx = self.ended[q] = self.outcome_index(self.final_bit[q], q)
-                else:
-                    idx = self.wire(q, (0,))
-                self.net.entries.append(_Entry("init", (idx,), (q, state),
-                                               partition=q))
-        for st in steps:
+                net.entries.append(_Entry("init", (w,), spec.fixed_init.get(q, "0"), q))
+        for st in flatten(lower_controls(spec.circuit)):
             self._emit(st)
-        self._finish_qubits()
-        self.net.in_names = [_wire_name(q, (0,)) for q in self.spec.qubits
-                             if q in self.spec.inputs or self.open_inputs]
-        self.net.out_names = [f"out:{q}" for q in self.spec.outputs
-                              if f"out:{q}" in self.net.decls]
-        self.net.m_set = [f"outbit:{k}" for k in range(len(self.spec.output_bits))]
-        return self.net
+        for q in spec.qubits:
+            self._finish(q)
+        self._rename()
+        used = {n for e in net.entries for n in e.indices} | net.open_names
+        net.decls = {n: d for n, d in net.decls.items() if n in used}
+        net.out_names = [f"out:{q}" for q in spec.outputs if f"out:{q}" in net.decls]
+        net.m_set = [f"outbit:{k}" for k in range(len(spec.output_bits))]
+        return net
 
-    def _touched(self, st) -> tuple[str, ...]:
+    # walk
+
+    def _step(self, qubits) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Fresh segments for ``qubits``: their (out, in) wire names."""
+        ins = tuple(self.wire(q) for q in qubits)
+        for q in qubits:
+            self.seg[q] += 1
+        return tuple(self.wire(q) for q in qubits), ins
+
+    def _owner(self, qubits) -> str:
+        return min(qubits, key=lambda q: self.net.qubit_pos[q])
+
+    def _emit(self, st):
+        entries = self.net.entries
         if isinstance(st, Conventional):
-            return tuple(q for g in st.gates for q in g.qubits)
-        if isinstance(st, Measure):
-            return st.step.qubits
-        if isinstance(st, CondGate):
-            return st.gate.qubits
-        if isinstance(st, Branch):
+            for g in st.gates:
+                outs, ins = self._step(g.qubits)
+                entries.append(_Entry("gate", outs + ins, g, self._owner(g.qubits)))
+        elif isinstance(st, CondGate):
+            bits = tuple(self.bit_outcome[b] for b in st.bits)
+            outs, ins = self._step(st.gate.qubits)
+            part = self._owner(st.gate.qubits + tuple(self.bit_source[b] for b in st.bits))
+            entries.append(_Entry("cond", bits + outs + ins, st, part))
+        elif isinstance(st, Measure):
+            for q, bit in zip(st.step.qubits, st.step.bits):
+                self.meas_seq.setdefault(bit, len(self.meas_seq))
+                c = self.bit_outcome[bit] = self.outcome_index(bit, q)
+                self.bit_source[bit] = q
+                self.net.open_names.add(c)
+                if bit not in self.spec.output_bits and self.mode == "q":
+                    self.net.peel_set.add(c)
+                (y,), (x,) = self._step((q,))
+                e = self.last_measure[q] = _Entry("measure3", (c, x, y), partition=q)
+                entries.append(e)
+        elif isinstance(st, Branch):
             # lower_controls keeps a branch only when a body measures; the
             # COPY/controlled-gate tensor repertoire has nothing for that
             raise CompileError("measurements nested inside branch bodies "
                                "have no tensor encoding; flatten the circuit")
-        raise TypeError(st)
-
-    def _keeps_leg(self, q: str) -> bool:
-        """Whether a final measurement of ``q`` keeps a principal leg."""
-        return q in self.spec.outputs and self.mode == "q"
-
-    def _final_leg(self, q: str, fresh: bool = True) -> str:
-        """Name of the qubit's terminal leg and its open/peel registration.
-
-        ``fresh`` allocates the next wire segment (the output leg of the
-        qubit's last gate); inits on untouched qubits land on segment 0.
-        Not called for qubits ending in a merged measurement.
-        """
-        if q in self.spec.outputs and (self.mode == "q" or not self.spec.output_bits):
-            name = self.principal_out(q)
-        elif self.mode == "q":
-            name = self.discard_index(q)
-        else:
-            name = self.wire(q, self._next_key(q) if fresh else self.seg[q])
-        self.net.open_names.add(name)
-        self.ended[q] = name
-        return name
-
-    def _next_key(self, q: str) -> tuple:
-        key = self.seg[q][:-1] + (self.seg[q][-1] + 1,)
-        self.seg[q] = key
-        return key
-
-    def _advance(self, q: str, legs) -> tuple[str, str]:
-        """Consume the current segment of ``q``; return (in, out) names.
-
-        Before a measurement that ends ``q``, the output leg is named after
-        its outcome index, so that measurement emits no tensor; not when
-        the name is among ``legs``, those the tensor already has.
-        """
-        cur = self.wire(q, self.seg[q])
-        self.touches_left[q] -= 1
-        if self.touches_left[q] == 0:
-            return cur, self._final_leg(q)
-        if self.touches_left[q] == 1 and q in self.final_bit:
-            c = self.outcome_index(self.final_bit[q], q)
-            if c not in legs:
-                self.ended[q] = c
-                return cur, c
-        return cur, self.wire(q, self._next_key(q))
-
-    def _emit(self, st):
-        if isinstance(st, (Conventional, CondGate)):
-            self.net.entries += self._gate_entries(st)
-        elif isinstance(st, Measure):
-            for q, b in zip(st.step.qubits, st.step.bits):
-                self._emit_measure(q, b)
         else:
             raise TypeError(st)
 
-    def _gate_entries(self, st: Conventional | CondGate) -> list[_Entry]:
-        """Entries of a gate segment or a classically controlled gate."""
-        cond = isinstance(st, CondGate)
-        bits = tuple(self.bit_outcome[b] for b in st.bits) if cond else ()
-        sources = [self.bit_source[b] for b in st.bits] if cond else []
-        entries = []
-        for g in ((st.gate,) if cond else st.gates):
-            ins, legs = [], list(bits)
-            for q in g.qubits:
-                cur, out = self._advance(q, legs)
-                ins.append(cur)
-                legs.append(out)
-            ins, outs = tuple(ins), tuple(legs[len(bits):])
-            part = self._owner(g.qubits, extra=sources)
-            if cond:
-                entries.append(_Entry("cond", bits + outs + ins,
-                                      (st, bits, outs, ins), part))
-            else:
-                entries.append(_Entry("gate", outs + ins, (g, outs, ins), part))
-        return entries
+    # finish
 
-    def _owner(self, qubits, extra=()) -> str:
-        cands = list(qubits) + list(extra)
-        return min(cands, key=lambda q: self.net.qubit_pos[q])
-
-    def _emit_measure(self, q: str, bit: str):
-        c = self.outcome_index(bit, q)
-        self.bit_outcome[bit] = c
-        self.bit_source[bit] = q
-        self.net.open_names.add(c)
-        if bit not in self.spec.output_bits and self.mode == "q":
-            self.net.peel_set.add(c)
-        self.touches_left[q] -= 1
-        if q in self.ended:
-            return      # the qubit's last tensor already ends on c
-        cur = self.wire(q, self.seg[q])
-        continues = self.touches_left[q] > 0
-        if continues or self._keeps_leg(q):
-            if continues:
-                y = self.wire(q, self._next_key(q))
-            else:
-                y = self.principal_out(q)
-                self.net.open_names.add(y)
-                self.ended[q] = y
-            self.net.entries.append(_Entry("measure3", (c, cur, y), (c, cur, y),
-                                           partition=q))
+    def _finish(self, q: str):
+        y = self.wire(q)
+        e = self.last_measure.get(q)
+        principal = q in self.spec.outputs
+        if e is not None and e.indices[2] == y and not (principal and self.mode == "q"):
+            c, x, _ = e.indices
+            e.kind, e.indices = "measure2", (x, c)
+            return
+        if principal and (self.mode == "q" or not self.spec.output_bits):
+            end = self.principal_out(q)
+        elif self.mode == "q":
+            end = self.discard_index(q)
         else:
-            # an open input wire, or c was taken: the rank-2 COPY renames
-            self.net.entries.append(_Entry("measure2", (cur, c), (cur, c),
-                                           partition=q))
-            self.ended[q] = c
+            self.net.open_names.add(y)
+            return
+        self.net.open_names.add(end)
+        self.net.entries.append(_Entry("ident", (y, end), partition=q))
 
-    def _finish_qubits(self):
-        for q in self.spec.qubits:
-            if self.touches_left[q] != 0:
-                raise CompileError(f"internal: touches left on {q}")
-            if q in self.ended:
-                continue
-            # untouched qubit, or an open-input qubit with no gates
-            if q in self.spec.inputs or self.open_inputs:
-                final = self.wire(q, self.seg[q])
-                if q in self.spec.outputs and (self.mode == "q" or not self.spec.output_bits):
-                    out = self.principal_out(q)
-                    self.net.entries.append(_Entry("ident", (final, out),
-                                                   (final, out), partition=q))
-                    self.net.open_names.add(out)
-                elif self.mode == "q" and q not in self.spec.outputs:
-                    disc = self.discard_index(q)
-                    self.net.entries.append(_Entry("ident", (final, disc),
-                                                   (final, disc), partition=q))
-                    self.net.open_names.add(disc)
-                else:
-                    self.net.open_names.add(final)
-                self.ended[q] = q
-            # untouched fixed-init qubits already had their init emitted
-            # directly on the final leg by _final_leg
+    # rename
+
+    def _rename(self):
+        kept, holder = [], {}
+        for e in self.net.entries:
+            if e.kind in ("measure2", "ident"):
+                x, y = e.indices
+                p = holder.get(x)
+                if p is not None and y not in p.indices:
+                    p.indices = tuple(y if n == x else n for n in p.indices)
+                    continue
+            kept.append(e)
+            holder.update((n, e) for n in e.indices)
+        self.net.entries = kept
 
 
 # -- index ordering -------------------------------------------------------------
@@ -426,36 +348,28 @@ def _count_uses(entries) -> Counter:
 
 
 def _entry_tensor(mgr: TddManager, e: _Entry) -> Tdd:
+    legs = [mgr.index(n) for n in e.indices]
     if e.kind == "init":
-        _, state = e.payload
-        return mgr.from_dense(INIT_STATES[state], [mgr.index(e.indices[0])])
+        return mgr.from_dense(INIT_STATES[e.payload], legs)
     if e.kind == "gate":
-        g, outs, ins = e.payload
-        arr = g.matrix.reshape((2,) * (2 * len(g.qubits)))
-        return mgr.from_dense(arr, [mgr.index(n) for n in outs + ins])
-    if e.kind == "measure2":
-        x, c = e.payload
-        return measurement_tensor(mgr, mgr.index(x), mgr.index(c))
+        return mgr.from_dense(e.payload.matrix.reshape((2,) * len(legs)), legs)
+    if e.kind in ("measure2", "ident"):
+        return measurement_tensor(mgr, *legs)
     if e.kind == "measure3":
-        c, x, y = e.payload
-        return measurement_tensor(mgr, mgr.index(x), mgr.index(y), mgr.index(c))
-    if e.kind == "ident":
-        a, b = e.payload
-        return mgr.from_dense(np.eye(2), [mgr.index(a), mgr.index(b)])
+        c, x, y = legs
+        return measurement_tensor(mgr, x, y, c)
     if e.kind == "cond":
-        st, bits, outs, ins = e.payload
-        return _cond_tensor(mgr, st, bits, outs, ins)
+        return _cond_tensor(mgr, e.payload, legs)
     raise CompileError(f"unknown entry kind {e.kind}")
 
 
-def _cond_tensor(mgr: TddManager, st: CondGate, bits, outs, ins) -> Tdd:
+def _cond_tensor(mgr: TddManager, st: CondGate, legs) -> Tdd:
+    """``legs`` are the control outcomes, then the gate's outputs and inputs."""
     f, u, k = st.func, st.gate.matrix, len(st.gate.qubits)
-    cin = [mgr.index(n) for n in bits]
+    cin, legs = legs[:-2 * k], legs[-2 * k:]
     if k == 1 and f.arity == 1 and f((0,)) != f((1,)):
         # c or !c: the rank-3 controlled gate, its slices swapped for !c
-        return controlled_gate_tensor(mgr, u, cin[0], mgr.index(ins[0]),
-                                      mgr.index(outs[0]), fire=f((1,)))
-    legs = [mgr.index(n) for n in outs + ins]
+        return controlled_gate_tensor(mgr, u, cin[0], legs[1], legs[0], fire=f((1,)))
     shape = (2,) * (2 * k)
     fired = mgr.contract(func_to_tensor(mgr, f, cin),
                          mgr.from_dense(u.reshape(shape), legs), set())

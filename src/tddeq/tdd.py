@@ -159,8 +159,6 @@ class TddManager:
         self._unique: dict[tuple, TddNode] = {}
         self._add_cache: dict[tuple, TddEdge] = {}
         self._cont_cache: dict[tuple, TddEdge] = {}
-        self._conj_cache: dict[TddNode, TddNode] = {}
-        self._slice_cache: dict[tuple, TddEdge] = {}
 
     # -- index bookkeeping -------------------------------------------------
 
@@ -312,24 +310,7 @@ class TddManager:
         """Cofactor phi|_{x=c}; a no-op when ``x`` is not an index of ``t``."""
         if x not in t.indices:
             return t
-        root = self._slice_edge(t.root, x.rank, c)
-        return Tdd(root, tuple(i for i in t.indices if i is not x))
-
-    def _slice_edge(self, edge: TddEdge, rank: int, c: int) -> TddEdge:
-        node = edge.node
-        if node.rank < rank:
-            return edge
-        if node.rank == rank:
-            succ = node.high if c else node.low
-            return self._canon(edge.weight * succ.weight, succ.node)
-        key = (node, rank, c)
-        res = self._slice_cache.get(key)
-        if res is None:
-            lo = self._slice_edge(node.low, rank, c)
-            hi = self._slice_edge(node.high, rank, c)
-            res = self.mk_edge(node.index, lo, hi)
-            self._slice_cache[key] = res
-        return self._canon(edge.weight * res.weight, res.node)
+        return self.contract(t, self.from_dense(np.eye(2)[c], [x]), {x})
 
     # -- addition ----------------------------------------------------------
 
@@ -425,27 +406,7 @@ class TddManager:
             self._cont_cache[key] = res
         return self._canon(e1.weight * e2.weight * res.weight, res.node)
 
-    # -- conjugation and norm ------------------------------------------------
-
-    def conjugate(self, t: Tdd) -> Tdd:
-        return Tdd(TddEdge(complex(t.root.weight).conjugate(),
-                           self._conj_node(t.root.node)), t.indices)
-
-    def _conj_node(self, node: TddNode) -> TddNode:
-        if node is self.terminal:
-            return node
-        got = self._conj_cache.get(node)
-        if got is not None:
-            return got
-        lo = TddEdge(complex(node.low.weight).conjugate(), self._conj_node(node.low.node))
-        hi = TddEdge(complex(node.high.weight).conjugate(), self._conj_node(node.high.node))
-        edge = self.mk_edge(node.index, lo, hi)
-        # normalisation of a conjugated node never rescales: the first nonzero
-        # weight was 1 and stays 1
-        if wkey(edge.weight) not in (ZERO_KEY, ONE_KEY):
-            raise TddError("conjugation changed normalisation")
-        self._conj_cache[node] = edge.node
-        return edge.node
+    # -- norm ---------------------------------------------------------------
 
     def norm(self, t: Tdd) -> float:
         """Sum of squared entry magnitudes over all declared indices.
@@ -542,18 +503,22 @@ class TddManager:
                 decls.append(f'  {ids[node]} [label="{label}", shape={shape}];')
             return ids[node]
 
-        def walk(node):
-            me = nid(node)
+        def pending(node):
+            # popped low edge first, as a depth-first walk visits them
             if node is self.terminal:
-                return
-            for edge, style in ((node.low, "dashed"), (node.high, "solid")):
-                known = edge.node in ids
-                edges.append(f'  {me} -> {nid(edge.node)} '
-                             f'[style={style}, label="{fmt(edge.weight)}"];')
-                if not known:
-                    walk(edge.node)
+                return []
+            return [(node, node.high, "solid"), (node, node.low, "dashed")]
 
-        walk(t.root.node)
+        nid(t.root.node)
+        stack = pending(t.root.node)
+        while stack:
+            node, edge, style = stack.pop()
+            known = edge.node in ids
+            edges.append(f'  {ids[node]} -> {nid(edge.node)} '
+                         f'[style={style}, label="{fmt(edge.weight)}"];')
+            if not known:
+                stack += pending(edge.node)
+
         tail = ['  r [shape=none, label=""];',
                 f'  r -> {ids[t.root.node]} [label="{fmt(t.root.weight)}"];', "}"]
         return "\n".join(["digraph tdd {", "  rankdir=TB;"] + decls + edges + tail)

@@ -215,8 +215,6 @@ def _parse_gate_token(tok: str, qubits, line):
             params = [float(p) for p in m.group(2).split(",") if p.strip()]
         except ValueError:
             raise ParseError(f"bad gate parameters in {tok!r}", line)
-    for q in qubits:
-        pass
     try:
         return gate(name, qubits, params)
     except ValueError as exc:

@@ -149,10 +149,10 @@ def test_teleport_partition_assignment():
     assert set(parts) == {"q", "q1", "q2"}
     # CX(q, q1) is owned by q, as is q's outcome index: the measurement
     # that ends q names the output leg of q's last gate
-    assert any(e.kind == "gate" and e.payload[0].name == "CX"
-               and e.payload[0].qubits == ("q", "q1") for e in parts["q"])
+    assert any(e.kind == "gate" and e.payload.name == "CX"
+               and e.payload.qubits == ("q", "q1") for e in parts["q"])
     assert any("bit:c0" in e.indices for e in parts["q"])
-    assert any(e.kind == "gate" and e.payload[0].name == "H" for e in parts["q2"])
+    assert any(e.kind == "gate" and e.payload.name == "H" for e in parts["q2"])
     # every tensor lands in exactly one partition
     assert sum(map(len, parts.values())) == len(net.entries)
 
@@ -243,7 +243,8 @@ def test_qft_measurements_cost_no_tensor(n):
     kinds, net = _kinds(B.qft(n))
     assert not any(k.startswith("measure") for k in kinds)
     # every outcome index is the output leg of its qubit's last gate
-    legs = {x for e in net.entries if e.kind == "gate" for x in e.payload[1]}
+    legs = {x for e in net.entries if e.kind == "gate"
+            for x in e.indices[:len(e.payload.qubits)]}
     assert {f"outbit:{k}" for k in range(n)} <= legs
 
 
@@ -264,6 +265,23 @@ def test_init_then_measure_puts_the_init_on_the_outcome(mode):
     verdicts = {_agrees_with_oracle(a, parse(head + body + tail), mode)
                 for body in ("init a=0\ngate H a\nmeasure a -> c\n", other)}
     assert verdicts == {True, False}
+
+
+def test_back_to_back_final_measurements_share_one_copy():
+    # a's second measurement ends it: the first one's rank-3 COPY names its
+    # continuing leg after the second outcome, so no rank-2 COPY is left
+    head = "qubits a b\noutbits c d e\ninit a=+\ninit b=0\ngate CX a b\nmeasure a -> c\n"
+    tail = "measure a -> d\nmeasure b -> e\n"
+    a = parse(head + tail)
+    kinds, net = _kinds(a)
+    assert "measure2" not in kinds
+    copies = [e.indices for e in net.entries if e.kind == "measure3"]
+    assert len(copies) == 1
+    c, x, y = copies[0]
+    assert (c, y) == ("outbit:0", "outbit:1") and x.startswith("w:a.")
+    # X between the measurements flips d; Z leaves every outcome alone
+    assert {_agrees_with_oracle(a, parse(head + f"gate {g} a\n" + tail), "m")
+            for g in ("X", "Z")} == {False, True}
 
 
 def test_open_input_measured_without_gate_keeps_rank2_copy():
@@ -344,7 +362,7 @@ def test_q_mode_discarded_qubit_ends_on_its_peeled_outcome():
     kinds, net = _kinds(a)
     assert not any(k.startswith("measure") for k in kinds)
     assert "bit:c" in net.peel_set
-    assert any(e.kind == "gate" and e.payload[1] == ("bit:c",)
+    assert any(e.kind == "gate" and e.indices[:len(e.payload.qubits)] == ("bit:c",)
                for e in net.entries)
     assert {_agrees_with_oracle(a, parse(head + f"gate {g} a\n" + tail), "q")
             for g in ("S", "H")} == {True, False}
@@ -385,6 +403,14 @@ def test_blocked_fold_matches_gate_by_gate(spec, mode, open_inputs):
     kw = dict(mode=mode, open_inputs=open_inputs)
     r = compile_spec(spec, **kw)
     entries = r.net.entries
+    # a rank-2 identity survives only where no rename can drop it: on an
+    # open input wire, or when its producer already holds the target
+    for k, e in enumerate(entries):
+        if e.kind in ("measure2", "ident"):
+            x, y = e.indices
+            producers = [p for p in entries[:k] if x in p.indices]
+            assert (y in producers[-1].indices if producers
+                    else x in r.net.in_names), e
     ref, peak = gate_by_gate(r.mgr, _entry_factors(r.mgr, entries),
                              _count_uses(entries), r.net.open_names)
     assert r.mgr.identical(r.tdd, ref)

@@ -317,39 +317,6 @@ def test_contract_random_vs_dense_oracle():
             assert abs(complex(got) - complex(ref)) < 1e-8
 
 
-def test_conjugate_real_is_identical():
-    m = mgr(3)
-    names = [m.index(f"x{k}") for k in range(3)]
-    arr = np.random.default_rng(0).standard_normal((2, 2, 2))
-    t = m.from_dense(arr, names)
-    assert m.identical(m.conjugate(t), t)
-
-
-def test_conjugate_keeps_normalised_weights_at_one():
-    rng = np.random.default_rng(19)
-    m = mgr(4)
-    names = [m.index(f"x{k}") for k in range(4)]
-    for _ in range(10):
-        arr = rand_tensor(rng, names)
-        arr[tuple(rng.integers(0, 2, size=4))] = 0.0
-        c = m.conjugate(m.from_dense(arr, names))
-        for node in m._reachable(c.root.node) - {m.terminal}:
-            first = node.high if node.low is m.zero else node.low
-            assert wkey(first.weight) == ONE_KEY
-
-
-def test_conjugate_involution_and_dense():
-    rng = np.random.default_rng(17)
-    m = mgr(4)
-    names = [m.index(f"x{k}") for k in range(4)]
-    for _ in range(20):
-        arr = rand_tensor(rng, names)
-        t = m.from_dense(arr, names)
-        c = m.conjugate(t)
-        assert np.max(np.abs(m.to_dense(c) - arr.conj())) < 1e-9
-        assert m.identical(m.conjugate(c), t)
-
-
 def test_norm_values():
     m = mgr(3)
     names = [m.index(f"x{k}") for k in range(3)]
