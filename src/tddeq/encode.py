@@ -22,8 +22,8 @@ the 0/1 indicator [f(x) = 1] of its BDD over its outcome indices.  A gate
 under a control f is ind(f)*U + ind(!f)*I; a control on one bit keeps its
 rank-3 controlled-gate tensor.  No control tensor is built densely.
 
-Every contraction, of a whole netlist, of a per-qubit partition or of
-partition diagrams, runs through one loop, ``contract_all``: it folds runs
+Every contraction, of a whole netlist, of the part a discard leaves or of
+a per-qubit piece, runs through one loop, ``contract_all``: it folds runs
 of entries into blocks of at most ``BLOCK_LEGS`` open legs, so the running
 circuit diagram is rebuilt, and its peak counted, once per block, not once
 per gate.  An index is summed out once no tensor left holds it.  Every
@@ -102,8 +102,8 @@ class _Entry:
     kind: str            # init | gate | cond | measure3, or the identities
                          # measure2 (a COPY without its dangling leg) and ident
     indices: tuple[str, ...]
+    partition: str           # the qubit whose per-qubit piece holds the entry
     payload: object = None   # the Gate, the CondGate or the init state
-    partition: str = ""
 
 
 @dataclass
@@ -191,7 +191,7 @@ class _Builder:
                 net.in_names.append(w)
                 net.open_names.add(w)
             else:
-                net.entries.append(_Entry("init", (w,), spec.fixed_init.get(q, "0"), q))
+                net.entries.append(_Entry("init", (w,), q, spec.fixed_init.get(q, "0")))
         for st in flatten(lower_controls(spec.circuit)):
             self._emit(st)
         for q in spec.qubits:
@@ -220,22 +220,22 @@ class _Builder:
         if isinstance(st, Conventional):
             for g in st.gates:
                 outs, ins = self._step(g.qubits)
-                entries.append(_Entry("gate", outs + ins, g, self._owner(g.qubits)))
+                entries.append(_Entry("gate", outs + ins, self._owner(g.qubits), g))
         elif isinstance(st, CondGate):
             bits = tuple(self.bit_outcome[b] for b in st.bits)
             outs, ins = self._step(st.gate.qubits)
             part = self._owner(st.gate.qubits + tuple(self.bit_source[b] for b in st.bits))
-            entries.append(_Entry("cond", bits + outs + ins, st, part))
+            entries.append(_Entry("cond", bits + outs + ins, part, st))
         elif isinstance(st, Measure):
             for q, bit in zip(st.step.qubits, st.step.bits):
                 self.meas_seq.setdefault(bit, len(self.meas_seq))
                 c = self.bit_outcome[bit] = self.outcome_index(bit, q)
                 self.bit_source[bit] = q
                 self.net.open_names.add(c)
-                if bit not in self.spec.output_bits and self.mode == "q":
+                if self.mode == "q":
                     self.net.peel_set.add(c)
                 (y,), (x,) = self._step((q,))
-                e = self.last_measure[q] = _Entry("measure3", (c, x, y), partition=q)
+                e = self.last_measure[q] = _Entry("measure3", (c, x, y), q)
                 entries.append(e)
         elif isinstance(st, Branch):
             # lower_controls keeps a branch only when a body measures; the
@@ -263,7 +263,7 @@ class _Builder:
             self.net.open_names.add(y)
             return
         self.net.open_names.add(end)
-        self.net.entries.append(_Entry("ident", (y, end), partition=q))
+        self.net.entries.append(_Entry("ident", (y, end), q))
 
     # rename
 
@@ -433,19 +433,17 @@ def _fold(mgr: TddManager, entries, net: _Netlist, stats, max_open, uses) -> Tdd
     return contract_all(mgr, factors, uses, net.open_names, stats, max_open)
 
 
-def contract_pieces(mgr: TddManager, pieces: Sequence[Tdd], net: _Netlist,
-                    stats: CompileStats, max_open: int = 26) -> Tdd:
-    """Contract partition diagrams; each accounts for its open indices."""
-    uses = Counter(i.name for p in pieces for i in p.indices)
-    factors = ((p, [i.name for i in p.indices]) for p in pieces)
-    return contract_all(mgr, factors, uses, net.open_names, stats, max_open)
+def evaluate(mgr: TddManager, net: _Netlist, skip=frozenset(),
+             max_open: int = 26) -> CompileResult:
+    """Contract a netlist's entries in circuit order into one diagram.
 
-
-def evaluate(mgr: TddManager, net: _Netlist, max_open: int = 26) -> CompileResult:
-    """Contract a netlist's entries in circuit order into one diagram."""
+    Entries whose partition is in ``skip`` are left out; the caller skips
+    only whole components that share no index with the rest.
+    """
     stats = CompileStats()
     t0 = time.perf_counter()
-    t = _fold(mgr, net.entries, net, stats, max_open, _count_uses(net.entries))
+    entries = [e for e in net.entries if e.partition not in skip]
+    t = _fold(mgr, entries, net, stats, max_open, _count_uses(entries))
     if stats.wide:
         # a circuit is an isometry, of squared norm 2^k over its k open
         # inputs; after n fair outcomes amplitudes are about 2^(-n/2), and
@@ -468,23 +466,19 @@ def evaluate(mgr: TddManager, net: _Netlist, max_open: int = 26) -> CompileResul
 def evaluate_pieces(mgr: TddManager, net: _Netlist, stats: CompileStats,
                     max_open: int = 26) -> dict[str, Tdd]:
     """Per-qubit partition diagrams; cross-partition cut indices stay open."""
-    spec = net.spec
-    order_pos = {q: k for k, q in enumerate(spec.qubits)}
     groups: dict[str, list[_Entry]] = {}
     for e in net.entries:
-        groups.setdefault(e.partition or spec.qubits[0], []).append(e)
+        groups.setdefault(e.partition, []).append(e)
     uses = _count_uses(net.entries)
-    pieces: dict[str, Tdd] = {}
-    for q in sorted(groups, key=lambda q: order_pos.get(q, 10 ** 6)):
-        pieces[q] = _fold(mgr, groups[q], net, stats, max_open, uses.copy())
-    return pieces
+    return {q: _fold(mgr, groups[q], net, stats, max_open, uses.copy())
+            for q in net.spec.qubits if q in groups}
 
 
 def compile_spec(spec: CircuitSpec, *, mode: str | None = None,
                  order: str = "grouped", open_inputs: bool = False,
                  max_open: int = 26) -> CompileResult:
     mgr, nets = prepare([spec], mode=mode, order=order, open_inputs=open_inputs)
-    return evaluate(mgr, nets[0], max_open)
+    return evaluate(mgr, nets[0], max_open=max_open)
 
 
 def compile_pair(spec_a: CircuitSpec, spec_b: CircuitSpec, *,

@@ -11,11 +11,11 @@ iterative walk per diagram (``_peel``) yields the residual nodes, their
 first measurement paths and the extreme path magnitudes; ``get_nodes``
 exposes the residual set.
 
-``check`` drives the whole pipeline for a pair of circuit specs, with a
-basic plan (compile both, compare) and a partitioned plan.  The partitioned
-plan compiles per-qubit pieces, groups them into components that share no
-index in either circuit, discards the components that are identical in both
-and compares the contracted remainder.
+``check`` drives the whole pipeline for a pair of circuit specs: compile
+both in circuit order, then decide.  The partitioned plan only puts a
+discard pass in front: it compiles per-qubit pieces, groups them into
+components that share no index in either circuit, and leaves the entries of
+the components identical in both out of that one compile.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import time
 from dataclasses import dataclass
 
 from .circuits import CircuitSpec, Verdict, validate
-from .encode import (CompileError, CompileScaleError, CompileStats,
-                     contract_pieces, evaluate, evaluate_pieces, prepare)
-from .tdd import DEFAULT_EPS, ZERO_KEY, Tdd, TddEdge, TddError, TddManager
+from .encode import (CompileError, CompileScaleError, CompileStats, evaluate,
+                     evaluate_pieces, prepare)
+from .tdd import DEFAULT_EPS, Tdd, TddEdge, TddError, TddManager
 
 
 class IndexOrderError(Exception):
@@ -120,7 +120,7 @@ def _peel(mgr: TddManager, t: Tdd, m_set):
     cost is linear in the diagram, not in the number of paths.
     """
     def live(e: TddEdge) -> bool:
-        return mgr.wkey(e.weight) != ZERO_KEY
+        return e is not mgr.zero
 
     residuals: dict = {}
     seen = set()                     # measurement nodes visited
@@ -210,11 +210,12 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
 
     Both circuits are compiled as specified, fixed initial states included,
     in the grouped index order.  Returns (Verdict, CheckReport).  The
-    partitioned plan discards every connected component of per-qubit pieces
-    that is identical in both circuits (in q-mode, only components without
-    peel indices) and compares the contracted remainder; a partitioned
-    NotEquivalent is always re-run through the basic plan before being
-    reported.  ``eps`` (default ``DEFAULT_EPS``) must satisfy
+    partitioned plan first discards every connected component of per-qubit
+    pieces that is identical in both circuits (in q-mode, only components
+    without peel indices) and compiles and compares the rest; pieces past
+    the rank limit, or widened by outcome indices, discard nothing.  A
+    NotEquivalent after a discard is re-checked with nothing discarded
+    before it is reported.  ``eps`` (default ``DEFAULT_EPS``) must satisfy
     ``0 <= eps < 1``; anything else raises ``ValueError``.
     """
     eps = valid_eps(DEFAULT_EPS if eps is None else eps)
@@ -228,14 +229,10 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
         report.verdict = Verdict.inconclusive("; ".join(errs))
         report.total_time = time.perf_counter() - t_start
         return report.verdict, report
+    if plan not in ("basic", "partitioned"):
+        raise ValueError(f"unknown plan {plan!r}")
     try:
-        if plan == "basic":
-            verdict = _check_basic(spec_a, spec_b, mode, eps, strict_q, report)
-        elif plan == "partitioned":
-            verdict = _check_partitioned(spec_a, spec_b, mode, eps, strict_q,
-                                         report)
-        else:
-            raise ValueError(f"unknown plan {plan!r}")
+        verdict = _check(spec_a, spec_b, mode, plan, eps, strict_q, report)
     except (CompileScaleError, CompileError, IndexOrderError, TddError) as exc:
         verdict = Verdict.inconclusive(str(exc))
     except (RecursionError, MemoryError) as exc:
@@ -275,14 +272,22 @@ def _decide(mgr, nets, ta, tb, mode, eps, strict_q, witness) -> bool:
     return q_eq(mgr, ta, tb, peel, strict_q, eps, witness)
 
 
-def _check_basic(spec_a, spec_b, mode, eps, strict_q, report) -> Verdict:
+def _check(spec_a, spec_b, mode, plan, eps, strict_q, report) -> Verdict:
     mgr, nets = prepare([spec_a, spec_b], mode=mode)
-    ra = evaluate(mgr, nets[0])
-    rb = evaluate(mgr, nets[1])
-    _merge_stats(report, ra.stats, rb.stats)
-    witness: list = []
-    ok = _decide(mgr, nets, ra.tdd, rb.tdd, mode, eps, strict_q, witness)
-    return Verdict.equivalent() if ok else Verdict.not_equivalent(witness)
+    skip = _discards(mgr, nets, mode, report) if plan == "partitioned" else set()
+    while True:
+        ra = evaluate(mgr, nets[0], skip)
+        rb = evaluate(mgr, nets[1], skip)
+        _merge_stats(report, ra.stats, rb.stats)
+        witness: list = []
+        if _decide(mgr, nets, ra.tdd, rb.tdd, mode, eps, strict_q, witness):
+            return Verdict.equivalent()
+        if not skip:
+            return Verdict.not_equivalent(witness)
+        # discarding is only justified in the equivalent direction: confirm
+        # any failure with nothing discarded
+        report.fallback = True
+        skip = set()
 
 
 def _components(pieces_a: dict, pieces_b: dict) -> list[list[str]]:
@@ -305,12 +310,26 @@ def _components(pieces_a: dict, pieces_b: dict) -> list[list[str]]:
     return list(groups.values())
 
 
-def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, report) -> Verdict:
-    mgr, nets = prepare([spec_a, spec_b], mode=mode)
+def _discards(mgr, nets, mode, report) -> set[str]:
+    """Qubits of the components of per-qubit pieces identical in both circuits.
+
+    A component shares no index with the rest of either circuit, so each
+    diagram is its product with the rest, and identical factors cancel.  In
+    q-mode a component with peel indices stays.  Pieces that outgrow the
+    rank limit, or that outcome indices widen (a piece has no norm to
+    check), discard nothing.
+    """
     stats = CompileStats()
     t0 = time.perf_counter()
-    pieces_a = evaluate_pieces(mgr, nets[0], stats)
-    pieces_b = evaluate_pieces(mgr, nets[1], stats)
+    try:
+        pieces_a, pieces_b = (evaluate_pieces(mgr, net, stats) for net in nets)
+    except CompileScaleError:
+        return set()
+    finally:
+        report.tdd_time += time.perf_counter() - t0
+        report.max_nodes = max(report.max_nodes, stats.max_nodes)
+    if stats.wide:
+        return set()
     peel = {mgr.index(n) for n in nets[0].peel_set | nets[1].peel_set}
 
     def same(q):
@@ -318,33 +337,10 @@ def _check_partitioned(spec_a, spec_b, mode, eps, strict_q, report) -> Verdict:
         return (ta is not None and tb is not None and mgr.identical(ta, tb)
                 and (mode == "m" or not mgr.support(ta) & peel))
 
-    # a component shares no index with the rest of either circuit, so each
-    # diagram is its product with the rest; identical factors cancel
     dropped = {q for comp in _components(pieces_a, pieces_b)
                if all(same(q) for q in comp) for q in comp}
     report.discarded = len(dropped)
-    kept_a = [p for q, p in pieces_a.items() if q not in dropped]
-    kept_b = [p for q, p in pieces_b.items() if q not in dropped]
-    ta = contract_pieces(mgr, kept_a, nets[0], stats)
-    final_a = stats.final_nodes
-    tb = contract_pieces(mgr, kept_b, nets[1], stats)
-    stats.tdd_time = time.perf_counter() - t0
-    stats.final_nodes = max(final_a, stats.final_nodes)
-    _merge_stats(report, stats)
-    if stats.wide:      # pieces have no norm to check; whole circuits do
-        report.fallback = True
-        return _check_basic(spec_a, spec_b, mode, eps, strict_q, report)
-    witness: list = []
-    try:
-        ok = _decide(mgr, nets, ta, tb, mode, eps, strict_q, witness)
-    except IndexOrderError:
-        ok = False
-    if ok:
-        return Verdict.equivalent()
-    # discarding is only justified in the equivalent direction: confirm any
-    # failure with the basic plan
-    report.fallback = True
-    return _check_basic(spec_a, spec_b, mode, eps, strict_q, report)
+    return dropped
 
 
 def _merge_stats(report: CheckReport, *stats: CompileStats):

@@ -11,7 +11,7 @@ from tddeq.circuits import (CircuitSpec, Conventional, Measure, MeasureStep,
                             gate, seq, validate)
 from tddeq.encode import (BLOCK_LEGS, CompileScaleError, CompileStats,
                           _count_uses, _entry_tensor, compile_pair, compile_spec,
-                          contract_all, contract_pieces, controlled_gate_tensor,
+                          contract_all, controlled_gate_tensor,
                           evaluate_pieces, measurement_tensor, prepare)
 from tddeq.equivalence import check
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
@@ -24,7 +24,10 @@ def compile_by_pieces(spec, **kw):
     mgr, (net,) = prepare([spec], **kw)
     stats = CompileStats()
     pieces = evaluate_pieces(mgr, net, stats)
-    t = contract_pieces(mgr, list(pieces.values()), net, stats)
+    # each piece accounts for its own open indices
+    factors = [(p, [i.name for i in p.indices]) for p in pieces.values()]
+    uses = Counter(n for _, names in factors for n in names)
+    t = contract_all(mgr, factors, uses, net.open_names, stats, 26)
     stats.final_nodes = mgr.node_count(t)
     stats.max_nodes = max(stats.max_nodes, stats.final_nodes)
     return mgr, t, stats, pieces
@@ -420,7 +423,7 @@ def test_blocked_fold_matches_gate_by_gate(spec, mode, open_inputs):
     net = prepare([spec], **kw)[1][0]
     uses, peak, refs = _count_uses(net.entries), 0, []
     for q, piece in pieces.items():
-        group = [e for e in net.entries if (e.partition or spec.qubits[0]) == q]
+        group = [e for e in net.entries if e.partition == q]
         p, k = gate_by_gate(mgr, _entry_factors(mgr, group), uses.copy(),
                             net.open_names)
         assert mgr.identical(piece, p)

@@ -430,6 +430,50 @@ def test_partitioned_keeps_pieces_joined_by_a_cut_wire():
         assert v.status == "not-equivalent", plan
 
 
+@pytest.mark.parametrize("head", [
+    "qubits q a\noutputs q\noutbits c\ninit a=0\ninit q=0\n",
+    "qubits q a b\noutputs q\noutbits c\ninit a=0\ninit q=0\ninit b=+\n"
+    "measure b -> d\n"], ids=["output-bit", "output-and-internal-bit"])
+def test_q_mode_peels_output_bits(head):
+    # q-mode peels every measured bit, an output bit too: a phase on the
+    # qubit that c measures changes no post-measurement state of q
+    a = parse(head + "gate H a\ngate P(0.3) a\nmeasure a -> c\n")
+    b = parse(head + "gate H a\nmeasure a -> c\n")
+    flipped = parse(head + "gate H a\ngate X q\nmeasure a -> c\n")
+    assert oracle_q_eq(a, b) and not oracle_q_eq(a, flipped)
+    for plan in ("basic", "partitioned"):
+        assert check(a, a, "q", plan=plan)[0].status == "equivalent", plan
+        assert check(a, b, "q", plan=plan)[0].status == "equivalent", plan
+        assert check(a, flipped, "q", plan=plan)[0].status == "not-equivalent", plan
+
+
+def injection_chain_text(rounds: int, drop: int | None = None) -> str:
+    """``rounds`` T-state injections into q through the resource qubit a,
+    each corrected by P(pi/2) under its bit and reset by X; round ``drop``
+    loses its correction."""
+    lines = ["qubits q a", "inputs q", "outputs q", "init a=0"]
+    for k in range(rounds):
+        lines += ["gate H a", f"gate P({math.pi / 4!r}) a", "gate CX q a",
+                  f"measure a -> c{k}"]
+        if k != drop:
+            lines.append(f"ifc c{k} apply P({math.pi / 2!r}) q")
+        lines.append(f"ifc c{k} apply X a")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("drop", [None, 5], ids=["whole", "one-correction-dropped"])
+def test_both_plans_decide_a_long_injection_chain(drop):
+    # q's per-qubit piece keeps a's wires open at all 14 CX gates, 30 open
+    # legs against the limit of 26; the circuit-order fold stays narrow
+    a = parse(injection_chain_text(14, drop))
+    bare = parse(f"qubits q\ninputs q\noutputs q\ngate P({14 * math.pi / 4!r}) q\n")
+    want = "equivalent" if oracle_q_eq(a, bare) else "not-equivalent"
+    assert want == ("equivalent" if drop is None else "not-equivalent")
+    for plan in ("basic", "partitioned"):
+        v, _ = check(a, bare, "q", plan=plan)
+        assert v.status == want, (plan, v)
+
+
 @pytest.mark.parametrize("plan,strict_q", [
     pytest.param(plan, strict, id=plan + ("-strict" if strict else ""))
     for strict in (False, True) for plan in ("basic", "partitioned")])
