@@ -3,7 +3,7 @@
 ``tddeq check A B --mode m|q|full`` decides equivalence of two circuit files
 and exits 0 (equivalent), 1 (not equivalent) or 2 (error / inconclusive).
 Both circuits are checked as specified, fixed initial states included.
-``--eps`` sets the probability-mass tolerance, ``0 <= eps < 1``.
+``--eps`` bounds the m-mode total-variation distance, ``0 <= eps < 1``.
 ``tddeq bench --suite qft|pe|qec|all`` reproduces the benchmark table, every
 row checked on its fixed-input specs; each row carries the construction
 statistics of the conventional-circuit baseline ("nodes", circuit A with all

@@ -124,7 +124,6 @@ class _Netlist:
     m_set: list[str] = field(default_factory=list)
     peel_set: set[str] = field(default_factory=set)
     in_names: list[str] = field(default_factory=list)
-    out_names: list[str] = field(default_factory=list)
     qubit_pos: dict[str, int] = field(default_factory=dict)
 
 
@@ -199,7 +198,6 @@ class _Builder:
         self._rename()
         used = {n for e in net.entries for n in e.indices} | net.open_names
         net.decls = {n: d for n, d in net.decls.items() if n in used}
-        net.out_names = [f"out:{q}" for q in spec.outputs if f"out:{q}" in net.decls]
         net.m_set = [f"outbit:{k}" for k in range(len(spec.output_bits))]
         return net
 
@@ -315,8 +313,6 @@ class CompileResult:
     mgr: TddManager
     m_set: tuple[IndexId, ...]
     peel_set: frozenset[IndexId]
-    inputs: tuple[IndexId, ...]
-    outputs: tuple[IndexId, ...]
     stats: CompileStats
     net: _Netlist
 
@@ -458,20 +454,18 @@ def evaluate(mgr: TddManager, net: _Netlist, skip=frozenset(),
         tdd=t, mgr=mgr,
         m_set=tuple(mgr.index(n) for n in net.m_set),
         peel_set=frozenset(mgr.index(n) for n in net.peel_set),
-        inputs=tuple(mgr.index(n) for n in net.in_names),
-        outputs=tuple(mgr.index(n) for n in net.out_names),
         stats=stats, net=net)
 
 
 def evaluate_pieces(mgr: TddManager, net: _Netlist, stats: CompileStats,
-                    max_open: int = 26) -> dict[str, Tdd]:
-    """Per-qubit partition diagrams; cross-partition cut indices stay open."""
+                    qubits, max_open: int = 26) -> dict[str, Tdd]:
+    """Partition diagrams of ``qubits``; indices cut between partitions stay open."""
     groups: dict[str, list[_Entry]] = {}
     for e in net.entries:
         groups.setdefault(e.partition, []).append(e)
     uses = _count_uses(net.entries)
     return {q: _fold(mgr, groups[q], net, stats, max_open, uses.copy())
-            for q in net.spec.qubits if q in groups}
+            for q in net.spec.qubits if q in groups and q in qubits}
 
 
 def compile_spec(spec: CircuitSpec, *, mode: str | None = None,
@@ -479,10 +473,3 @@ def compile_spec(spec: CircuitSpec, *, mode: str | None = None,
                  max_open: int = 26) -> CompileResult:
     mgr, nets = prepare([spec], mode=mode, order=order, open_inputs=open_inputs)
     return evaluate(mgr, nets[0], max_open=max_open)
-
-
-def compile_pair(spec_a: CircuitSpec, spec_b: CircuitSpec, *,
-                 mode: str | None = None):
-    """Compile two specs in one manager with shared open indices."""
-    mgr, nets = prepare([spec_a, spec_b], mode=mode)
-    return evaluate(mgr, nets[0]), evaluate(mgr, nets[1])

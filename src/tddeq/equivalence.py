@@ -1,27 +1,33 @@
 """Diagram-based equivalence decision procedures.
 
-``m_eq`` compares measurement-outcome probability masses: identical diagrams
-are equal; at a measurement index both diagrams split into their outcome
-branches with the accumulated weight's magnitude; below all measurement
-indices the masses are the diagram norms.  ``q_eq`` peels measurement
-indices off both diagrams and succeeds when every reachable residual
-sub-diagram is one and the same canonical node, i.e. the post-measurement
-state does not depend on the outcomes and agrees across the circuits.  One
-iterative walk per diagram (``_peel``) yields the residual nodes, their
-first measurement paths and the extreme path magnitudes; ``get_nodes``
-exposes the residual set.
+Both deciders rest on one walk, ``_peel``: it branches on the measurement
+indices from the root down, visits each measurement node once and yields the
+residual sub-diagrams below them; a residual that outranks a measurement
+index raises ``IndexOrderError``.  Everything else is a bottom-up fold over
+the nodes that walk visited.
+
+``m_eq`` folds each diagram into its outcome-mass diagram, P(c) = sum_x
+|t(c, x)|^2 over the measurement indices c, takes the difference of the two
+with one ``add`` and sums its magnitude in one more pass: the diagrams are
+m-equivalent when the total-variation distance 1/2 sum_c |P_a(c) - P_b(c)|
+is at most ``eps``, whatever the width of the register.  ``q_eq`` succeeds
+when every residual of both diagrams is one and the same canonical node,
+i.e. the post-measurement state does not depend on the outcomes and agrees
+across the circuits; ``get_nodes`` exposes the residual set.
 
 ``check`` drives the whole pipeline for a pair of circuit specs: compile
 both in circuit order, then decide.  The partitioned plan only puts a
-discard pass in front: it compiles per-qubit pieces, groups them into
-components that share no index in either circuit, and leaves the entries of
-the components identical in both out of that one compile.
+discard pass in front: it groups the qubits into components that share no
+index in either circuit, compiles per-qubit pieces of the components that
+could be discarded, and leaves the entries of the components identical in
+both out of that one compile.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import inf, ldexp
 
 from .circuits import CircuitSpec, Verdict, validate
 from .encode import (CompileError, CompileScaleError, CompileStats, evaluate,
@@ -33,118 +39,125 @@ class IndexOrderError(Exception):
     """Measurement indices are not on top of the compared diagrams."""
 
 
-# m_eq compares per-record masses, and past 2^26 records they may fall
-# below eps
-MAX_OUTPUT_BITS = 26
-
-
-def _check_top(mgr: TddManager, tdds, m_set) -> None:
-    if not m_set:
-        return
-    floor = min(x.rank for x in m_set)
-    stack = [t.root.node for t in tdds]
-    seen = set()
-    while stack:
-        node = stack.pop()
-        if node.rank <= floor or node in seen:
-            continue
-        if node.index not in m_set:
-            raise IndexOrderError(
-                f"index {node.index!r} outranks measurement index set")
-        seen.add(node)
-        stack += (node.low.node, node.high.node)
-
-
-def m_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, eps: float = DEFAULT_EPS,
-         witness: list | None = None) -> bool:
-    """Measurement-distribution equality of two compiled diagrams.
-
-    ``m_set`` holds the designated measurement indices; they must outrank
-    every other index occurring in either diagram.  Each diagram's masses
-    sum over its own indices only.
-    """
-    if mgr.identical(t1, t2):
-        return True
-    m_set = set(m_set)
-    _check_top(mgr, (t1, t2), m_set)
-    below = tuple(tuple(sorted(t.indices, key=lambda i: -i.rank)) for t in (t1, t2))
-    return _m_eq(mgr, t1.root, t2.root, m_set, below, eps, witness, (), set())
-
-
-def _m_eq(mgr, e1: TddEdge, e2: TddEdge, m_set, below, eps, witness, path,
-          done: set) -> bool:
-    # ``done`` holds the comparisons that held; a False ends the whole walk
-    key = (e1, e2, len(below[0]), len(below[1]))    # below is a suffix
-    if key in done or e1.node is e2.node and mgr.weights_equal(e1.weight, e2.weight):
-        return True
-    r1, r2 = e1.node.rank, e2.node.rank
-    top = max(r1, r2)
-    top_idx = mgr.index_at_rank(top) if top else None
-    if top_idx is None or top_idx not in m_set:
-        n1, n2 = (mgr.norm_edge(e, tuple(i for i in b if i.rank <= top or i not in m_set))
-                  for e, b in zip((e1, e2), below))
-        if abs(n1 - n2) <= eps:
-            done.add(key)
-            return True
-        if witness is not None:
-            witness.append({"kind": "outcome-mass", "path": list(path),
-                            "mass_a": n1, "mass_b": n2})
-        return False
-    rest = tuple(tuple(i for i in b if i.rank < top) for b in below)
-    sides = []
-    for e in (e1, e2):
-        if e.node.rank == top:
-            w = abs(e.weight)
-            lo = TddEdge(w * e.node.low.weight, e.node.low.node)
-            hi = TddEdge(w * e.node.high.weight, e.node.high.node)
-        else:
-            lo = hi = e
-        sides.append((lo, hi))
-    (l1, h1), (l2, h2) = sides
-    ok = (_m_eq(mgr, l1, l2, m_set, rest, eps, witness, path + ((top_idx.name, 0),), done)
-          and _m_eq(mgr, h1, h2, m_set, rest, eps, witness, path + ((top_idx.name, 1),), done))
-    if ok:
-        done.add(key)
-    return ok
-
-
 def _peel(mgr: TddManager, t: Tdd, m_set):
     """One walk over the measurement nodes of ``t``.
 
-    Returns ``(residuals, lo, hi)``: ``residuals`` maps every sub-diagram
+    Returns ``(residuals, nodes)``: ``residuals`` maps every sub-diagram
     root reached by branching on ``m_set`` indices to its first path in
-    low-before-high order, a list of ``(index name, bit)``; ``lo`` and ``hi``
-    are the least and greatest magnitude of the weight accumulated along a
-    path.  Zero-weight edges (impossible outcomes) are skipped.  The walk
-    keeps an explicit stack and visits each measurement node once, so its
-    cost is linear in the diagram, not in the number of paths.
+    low-before-high order, a list of ``(index name, bit)``; ``nodes`` lists
+    the measurement nodes visited, children first, for the callers' folds.
+    Zero-weight edges (impossible outcomes) are skipped.  The walk keeps an
+    explicit stack and visits each measurement node once, so its cost is
+    linear in the diagram, not in the number of paths.  A residual that
+    outranks an ``m_set`` index raises ``IndexOrderError``.
     """
-    def live(e: TddEdge) -> bool:
-        return e is not mgr.zero
-
+    floor = min((i.rank for i in m_set), default=inf)
     residuals: dict = {}
     seen = set()                     # measurement nodes visited
-    stack = [(t.root, ())] if live(t.root) else []
+    stack = [(t.root, ())] if t.root is not mgr.zero else []
     while stack:
         edge, path = stack.pop()
         node = edge.node
         if node is mgr.terminal or node.index not in m_set:
+            if node.rank > floor:
+                raise IndexOrderError(
+                    f"index {node.index!r} outranks measurement index set")
             residuals.setdefault(node, list(path))
         elif node not in seen:
             seen.add(node)
             name = node.index.name
             for bit, child in ((1, node.high), (0, node.low)):
-                if live(child):
+                if child is not mgr.zero:
                     stack.append((child, path + ((name, bit),)))
-    # least and greatest path magnitude below each node, children first
+    return residuals, sorted(seen, key=lambda n: n.rank)
+
+
+def _mass(mgr: TddManager, t: Tdd, m_set) -> TddEdge:
+    """Outcome-mass diagram of ``t``: P(c) = sum_x |t(c, x)|^2 over ``m_set``.
+
+    The sum runs over the other indices of ``t``.  A residual's mass is its
+    squared norm; a measurement node's mass diagram branches like the node,
+    each child's mass scaled by its squared edge magnitude.  The root edge
+    is not snapped to the grid: a wide register's masses lie far below it.
+    """
+    residuals, nodes = _peel(mgr, t, m_set)
+    rest = [i for i in t.indices if i not in m_set]
+    mass = {n: TddEdge(w, mgr.terminal) for n, w in mgr.norms(residuals, rest).items()}
+
+    def scaled(e: TddEdge) -> TddEdge:
+        if e is mgr.zero:
+            return e
+        p = mass[e.node]
+        return TddEdge(abs(e.weight) ** 2 * p.weight, p.node)
+
+    for node in nodes:
+        mass[node] = mgr.mk_edge(node.index, scaled(node.low), scaled(node.high))
+    return scaled(t.root)
+
+
+def _value(edge: TddEdge, path) -> float:
+    """Magnitude of the diagram of ``edge`` at the full record ``path``."""
+    w, node = edge.weight, edge.node
+    for name, bit in path:
+        if node.index is not None and node.index.name == name:
+            e = node.high if bit else node.low
+            w, node = w * e.weight, e.node
+    return abs(w)
+
+
+def m_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, eps: float = DEFAULT_EPS,
+         witness: list | None = None) -> bool:
+    """Equal measurement-outcome distributions, to total variation ``eps``.
+
+    ``m_set`` holds the designated measurement indices; they must outrank
+    every other index occurring in either diagram.  Each diagram's masses
+    sum over its own other indices.  Unless the diagrams are identical,
+    ``witness`` receives an ``outcome-mass`` record: the distance ``tv``,
+    the ``path`` of largest mass difference over every ``m_set`` index in
+    rank order (ties go to the low branch) and both masses there.
+    """
+    if mgr.identical(t1, t2):
+        return True
+    m_set = set(m_set)
+    pa, pb = (_mass(mgr, t, m_set) for t in (t1, t2))
+    # relative to the larger root mass, no mass meets the absolute grid
+    scale = max(abs(pa.weight), abs(pb.weight)) or 1.0
+    d = mgr.add(mgr.tdd(TddEdge(pa.weight / scale, pa.node), m_set),
+                mgr.tdd(TddEdge(-pb.weight / scale, pb.node), m_set))
+    _, nodes = _peel(mgr, d, m_set)
+    # per node: mean and largest |D| over the records of the m_set indices
+    # at or below it; an index that a node skips changes neither
+    mean, peak = {mgr.terminal: 1.0}, {mgr.terminal: 1.0}
+    for node in nodes:
+        ends = [(abs(e.weight), e.node) for e in (node.low, node.high)]
+        mean[node] = sum(w * mean[n] for w, n in ends) / 2
+        peak[node] = max(w * peak[n] for w, n in ends)
+    top = d.root.node
+    tv = ldexp(scale * abs(d.root.weight) * mean[top], len(m_set) - 1)
+    path, node = [], top
+    for i in sorted(m_set, key=lambda i: -i.rank):
+        bit = 0
+        if node.index is i:
+            lo, hi = node.low, node.high
+            bit = int(abs(hi.weight) * peak[hi.node] > abs(lo.weight) * peak[lo.node])
+            node = (hi if bit else lo).node
+        path.append((i.name, bit))
+    if witness is not None:
+        witness.append({"kind": "outcome-mass", "path": path, "tv": tv,
+                        "mass_a": _value(pa, path), "mass_b": _value(pb, path)})
+    return tv <= eps
+
+
+def _path_range(mgr: TddManager, t: Tdd, nodes) -> tuple[float, float]:
+    """Least and greatest weight magnitude along a peel path of ``t``."""
     lo: dict = {}
     hi: dict = {}
-    for node in sorted(seen, key=lambda n: n.rank):
-        ends = [(abs(e.weight), e.node) for e in (node.low, node.high) if live(e)]
+    for node in nodes:
+        ends = [(abs(e.weight), e.node) for e in (node.low, node.high) if e is not mgr.zero]
         lo[node] = min(w * lo.get(n, 1.0) for w, n in ends)
         hi[node] = max(w * hi.get(n, 1.0) for w, n in ends)
     w = abs(t.root.weight)            # 0.0 when no path is live
-    return residuals, w * lo.get(t.root.node, 1.0), w * hi.get(t.root.node, 1.0)
+    return w * lo.get(t.root.node, 1.0), w * hi.get(t.root.node, 1.0)
 
 
 def get_nodes(mgr: TddManager, t: Tdd, m_set) -> set:
@@ -166,10 +179,9 @@ def q_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, strict: bool = False,
     the definition itself demands.  Each diagram is walked once.
     """
     m_set = set(m_set)
-    _check_top(mgr, (t1, t2), m_set)
-    walks = [_peel(mgr, t, m_set) for t in (t1, t2)]
+    walks = [(t, *_peel(mgr, t, m_set)) for t in (t1, t2)]
     exemplars: dict = {}
-    for residuals, _, _ in walks:
+    for _, residuals, _ in walks:
         for node, path in residuals.items():
             exemplars.setdefault(node, path)
     if len(exemplars) != 1:
@@ -178,7 +190,8 @@ def q_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, strict: bool = False,
                             "paths": list(exemplars.values())[:2]})
         return False
     if strict:
-        for tag, (_, lo, hi) in zip("ab", walks):
+        for tag, (t, _, nodes) in zip("ab", walks):
+            lo, hi = _path_range(mgr, t, nodes)
             if hi - lo > eps:
                 if witness is not None:
                     witness.append({"kind": "branch-magnitude", "side": tag,
@@ -201,6 +214,7 @@ class CheckReport:
     max_nodes: int = 0
     discarded: int = 0
     fallback: bool = False
+    tv: float | None = None   # m-mode total-variation distance, else None
 
 
 def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
@@ -215,8 +229,10 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
     without peel indices) and compiles and compares the rest; pieces past
     the rank limit, or widened by outcome indices, discard nothing.  A
     NotEquivalent after a discard is re-checked with nothing discarded
-    before it is reported.  ``eps`` (default ``DEFAULT_EPS``) must satisfy
-    ``0 <= eps < 1``; anything else raises ``ValueError``.
+    before it is reported.  In m-mode ``eps`` (default ``DEFAULT_EPS``)
+    bounds the total-variation distance of the two outcome distributions,
+    reported as ``CheckReport.tv``; it must satisfy ``0 <= eps < 1``, and
+    anything else raises ``ValueError``.
     """
     eps = valid_eps(DEFAULT_EPS if eps is None else eps)
     t_start = time.perf_counter()
@@ -243,7 +259,7 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
 
 
 def valid_eps(eps: float) -> float:
-    """``eps`` itself if it is a usable mass tolerance, ``0 <= eps < 1``."""
+    """``eps`` itself if it is a usable distance bound, ``0 <= eps < 1``."""
     if not 0.0 <= eps < 1.0:      # also false for nan
         raise ValueError(f"eps must satisfy 0 <= eps < 1, got {eps!r}")
     return eps
@@ -259,28 +275,28 @@ def _compatible(a: CircuitSpec, b: CircuitSpec, mode: str) -> list[str]:
         errs.append("output bit counts differ")
     if mode == "m" and not a.output_bits:
         errs.append("m-mode check needs output bits")
-    if mode == "m" and len(a.output_bits) > MAX_OUTPUT_BITS:
-        errs.append(f"m-mode check compares at most {MAX_OUTPUT_BITS} output bits")
     return errs
 
 
-def _decide(mgr, nets, ta, tb, mode, eps, strict_q, witness) -> bool:
+def _decide(mgr, nets, ta, tb, mode, eps, strict_q, witness, report) -> bool:
     if mode == "m":
         m_set = {mgr.index(n) for n in nets[0].m_set}
-        return m_eq(mgr, ta, tb, m_set, eps, witness)
+        same = m_eq(mgr, ta, tb, m_set, eps, witness)
+        report.tv = witness[0]["tv"] if witness else 0.0
+        return same
     peel = {mgr.index(n) for n in nets[0].peel_set | nets[1].peel_set}
     return q_eq(mgr, ta, tb, peel, strict_q, eps, witness)
 
 
 def _check(spec_a, spec_b, mode, plan, eps, strict_q, report) -> Verdict:
     mgr, nets = prepare([spec_a, spec_b], mode=mode)
-    skip = _discards(mgr, nets, mode, report) if plan == "partitioned" else set()
+    skip = _discards(mgr, nets, report) if plan == "partitioned" else set()
     while True:
         ra = evaluate(mgr, nets[0], skip)
         rb = evaluate(mgr, nets[1], skip)
         _merge_stats(report, ra.stats, rb.stats)
         witness: list = []
-        if _decide(mgr, nets, ra.tdd, rb.tdd, mode, eps, strict_q, witness):
+        if _decide(mgr, nets, ra.tdd, rb.tdd, mode, eps, strict_q, witness, report):
             return Verdict.equivalent()
         if not skip:
             return Verdict.not_equivalent(witness)
@@ -290,39 +306,49 @@ def _check(spec_a, spec_b, mode, plan, eps, strict_q, report) -> Verdict:
         skip = set()
 
 
-def _components(pieces_a: dict, pieces_b: dict) -> list[list[str]]:
-    """Qubits grouped so that no index joins two groups, in A or in B."""
-    parent = {q: q for q in [*pieces_a, *pieces_b]}
+def _components(nets) -> list[list[str]]:
+    """Qubits grouped so that no index joins two groups, in A or in B.
+
+    A per-qubit piece keeps open exactly the indices its entries share with
+    other qubits' entries, so this is the grouping of the pieces' indices,
+    found before any piece is built.
+    """
+    parent = {e.partition: e.partition for net in nets for e in net.entries}
 
     def find(q):
         while parent[q] != q:
             q = parent[q]
         return q
 
-    for pieces in (pieces_a, pieces_b):
+    for net in nets:
         owner: dict[str, str] = {}
-        for q, p in pieces.items():
-            for i in p.indices:
-                parent[find(q)] = find(owner.setdefault(i.name, q))
+        for e in net.entries:
+            for n in e.indices:
+                parent[find(e.partition)] = find(owner.setdefault(n, e.partition))
     groups: dict[str, list[str]] = {}
     for q in parent:
         groups.setdefault(find(q), []).append(q)
     return list(groups.values())
 
 
-def _discards(mgr, nets, mode, report) -> set[str]:
+def _discards(mgr, nets, report) -> set[str]:
     """Qubits of the components of per-qubit pieces identical in both circuits.
 
     A component shares no index with the rest of either circuit, so each
-    diagram is its product with the rest, and identical factors cancel.  In
-    q-mode a component with peel indices stays.  Pieces that outgrow the
-    rank limit, or that outcome indices widen (a piece has no norm to
-    check), discard nothing.
+    diagram is its product with the rest, and identical factors cancel.  A
+    component whose entries name a peel index (q-mode outcomes and
+    discards) always stays, so none of its pieces is built.  Pieces that
+    outgrow the rank limit, or that outcome indices widen (a piece has no
+    norm to check), discard nothing.
     """
+    peel = nets[0].peel_set | nets[1].peel_set
+    peeled = {e.partition for net in nets for e in net.entries if peel.intersection(e.indices)}
+    comps = [qubits for qubits in _components(nets) if peeled.isdisjoint(qubits)]
+    wanted = {q for qubits in comps for q in qubits}
     stats = CompileStats()
     t0 = time.perf_counter()
     try:
-        pieces_a, pieces_b = (evaluate_pieces(mgr, net, stats) for net in nets)
+        pieces_a, pieces_b = (evaluate_pieces(mgr, net, stats, wanted) for net in nets)
     except CompileScaleError:
         return set()
     finally:
@@ -330,15 +356,12 @@ def _discards(mgr, nets, mode, report) -> set[str]:
         report.max_nodes = max(report.max_nodes, stats.max_nodes)
     if stats.wide:
         return set()
-    peel = {mgr.index(n) for n in nets[0].peel_set | nets[1].peel_set}
 
     def same(q):
         ta, tb = pieces_a.get(q), pieces_b.get(q)
-        return (ta is not None and tb is not None and mgr.identical(ta, tb)
-                and (mode == "m" or not mgr.support(ta) & peel))
+        return ta is not None and tb is not None and mgr.identical(ta, tb)
 
-    dropped = {q for comp in _components(pieces_a, pieces_b)
-               if all(same(q) for q in comp) for q in comp}
+    dropped = {q for qubits in comps if all(same(q) for q in qubits) for q in qubits}
     report.discarded = len(dropped)
     return dropped
 

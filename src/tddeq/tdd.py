@@ -54,7 +54,7 @@ _KINDS = (KIND_WIRE, KIND_OUTCOME, KIND_PRINCIPAL)
 
 # Every tolerance of the package, and the dense-size and cache limits.
 GRID = 1e-9           # weights are keyed on this grid (see ``wkey``)
-DEFAULT_EPS = 1e-10   # default outcome-mass tolerance of ``check``
+DEFAULT_EPS = 1e-10   # default bound of ``check`` on m-mode total variation
 UNITARY_TOL = 1e-10   # largest entry of U^H U - I a gate may have
 ORACLE_ATOL = 1e-9    # entrywise tolerance of the dense oracle's comparisons
 ORACLE_LIVE = 1e-12   # a branch Choi matrix at most this large is impossible
@@ -143,7 +143,6 @@ class TddManager:
     def __init__(self, order: Iterable[tuple[str, str]]):
         names = list(order)
         self._by_name: dict[str, IndexId] = {}
-        self._by_rank: dict[int, IndexId] = {}
         n = len(names)
         for pos, (name, kind) in enumerate(names):
             if kind not in _KINDS:
@@ -152,7 +151,6 @@ class TddManager:
                 raise TddError(f"duplicate index name {name!r}")
             idx = IndexId(name, n - pos, kind)
             self._by_name[name] = idx
-            self._by_rank[idx.rank] = idx
         self.terminal = TddNode(None, None, None)
         self.zero = TddEdge(0.0 + 0.0j, self.terminal)
         self.one = TddEdge(1.0 + 0.0j, self.terminal)
@@ -165,20 +163,11 @@ class TddManager:
     def index(self, name: str) -> IndexId:
         return self._by_name[name]
 
-    def index_at_rank(self, rank: int) -> IndexId:
-        return self._by_rank[rank]
-
     @property
     def indices(self) -> tuple[IndexId, ...]:
         return tuple(sorted(self._by_name.values(), key=lambda i: -i.rank))
 
     # -- weights -----------------------------------------------------------
-
-    def wkey(self, w) -> tuple[int, int]:
-        return wkey(w)
-
-    def weights_equal(self, a, b) -> bool:
-        return wkey(a) == wkey(b)
 
     def _canon(self, w, node) -> TddEdge:
         # wkey(w) == ZERO_KEY without the tuple: round(y) == 0 iff |y| <= 0.5
@@ -416,19 +405,23 @@ class TddManager:
         return self.norm_edge(t.root, t.indices)
 
     def norm_edge(self, edge: TddEdge, indices: tuple[IndexId, ...]) -> float:
-        """Squared norm of the tensor of ``edge`` over the declared ``indices``.
-
-        One pass over the reachable nodes in ascending rank.  Every declared
-        index skipped between a node and its successor doubles that
-        successor's norm.
-        """
+        """Squared norm of the tensor of ``edge`` over the declared ``indices``."""
         w2 = abs(edge.weight) ** 2
         if w2 == 0.0:
             return 0.0
+        return w2 * self.norms([edge.node], indices)[edge.node]
+
+    def norms(self, roots, indices: Sequence[IndexId]) -> dict[TddNode, float]:
+        """Squared norm over the declared ``indices`` of each root node.
+
+        One pass over the nodes reachable from any root, in ascending rank.
+        Every declared index skipped between a node and its successor
+        doubles that successor's norm.
+        """
         ranks = sorted(i.rank for i in indices)
         pos = {self.terminal: -1}    # node -> position of its rank in ranks
         norm = {self.terminal: 1.0}
-        for node in sorted(self._reachable(edge.node), key=lambda n: n.rank):
+        for node in sorted(self._reachable(*roots), key=lambda n: n.rank):
             if node is self.terminal:
                 continue
             p = bisect_left(ranks, node.rank)
@@ -442,7 +435,7 @@ class TddManager:
                     norm[succ.node], p - pos[succ.node] - 1)
             pos[node] = p
             norm[node] = out
-        return w2 * _times_pow2(norm[edge.node], len(ranks) - pos[edge.node] - 1)
+        return {r: _times_pow2(norm[r], len(ranks) - pos[r] - 1) for r in roots}
 
     # -- structural queries --------------------------------------------------
 
@@ -451,7 +444,7 @@ class TddManager:
         if a.root.node is not b.root.node and (
                 self._foreign(a.root.node) or self._foreign(b.root.node)):
             raise TddError("identical() across managers is not defined")
-        return a.root.node is b.root.node and self.weights_equal(a.root.weight, b.root.weight)
+        return a.root.node is b.root.node and wkey(a.root.weight) == wkey(b.root.weight)
 
     def _foreign(self, node) -> bool:
         if node is self.terminal:
@@ -462,10 +455,10 @@ class TddManager:
                wkey(node.high.weight), node.high.node)
         return self._unique.get(key) is not node
 
-    def _reachable(self, root: TddNode) -> set[TddNode]:
-        """Unique nodes reachable from ``root``, terminal included."""
-        seen = {root}
-        stack = [root]
+    def _reachable(self, *roots: TddNode) -> set[TddNode]:
+        """Unique nodes reachable from any of ``roots``, terminal included."""
+        seen = set(roots)
+        stack = list(seen)
         while stack:
             node = stack.pop()
             if node.index is not None:
@@ -478,11 +471,6 @@ class TddManager:
     def node_count(self, t: Tdd) -> int:
         """Number of reachable unique nodes, terminal included."""
         return len(self._reachable(t.root.node))
-
-    def support(self, t: Tdd) -> frozenset[IndexId]:
-        """Indices actually occurring on nodes of the diagram."""
-        return frozenset(node.index for node in self._reachable(t.root.node)
-                         if node.index is not None)
 
     # -- debug export ----------------------------------------------------------
 

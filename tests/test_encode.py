@@ -10,9 +10,10 @@ from tddeq import benchmarks as B
 from tddeq.circuits import (CircuitSpec, Conventional, Measure, MeasureStep,
                             gate, seq, validate)
 from tddeq.encode import (BLOCK_LEGS, CompileScaleError, CompileStats,
-                          _count_uses, _entry_tensor, compile_pair, compile_spec,
+                          _count_uses, _entry_tensor, compile_spec,
                           contract_all, controlled_gate_tensor,
-                          evaluate_pieces, measurement_tensor, prepare)
+                          evaluate, evaluate_pieces, measurement_tensor,
+                          prepare)
 from tddeq.equivalence import check
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
 from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, TddManager
@@ -23,7 +24,7 @@ def compile_by_pieces(spec, **kw):
     """Per-qubit partition diagrams contracted by the one loop."""
     mgr, (net,) = prepare([spec], **kw)
     stats = CompileStats()
-    pieces = evaluate_pieces(mgr, net, stats)
+    pieces = evaluate_pieces(mgr, net, stats, spec.qubits)
     # each piece accounts for its own open indices
     factors = [(p, [i.name for i in p.indices]) for p in pieces.values()]
     uses = Counter(n for _, names in factors for n in names)
@@ -90,7 +91,8 @@ def test_copy_control_fusion_gives_cnot():
 def test_controlled_identity_reduces_away():
     m = small_mgr()
     t = controlled_gate_tensor(m, np.eye(2), m.index("c"), m.index("x"), m.index("y"))
-    assert m.index("c") not in m.support(t)
+    # c ranks first, so a diagram that depended on it would have it at the root
+    assert t.root.node.index is not m.index("c")
 
 
 def test_controlled_sdg_dense_form():
@@ -111,7 +113,8 @@ def test_controlled_sdg_dense_form():
 
 def test_compile_pe_pair_identical():
     pair = B.pe_pair(2, 0.25)
-    ra, rb = compile_pair(pair.spec_a, pair.spec_b)
+    mgr, nets = prepare([pair.spec_a, pair.spec_b])
+    ra, rb = (evaluate(mgr, net) for net in nets)
     assert ra.mgr.identical(ra.tdd, rb.tdd)
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from tddeq import benchmarks as B
+from tddeq import oracle
 from tddeq.circuits import (Branch, CircuitSpec, CondGate, Conventional,
                             Measure, MeasureStep, flatten, gate, seq, validate)
-from tddeq.encode import compile_pair
+from tddeq.encode import evaluate, prepare
 from tddeq.equivalence import IndexOrderError, check, get_nodes, m_eq, q_eq
 from tddeq.logic import BoolFunc
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
@@ -38,7 +39,8 @@ def test_m_eq_identical_is_true():
 
 def test_m_eq_compiled_pe_pair():
     pair = B.pe_pair(2, 0.25)
-    ra, rb = compile_pair(pair.spec_a, pair.spec_b)
+    mgr, nets = prepare([pair.spec_a, pair.spec_b])
+    ra, rb = (evaluate(mgr, net) for net in nets)
     assert m_eq(ra.mgr, ra.tdd, rb.tdd, set(ra.m_set))
 
 
@@ -52,6 +54,7 @@ def test_m_eq_global_scale_is_detected():
     assert not m_eq(m, t1, t2, {m.index("c0")}, witness=witness)
     w = witness[0]
     assert abs(w["mass_b"] - 4 * w["mass_a"]) < 1e-9
+    assert w["tv"] == pytest.approx(1.5)      # 1/2 (|0.5 - 2| + |0.5 - 2|)
 
 
 def test_m_eq_phase_only_difference_is_equivalent():
@@ -63,7 +66,7 @@ def test_m_eq_phase_only_difference_is_equivalent():
 
 
 def test_m_eq_scaling_property():
-    # for single-measurement-index diagrams, m_eq(t, c*t) iff | |c|^2 - 1 | <= eps
+    # for a normalised t, m_eq(t, c*t) iff the distance 1/2 | |c|^2 - 1 | <= eps
     m = meas_mgr()
     rng = np.random.default_rng(3)
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -119,7 +122,8 @@ def test_get_nodes_skips_zero_branches():
 
 def test_get_nodes_teleport_singleton():
     pair = B.teleport_pair()
-    ra, rb = compile_pair(pair.spec_a, pair.spec_b)
+    mgr, nets = prepare([pair.spec_a, pair.spec_b])
+    ra, rb = (evaluate(mgr, net) for net in nets)
     peel = set(ra.peel_set) | set(rb.peel_set)
     na = get_nodes(ra.mgr, ra.tdd, peel)
     nb = get_nodes(rb.mgr, rb.tdd, peel)
@@ -139,7 +143,7 @@ def test_peel_walk_is_iterative_and_linear():
     ms = set(t.indices)
     assert get_nodes(m, t, ms) == {m.terminal}
     assert q_eq(m, t, t, ms, strict=True)
-    assert len(m.support(t)) == n
+    assert m.node_count(t) == n + 1
 
 
 def wide_cx_spec(with_cond: bool) -> CircuitSpec:
@@ -269,27 +273,28 @@ def test_m_eq_sums_each_side_over_its_own_indices():
 
 
 def test_m_eq_compares_each_pair_of_sub_diagrams_once(monkeypatch):
-    # equal records share sub-diagram pairs: 16 bits cost 2^17 norm_edge
-    # calls without a memo of the comparisons that held
+    # the 2^16 records share sub-diagrams: each side's residual masses come
+    # from one pass of ``norms``
     calls = []
-    norm = TddManager.norm_edge
-    monkeypatch.setattr(TddManager, "norm_edge",
-                        lambda *a: calls.append(a) or norm(*a))
+    norms = TddManager.norms
+    monkeypatch.setattr(TddManager, "norms",
+                        lambda *a: calls.append(a) or norms(*a))
     n = 16
     a = parse(reread_text(n))
     assert check(a, parse(reread_text(n).rsplit("gate H q\n", 1)[0]),
                  "m")[0].status == "equivalent"
-    assert len(calls) <= 4 * n
+    assert len(calls) == 2
     wide = reread_text(26)
     assert check(parse(wide), parse(wide.rsplit("gate H q\n", 1)[0]),
                  "m")[0].status == "equivalent"
-    # a False still ends the walk at the first differing record
-    v, _ = check(a, parse(reread_text(n, skip_h=8)), "m")
+    # every record differs by 2^-16, so the tie goes to the all-low record
+    v, report = check(a, parse(reread_text(n, skip_h=8)), "m")
     assert v.status == "not-equivalent"
     (w,) = v.witness
     assert (w["kind"], w["path"]) == \
         ("outcome-mass", [(f"outbit:{k}", 0) for k in range(n)])
     assert (w["mass_a"], w["mass_b"]) == pytest.approx((2.0 ** -16, 2.0 ** -15))
+    assert w["tv"] == report.tv == pytest.approx(0.5)
 
 
 def test_engine_errors_are_inconclusive(monkeypatch):
@@ -303,19 +308,38 @@ def test_engine_errors_are_inconclusive(monkeypatch):
         assert v.status == "inconclusive" and v.reason.startswith("engine error")
 
 
-@pytest.mark.parametrize("n,outbits,reason", [
+@pytest.mark.parametrize("n,outbits,want", [
     (64, False, "norm drift"),        # every amplitude rounds to zero
-    (64, True, "at most 26 output bits"),
-    (40, True, "at most 26 output bits")])   # masses of 2^-40 < eps
-def test_wide_outcome_register_is_not_vacuous(n, outbits, reason):
+    (64, True, "norm drift"),
+    (40, True, "not-equivalent")])    # records of mass 2^-40 < eps
+def test_wide_outcome_register_is_not_vacuous(n, outbits, want):
     # the pairs differ: bit n-1 repeats bit n-2 in B, or s = r in A and
     # s = !r in B
     a = parse(reread_text(n, outbits=outbits))
     b = parse(reread_text(n, skip_h=n - 1) if outbits else
               reread_text(n, outbits=False, flip=True))
     for plan in ("basic", "partitioned"):
-        v, _ = check(a, b, "m", plan=plan)
-        assert v.status == "inconclusive" and reason in v.reason, (plan, v)
+        v, report = check(a, b, "m", plan=plan)
+        if want == "not-equivalent":
+            assert v.status == want and report.tv == pytest.approx(0.5), (plan, v)
+        else:
+            assert v.status == "inconclusive" and want in v.reason, (plan, v)
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_wide_uniform_register_decides_on_total_variation(n):
+    # B repeats bit n-1 from bit n-2: half of A's 2^n records cannot occur,
+    # the other half are twice as likely, at any width; dropping only the
+    # trailing H leaves every record's mass alone
+    a = parse(reread_text(n))
+    b = parse(reread_text(n, skip_h=n - 1))
+    c = parse(reread_text(n).rsplit("gate H q\n", 1)[0])
+    for plan in ("basic", "partitioned"):
+        v, report = check(a, b, "m", plan=plan)
+        assert v.status == "not-equivalent", (plan, v)
+        assert abs(report.tv - 0.5) <= 1e-9 and v.witness[0]["tv"] == report.tv
+        v, report = check(a, c, "m", plan=plan)
+        assert v.status == "equivalent" and report.tv <= 1e-10, (plan, v)
 
 
 def test_wide_registers_are_decided():
@@ -332,7 +356,8 @@ def test_wide_registers_are_decided():
 
 def test_q_eq_teleport_vs_swap():
     pair = B.teleport_pair()
-    ra, rb = compile_pair(pair.spec_a, pair.spec_b)
+    mgr, nets = prepare([pair.spec_a, pair.spec_b])
+    ra, rb = (evaluate(mgr, net) for net in nets)
     peel = set(ra.peel_set) | set(rb.peel_set)
     assert q_eq(ra.mgr, ra.tdd, rb.tdd, peel)
     assert q_eq(ra.mgr, ra.tdd, rb.tdd, peel, strict=True)
@@ -463,15 +488,19 @@ def injection_chain_text(rounds: int, drop: int | None = None) -> str:
 
 @pytest.mark.parametrize("drop", [None, 5], ids=["whole", "one-correction-dropped"])
 def test_both_plans_decide_a_long_injection_chain(drop):
-    # q's per-qubit piece keeps a's wires open at all 14 CX gates, 30 open
-    # legs against the limit of 26; the circuit-order fold stays narrow
+    # q's per-qubit piece would keep a's wires open at all 14 CX gates, 30
+    # open legs against the limit of 26; the circuit-order fold stays narrow
     a = parse(injection_chain_text(14, drop))
     bare = parse(f"qubits q\ninputs q\noutputs q\ngate P({14 * math.pi / 4!r}) q\n")
     want = "equivalent" if oracle_q_eq(a, bare) else "not-equivalent"
     assert want == ("equivalent" if drop is None else "not-equivalent")
+    reports = {}
     for plan in ("basic", "partitioned"):
-        v, _ = check(a, bare, "q", plan=plan)
+        v, reports[plan] = check(a, bare, "q", plan=plan)
         assert v.status == want, (plan, v)
+    # every qubit meets a peel index, so the discard pass builds no piece
+    assert reports["partitioned"].max_nodes == reports["basic"].max_nodes
+    assert reports["partitioned"].tv is None
 
 
 @pytest.mark.parametrize("plan,strict_q", [
@@ -487,6 +516,33 @@ def test_verdict_agreement_with_oracle_random(plan, strict_q):
         assert v.status in ("equivalent", "not-equivalent")
         oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert (v.status == "equivalent") == oracle, (k, mode)
+
+
+@pytest.mark.parametrize("plan", ["basic", "partitioned"])
+def test_outcome_mass_witness_replays_against_the_oracle(plan):
+    # the witness is a full output record; its masses are the two circuits'
+    # probabilities of that record, and tv their total-variation distance
+    rng = random.Random(43)
+    replayed = 0
+    for _ in range(60):
+        a = B.random_dqc(rng, "m", n_qubits=rng.randint(2, 5))
+        b = next(B.mutations(a, rng), (None, None))[1]
+        if b is None:
+            continue
+        v, report = check(a, b, "m", plan=plan)
+        if v.status != "not-equivalent":
+            continue
+        (w,) = v.witness
+        assert [name for name, _ in w["path"]] == \
+            [f"outbit:{k}" for k in range(len(a.output_bits))]
+        record = "".join(str(bit) for _, bit in w["path"])
+        pa, pb = oracle.outcome_distribution(a), oracle.outcome_distribution(b)
+        assert abs(pa.get(record, 0.0) - w["mass_a"]) <= 1e-9
+        assert abs(pb.get(record, 0.0) - w["mass_b"]) <= 1e-9
+        tv = 0.5 * sum(abs(pa.get(c, 0.0) - pb.get(c, 0.0)) for c in {*pa, *pb})
+        assert w["tv"] == report.tv and abs(tv - report.tv) <= 1e-9
+        replayed += 1
+    assert replayed >= 10
 
 
 def _random_expr(rng, bits, depth=2) -> str:

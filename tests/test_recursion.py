@@ -22,7 +22,6 @@ RECURSIVE = {
     "logic._restrict",
     "logic.BoolFunc.relabel.go",
     "logic.func_to_tensor.lift",
-    "equivalence._m_eq",
 }
 
 
