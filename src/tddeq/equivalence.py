@@ -3,15 +3,14 @@
 Both deciders rest on one walk, ``_peel``: it branches on the measurement
 indices from the root down, visits each measurement node once and yields the
 residual sub-diagrams below them; a residual that outranks a measurement
-index raises ``IndexOrderError``.  Everything else is a bottom-up fold over
-the nodes that walk visited.
+index raises ``IndexOrderError``.
 
-``m_eq`` folds each diagram into its outcome-mass diagram, P(c) = sum_x
-|t(c, x)|^2 over the measurement indices c, takes the difference of the two
-with one ``add`` and sums its magnitude in one more pass: the diagrams are
-m-equivalent when the total-variation distance 1/2 sum_c |P_a(c) - P_b(c)|
-is at most ``eps``, whatever the width of the register.  ``q_eq`` succeeds
-when every residual of both diagrams is one and the same canonical node,
+``m_eq`` weighs each record c of the measurement indices with its mass
+P(c) = sum_x |t(c, x)|^2 and walks the two diagrams jointly, pair of nodes
+by pair of nodes, in plain floats: the diagrams are m-equivalent when the
+total-variation distance 1/2 sum_c |P_a(c) - P_b(c)| is at most ``eps``,
+whatever the width of the register.  ``q_eq`` succeeds when every
+residual of both diagrams is one and the same canonical node,
 i.e. the post-measurement state does not depend on the outcomes and agrees
 across the circuits; ``get_nodes`` exposes the residual set.
 
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import inf, ldexp
+from math import frexp, inf, ldexp
 
 from .circuits import CircuitSpec, Verdict, validate
 from .encode import (CompileError, CompileScaleError, CompileStats, evaluate,
@@ -45,11 +44,10 @@ def _peel(mgr: TddManager, t: Tdd, m_set):
     Returns ``(residuals, nodes)``: ``residuals`` maps every sub-diagram
     root reached by branching on ``m_set`` indices to its first path in
     low-before-high order, a list of ``(index name, bit)``; ``nodes`` lists
-    the measurement nodes visited, children first, for the callers' folds.
-    Zero-weight edges (impossible outcomes) are skipped.  The walk keeps an
-    explicit stack and visits each measurement node once, so its cost is
-    linear in the diagram, not in the number of paths.  A residual that
-    outranks an ``m_set`` index raises ``IndexOrderError``.
+    the measurement nodes visited, children first.  Zero-weight edges
+    (impossible outcomes) are skipped.  An explicit stack visits each
+    measurement node once, so the cost is linear in the diagram, not in the
+    number of paths.  A residual outranking ``m_set`` raises ``IndexOrderError``.
     """
     floor = min((i.rank for i in m_set), default=inf)
     residuals: dict = {}
@@ -72,80 +70,92 @@ def _peel(mgr: TddManager, t: Tdd, m_set):
     return residuals, sorted(seen, key=lambda n: n.rank)
 
 
-def _mass(mgr: TddManager, t: Tdd, m_set) -> TddEdge:
-    """Outcome-mass diagram of ``t``: P(c) = sum_x |t(c, x)|^2 over ``m_set``.
+def _distance(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, witness: list | None) -> float:
+    """Total-variation distance of the outcome distributions of two diagrams.
 
-    The sum runs over the other indices of ``t``.  A residual's mass is its
-    squared norm; a measurement node's mass diagram branches like the node,
-    each child's mass scaled by its squared edge magnitude.  The root edge
-    is not snapped to the grid: a wide register's masses lie far below it.
+    A record c of ``m_set`` has mass P(c) = sum_x |t(c, x)|^2 over the
+    diagram's own other indices.  A walk down finds the pairs of nodes of
+    the two diagrams, each with the weights x, y of its masses; a fold back
+    up sums |x P_a - y P_b| in plain floats (an index both nodes skip
+    doubles it), so the distance resolves far below ``GRID``.  Pairs whose
+    ratios x/y agree to 46 bits share one value, which moves the sum by at
+    most 2^-46 of the masses per index.  Unless the roots are one node of
+    one magnitude, ``witness`` receives an ``outcome-mass`` record: ``tv``,
+    the ``path`` of largest mass difference over every ``m_set`` index in
+    rank order (ties go low) and both masses.
     """
-    residuals, nodes = _peel(mgr, t, m_set)
-    rest = [i for i in t.indices if i not in m_set]
-    mass = {n: TddEdge(w, mgr.terminal) for n, w in mgr.norms(residuals, rest).items()}
+    if t1.root.node is t2.root.node and abs(t1.root.weight) == abs(t2.root.weight):
+        return 0.0
+    order = sorted(m_set, key=lambda i: i.rank)
+    level = {i: k for k, i in enumerate(order, 1)}
+    mass_a, mass_b = (mgr.norms(_peel(mgr, t, m_set)[0], [i for i in t.indices if i not in m_set])
+                      for t in (t1, t2))
 
-    def scaled(e: TddEdge) -> TddEdge:
-        if e is mgr.zero:
-            return e
-        p = mass[e.node]
-        return TddEdge(abs(e.weight) ** 2 * p.weight, p.node)
+    def children(na, nb, x, y):
+        """The pair's level and the two pairs below it, low first."""
+        k = max(level.get(na.index, 0), level.get(nb.index, 0))
+        if k == 0:
+            return 0, []
+        ends = [[(1.0, n)] * 2 if level.get(n.index, 0) < k else
+                [(abs(e.weight) ** 2, e.node) for e in (n.low, n.high)] for n in (na, nb)]
+        return k, [(ca, cb, x * wa, y * wb) for (wa, ca), (wb, cb) in zip(*ends)]
 
-    for node in nodes:
-        mass[node] = mgr.mk_edge(node.index, scaled(node.low), scaled(node.high))
-    return scaled(t.root)
+    def key(pair):
+        """Memo key of a pair and its larger weight; None when both are zero."""
+        na, nb, x, y = pair
+        s = max(x, y)
+        if s == 0.0:
+            return None, s
+        m, e = frexp(min(x, y) / s)
+        return (na, nb, x < y, e, round(m * 0x400000000000)), s
 
+    root = (t1.root.node, t2.root.node, abs(t1.root.weight) ** 2, abs(t2.root.weight) ** 2)
+    rk, rs = key(root)
+    value = {None: (0.0, 0.0, 0)}     # key -> sum, peak and level of |x P_a - y P_b|
+    below = {None: (0, [])}           # key -> level and the keys of the pairs below
+    todo = [(rk, root, rs)]
+    for k, (na, nb, x, y), s in todo:   # walk down: each key once, in units of s
+        if k in below:
+            continue
+        lvl, kids = children(na, nb, x / s, y / s)
+        below[k] = (lvl, [key(c) for c in kids])
+        todo += [(ck, c, cs) for (ck, cs), c in zip(below[k][1], kids)]
+        if lvl == 0:
+            d = abs((x and x / s * mass_a[na]) - (y and y / s * mass_b[nb]))
+            value[k] = (d, d, 0)
 
-def _value(edge: TddEdge, path) -> float:
-    """Magnitude of the diagram of ``edge`` at the full record ``path``."""
-    w, node = edge.weight, edge.node
-    for name, bit in path:
-        if node.index is not None and node.index.name == name:
-            e = node.high if bit else node.low
-            w, node = w * e.weight, e.node
-    return abs(w)
+    def known(k, s):
+        total, peak, lvl = value[k]
+        return s * total, s * peak, lvl
+
+    for k, (lvl, sub) in sorted(below.items(), key=lambda kv: kv[1][0]):
+        if lvl:                       # fold back up, lowest level first
+            ends = [known(*c) for c in sub]
+            value[k] = (sum(ldexp(t, lvl - 1 - cl) for t, _, cl in ends),
+                        max(p for _, p, _ in ends), lvl)
+    total, _, lvl = known(rk, rs)
+    tv = ldexp(total, len(order) - lvl - 1)
+    if witness is not None:
+        path, (na, nb, x, y) = [], root
+        for i in reversed(order):
+            lvl, kids = children(na, nb, x, y)
+            bit = 0
+            if lvl == level[i]:
+                bit = int(known(*key(kids[1]))[1] > known(*key(kids[0]))[1])
+                na, nb, x, y = kids[bit]
+            path.append((i.name, bit))
+        witness.append({"kind": "outcome-mass", "path": path, "tv": tv,
+                        "mass_a": x and x * mass_a[na], "mass_b": y and y * mass_b[nb]})
+    return tv
 
 
 def m_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, eps: float = DEFAULT_EPS,
          witness: list | None = None) -> bool:
-    """Equal measurement-outcome distributions, to total variation ``eps``.
+    """Equal outcome distributions over ``m_set``, to total variation ``eps``.
 
-    ``m_set`` holds the designated measurement indices; they must outrank
-    every other index occurring in either diagram.  Each diagram's masses
-    sum over its own other indices.  Unless the diagrams are identical,
-    ``witness`` receives an ``outcome-mass`` record: the distance ``tv``,
-    the ``path`` of largest mass difference over every ``m_set`` index in
-    rank order (ties go to the low branch) and both masses there.
-    """
-    if mgr.identical(t1, t2):
-        return True
-    m_set = set(m_set)
-    pa, pb = (_mass(mgr, t, m_set) for t in (t1, t2))
-    # relative to the larger root mass, no mass meets the absolute grid
-    scale = max(abs(pa.weight), abs(pb.weight)) or 1.0
-    d = mgr.add(mgr.tdd(TddEdge(pa.weight / scale, pa.node), m_set),
-                mgr.tdd(TddEdge(-pb.weight / scale, pb.node), m_set))
-    _, nodes = _peel(mgr, d, m_set)
-    # per node: mean and largest |D| over the records of the m_set indices
-    # at or below it; an index that a node skips changes neither
-    mean, peak = {mgr.terminal: 1.0}, {mgr.terminal: 1.0}
-    for node in nodes:
-        ends = [(abs(e.weight), e.node) for e in (node.low, node.high)]
-        mean[node] = sum(w * mean[n] for w, n in ends) / 2
-        peak[node] = max(w * peak[n] for w, n in ends)
-    top = d.root.node
-    tv = ldexp(scale * abs(d.root.weight) * mean[top], len(m_set) - 1)
-    path, node = [], top
-    for i in sorted(m_set, key=lambda i: -i.rank):
-        bit = 0
-        if node.index is i:
-            lo, hi = node.low, node.high
-            bit = int(abs(hi.weight) * peak[hi.node] > abs(lo.weight) * peak[lo.node])
-            node = (hi if bit else lo).node
-        path.append((i.name, bit))
-    if witness is not None:
-        witness.append({"kind": "outcome-mass", "path": path, "tv": tv,
-                        "mass_a": _value(pa, path), "mass_b": _value(pb, path)})
-    return tv <= eps
+    The ``m_set`` indices must outrank every other index of either diagram;
+    ``witness`` is filled as ``_distance`` describes."""
+    return _distance(mgr, t1, t2, set(m_set), witness) <= eps
 
 
 def _path_range(mgr: TddManager, t: Tdd, nodes) -> tuple[float, float]:
@@ -161,11 +171,8 @@ def _path_range(mgr: TddManager, t: Tdd, nodes) -> tuple[float, float]:
 
 
 def get_nodes(mgr: TddManager, t: Tdd, m_set) -> set:
-    """Sub-diagram roots reached by branching on measurement indices.
-
-    Zero-weight edges (impossible outcomes) are skipped so that the
-    unreachable zero node cannot spuriously break the singleton test.
-    """
+    """Sub-diagram roots reached by branching on measurement indices, past
+    no zero-weight edge (an impossible outcome leaves no residual)."""
     return set(_peel(mgr, t, set(m_set))[0])
 
 
@@ -280,10 +287,8 @@ def _compatible(a: CircuitSpec, b: CircuitSpec, mode: str) -> list[str]:
 
 def _decide(mgr, nets, ta, tb, mode, eps, strict_q, witness, report) -> bool:
     if mode == "m":
-        m_set = {mgr.index(n) for n in nets[0].m_set}
-        same = m_eq(mgr, ta, tb, m_set, eps, witness)
-        report.tv = witness[0]["tv"] if witness else 0.0
-        return same
+        report.tv = _distance(mgr, ta, tb, {mgr.index(n) for n in nets[0].m_set}, witness)
+        return report.tv <= eps
     peel = {mgr.index(n) for n in nets[0].peel_set | nets[1].peel_set}
     return q_eq(mgr, ta, tb, peel, strict_q, eps, witness)
 
@@ -294,7 +299,10 @@ def _check(spec_a, spec_b, mode, plan, eps, strict_q, report) -> Verdict:
     while True:
         ra = evaluate(mgr, nets[0], skip)
         rb = evaluate(mgr, nets[1], skip)
-        _merge_stats(report, ra.stats, rb.stats)
+        for s in (ra.stats, rb.stats):
+            report.tdd_time += s.tdd_time
+            report.final_nodes = max(report.final_nodes, s.final_nodes)
+            report.max_nodes = max(report.max_nodes, s.max_nodes)
         witness: list = []
         if _decide(mgr, nets, ra.tdd, rb.tdd, mode, eps, strict_q, witness, report):
             return Verdict.equivalent()
@@ -364,10 +372,3 @@ def _discards(mgr, nets, report) -> set[str]:
     dropped = {q for qubits in comps if all(same(q) for q in qubits) for q in qubits}
     report.discarded = len(dropped)
     return dropped
-
-
-def _merge_stats(report: CheckReport, *stats: CompileStats):
-    for s in stats:
-        report.tdd_time += s.tdd_time
-        report.final_nodes = max(report.final_nodes, s.final_nodes)
-        report.max_nodes = max(report.max_nodes, s.max_nodes)

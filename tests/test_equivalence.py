@@ -57,6 +57,20 @@ def test_m_eq_global_scale_is_detected():
     assert w["tv"] == pytest.approx(1.5)      # 1/2 (|0.5 - 2| + |0.5 - 2|)
 
 
+@pytest.mark.parametrize("theta,want", [
+    (4e-5, "not-equivalent"),         # TV = sin^2(theta / 2) = 4e-10
+    (2.5e-5, "not-equivalent"),       # 1.56e-10: between eps and GRID
+    (1e-5, "equivalent")])            # 2.5e-11: below eps
+def test_total_variation_resolves_below_the_weight_grid(theta, want):
+    a = parse("qubits q\ninit q=0\noutbits c\nmeasure q -> c\n")
+    b = parse("qubits q\ninit q=0\noutbits c\ngate H q\n"
+              f"gate P({theta}) q\ngate H q\nmeasure q -> c\n")
+    for plan in ("basic", "partitioned"):
+        v, report = check(a, b, "m", plan=plan)
+        assert v.status == want, (plan, report.tv)
+        assert abs(report.tv - math.sin(theta / 2) ** 2) <= 1e-12, plan
+
+
 def test_m_eq_phase_only_difference_is_equivalent():
     m = meas_mgr()
     amps = np.array([0.5, 0.5, 0.5, -0.5])
