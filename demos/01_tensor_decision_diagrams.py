@@ -1,7 +1,7 @@
 """Tensor decision diagram basics.
 
 Builds a few small diagrams, shows canonicity, slicing, contraction and the
-norm, and dumps the Hadamard diagram as graphviz text.
+norm, and the normalised successor weights of the Hadamard root node.
 """
 
 import numpy as np
@@ -18,7 +18,8 @@ print("== the Hadamard gate as a diagram ==")
 h = mgr.from_dense(np.array([[SQ2, SQ2], [SQ2, -SQ2]]), [x1, x2])
 print("root weight:", h.root.weight, "(the 1/sqrt(2) prefactor)")
 print("node count (terminal included):", mgr.node_count(h))
-print(mgr.to_dot(h))
+node = h.root.node
+print(f"root node {node}: low weight {node.low.weight}, high weight {node.high.weight}")
 
 print("\n== slicing = cofactors ==")
 print("H | x1=0 :", mgr.to_dense(mgr.slice(h, x1, 0)))

@@ -8,16 +8,22 @@ first nonzero weight (low successor first), which fixes a canonical form.
 
 Weights are compared on an absolute grid: ``wkey`` maps a weight to the
 integer pair of its real and imaginary parts in units of ``GRID``.
-``mk_edge`` keys the low weight, the high weight and the high/low ratio once
-each and builds the unique-table key from those keys; ``_add`` keys the
-ratio of its two operands for the computed table.  No other hot path keys a
-weight.  ``_canon`` tests a weight for grid zero without building a key.
+``mk_edge`` keys the high/low ratio for the unique-table key, and keys low
+and high only for the redundant-node test; ``_add`` keys the ratio of its
+two operands for the computed table.  No other hot path keys a weight.
+Grid zero is tested without a key.
 
 Every edge the engine makes is grid zero if and only if it ``is`` the
-manager's ``zero`` edge: ``mk_edge`` and ``_canon`` snap grid-zero weights to
-it, and ``contract`` and ``add`` canonicalise their two caller roots once on
-entry.  The recursive kernels ``_cont`` and ``_add`` therefore test for zero
-by identity, and take node successors as cofactors directly.
+manager's ``zero`` edge: ``mk_edge``, ``_canon`` and ``_cont`` snap grid-zero
+weights to it, and ``contract`` and ``add`` canonicalise their two caller
+roots once on entry.  The recursive kernels therefore test for zero by
+identity and take node successors as cofactors directly; ``_cont`` is never
+entered with the zero edge, since its callers test both operands first.
+
+Operand pairs are ordered by ``TddNode.serial``, the order in which the
+manager created the nodes, never by address: two nodes in ``_cont``'s cache
+key, and in ``_add`` the one of two equal-rank operands whose weight divides
+the other's.  So the float bits of every weight repeat from run to run.
 
 All diagrams built by one ``TddManager`` share a single global index order;
 the root of a diagram carries the highest-ranked index, the terminal node has
@@ -90,15 +96,20 @@ class IndexId:
 
 
 class TddNode:
-    """Hash-consed diagram node; the terminal has ``index None`` and rank 0."""
+    """Hash-consed diagram node; the terminal has ``index None`` and rank 0.
 
-    __slots__ = ("index", "low", "high", "rank")
+    ``serial`` is the node's position in its manager's unique table (-1 for
+    the terminal): a creation order that orders operand pairs.
+    """
 
-    def __init__(self, index, low, high):
+    __slots__ = ("index", "low", "high", "rank", "serial")
+
+    def __init__(self, index, low, high, serial):
         self.index = index
         self.low = low
         self.high = high
         self.rank = 0 if index is None else index.rank
+        self.serial = serial
 
     def __repr__(self):
         if self.index is None:
@@ -109,6 +120,11 @@ class TddNode:
 class TddEdge(NamedTuple):
     weight: complex
     node: TddNode
+
+
+# ``_new(TddEdge, (w, node))`` makes an edge without the NamedTuple's
+# Python-level ``__new__``; the kernels below make one per visited node.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -151,7 +167,7 @@ class TddManager:
                 raise TddError(f"duplicate index name {name!r}")
             idx = IndexId(name, n - pos, kind)
             self._by_name[name] = idx
-        self.terminal = TddNode(None, None, None)
+        self.terminal = TddNode(None, None, None, -1)
         self.zero = TddEdge(0.0 + 0.0j, self.terminal)
         self.one = TddEdge(1.0 + 0.0j, self.terminal)
         self._unique: dict[tuple, TddNode] = {}
@@ -173,7 +189,7 @@ class TddManager:
         # wkey(w) == ZERO_KEY without the tuple: round(y) == 0 iff |y| <= 0.5
         if -0.5 <= w.real / GRID <= 0.5 and -0.5 <= w.imag / GRID <= 0.5:
             return self.zero
-        return TddEdge(complex(w), node)
+        return _new(TddEdge, (complex(w), node))
 
     # -- node construction -------------------------------------------------
 
@@ -188,31 +204,32 @@ class TddManager:
         if low.node.rank >= rank or high.node.rank >= rank:
             raise TddError(f"successor rank not below {index!r}")
         zero, terminal = self.zero, self.terminal
-        lk = ZERO_KEY if low is zero else wkey(low.weight)
-        hk = ZERO_KEY if high is zero else wkey(high.weight)
-        if lk == ZERO_KEY:
-            if hk == ZERO_KEY:
+        lw, hw = low.weight, high.weight
+        # grid zero as in ``_canon``
+        hz = high is zero or (-0.5 <= hw.real / GRID <= 0.5 and -0.5 <= hw.imag / GRID <= 0.5)
+        if low is zero or (-0.5 <= lw.real / GRID <= 0.5 and -0.5 <= lw.imag / GRID <= 0.5):
+            if hz:
                 return zero
-            factor, hw = high.weight, 1.0 + 0.0j
+            factor, hw = hw, 1.0 + 0.0j
             key = (rank, ZERO_KEY, terminal, ONE_KEY, high.node)
-        elif hk == ZERO_KEY:
-            factor = low.weight
+        elif hz:
+            factor = lw
             key = (rank, ONE_KEY, low.node, ZERO_KEY, terminal)
-        elif low.node is high.node and lk == hk:
+        elif low.node is high.node and wkey(lw) == wkey(hw):
             return low
         else:
-            factor = low.weight
-            hw = high.weight / factor
+            factor = lw
+            hw = hw / lw
             rk = wkey(hw)
             key = (rank, ONE_KEY, low.node, rk,
                    terminal if rk == ZERO_KEY else high.node)
-        node = self._unique.get(key)
+        unique = self._unique
+        node = unique.get(key)
         if node is None:
-            slow = zero if key[1] == ZERO_KEY else TddEdge(1.0 + 0.0j, low.node)
-            shigh = zero if key[3] == ZERO_KEY else TddEdge(complex(hw), high.node)
-            node = TddNode(index, slow, shigh)
-            self._unique[key] = node
-        return TddEdge(complex(factor), node)
+            slow = zero if key[1] == ZERO_KEY else _new(TddEdge, (1.0 + 0.0j, low.node))
+            shigh = zero if key[3] == ZERO_KEY else _new(TddEdge, (complex(hw), high.node))
+            node = unique[key] = TddNode(index, slow, shigh, len(unique))
+        return _new(TddEdge, (complex(factor), node))
 
     def tdd(self, root: TddEdge, indices: Iterable[IndexId]) -> Tdd:
         idx = tuple(sorted(set(indices), key=lambda i: -i.rank))
@@ -249,11 +266,11 @@ class TddManager:
             key = (index.rank, lk, low, hk, high)
             node = unique.get(key)
             if node is None:
-                node = TddNode(index, zero if lk == ZERO_KEY else TddEdge(lw, low),
-                               zero if hk == ZERO_KEY else TddEdge(hw, high))
-                unique[key] = node
+                node = unique[key] = TddNode(
+                    index, zero if lk == ZERO_KEY else _new(TddEdge, (lw, low)),
+                    zero if hk == ZERO_KEY else _new(TddEdge, (hw, high)), len(unique))
             made.append(node)
-        edge = zero if root is None else TddEdge(weight, made[root])
+        edge = zero if root is None else _new(TddEdge, (weight, made[root]))
         return Tdd(edge, tuple(sorted_idx))
 
     def _from_dense_rec(self, arr, idx) -> TddEdge:
@@ -317,7 +334,7 @@ class TddManager:
         n1, n2 = e1.node, e2.node
         if n1 is n2:
             return self._canon(e1.weight + e2.weight, n1)
-        if n1.rank > n2.rank or (n1.rank == n2.rank and id(n1) > id(n2)):
+        if n1.rank > n2.rank or (n1.rank == n2.rank and n1.serial > n2.serial):
             e1, e2, n1, n2 = e2, e1, n2, n1
         w1 = e1.weight
         ratio = e2.weight / w1
@@ -328,7 +345,7 @@ class TddManager:
             if n1.rank == n2.rank:
                 a0, a1 = n1.low, n1.high
             else:
-                a0 = a1 = TddEdge(1.0 + 0.0j, n1)
+                a0 = a1 = _new(TddEdge, (1.0 + 0.0j, n1))
             b0 = self._canon(ratio * n2.low.weight, n2.low.node)
             b1 = self._canon(ratio * n2.high.weight, n2.high.node)
             lo = self._add(a0, b0)
@@ -350,50 +367,54 @@ class TddManager:
             if x not in a.indices or x not in b.indices:
                 raise TddError(f"shared index {x!r} not common to both operands")
         srt = tuple(sorted((x.rank for x in shared), reverse=True))
-        root = self._cont(self._canon(a.root.weight, a.root.node),
-                          self._canon(b.root.weight, b.root.node), srt)
+        e1 = self._canon(a.root.weight, a.root.node)
+        e2 = self._canon(b.root.weight, b.root.node)
+        zero = self.zero
+        root = zero if e1 is zero or e2 is zero else self._cont(e1, e2, srt)
         keep = [x for x in a.indices + b.indices if x not in shared]
         return self.tdd(root, keep)
 
     def _cont(self, e1: TddEdge, e2: TddEdge, srt: tuple) -> TddEdge:
-        zero = self.zero
-        if e1 is zero or e2 is zero:
-            return zero
+        # e1 and e2 are nonzero: every caller tests for the zero edge
         n1, n2 = e1.node, e2.node
-        r = n1.rank if n1.rank > n2.rank else n2.rank
+        r1, r2 = n1.rank, n2.rank
+        r = r1 if r1 > r2 else r2
         k = 0
         while k < len(srt) and srt[k] > r:
             k += 1
         if k:
             # shared indices absent from both operands each contribute a factor 2
             res = self._cont(e1, e2, srt[k:])
-            return self._canon((1 << k) * res.weight, res.node)
-        if not srt and (n1 is self.terminal or n2 is self.terminal):
+            w = (1 << k) * res.weight
+        elif not srt and (n1.index is None or n2.index is None):
             # a scalar times a canonical node: nothing to walk
-            return self._canon(e1.weight * e2.weight,
-                               n2 if n1 is self.terminal else n1)
-        key = (n1, n2, srt) if id(n1) < id(n2) else (n2, n1, srt)
-        res = self._cont_cache.get(key)
-        if res is None:
-            # cofactors of the unit edges to n1 and n2 on the top rank r
-            if n1.rank == r:
-                a0, a1, index = n1.low, n1.high, n1.index
-            else:
-                a0 = a1 = TddEdge(1.0 + 0.0j, n1)
-            if n2.rank == r:
-                b0, b1, index = n2.low, n2.high, n2.index
-            else:
-                b0 = b1 = TddEdge(1.0 + 0.0j, n2)
-            if srt and srt[0] == r:
-                lo = self._cont(a0, b0, srt[1:])
-                hi = self._cont(a1, b1, srt[1:])
-                res = self._add(lo, hi)
-            else:
-                lo = self._cont(a0, b0, srt)
-                hi = self._cont(a1, b1, srt)
-                res = self.mk_edge(index, lo, hi)
-            self._cont_cache[key] = res
-        return self._canon(e1.weight * e2.weight * res.weight, res.node)
+            res = e2 if n1.index is None else e1
+            w = e1.weight * e2.weight
+        else:
+            key = (n1, n2, srt) if n1.serial < n2.serial else (n2, n1, srt)
+            res = self._cont_cache.get(key)
+            if res is None:
+                # cofactors of the unit edges to n1 and n2 on the top rank r
+                zero = self.zero
+                if r1 == r:
+                    a0, a1, index = n1.low, n1.high, n1.index
+                else:
+                    a0 = a1 = _new(TddEdge, (1.0 + 0.0j, n1))
+                if r2 == r:
+                    b0, b1, index = n2.low, n2.high, n2.index
+                else:
+                    b0 = b1 = _new(TddEdge, (1.0 + 0.0j, n2))
+                summed = srt and srt[0] == r
+                rest = srt[1:] if summed else srt
+                lo = zero if a0 is zero or b0 is zero else self._cont(a0, b0, rest)
+                hi = zero if a1 is zero or b1 is zero else self._cont(a1, b1, rest)
+                res = self._cont_cache[key] = (
+                    self._add(lo, hi) if summed else self.mk_edge(index, lo, hi))
+            w = e1.weight * e2.weight * res.weight
+        # ``_canon``, inlined
+        if -0.5 <= w.real / GRID <= 0.5 and -0.5 <= w.imag / GRID <= 0.5:
+            return self.zero
+        return _new(TddEdge, (w, res.node))
 
     # -- norm ---------------------------------------------------------------
 
@@ -471,45 +492,6 @@ class TddManager:
     def node_count(self, t: Tdd) -> int:
         """Number of reachable unique nodes, terminal included."""
         return len(self._reachable(t.root.node))
-
-    # -- debug export ----------------------------------------------------------
-
-    def to_dot(self, t: Tdd) -> str:
-        """Graphviz text dump: nodes, 0/1 edges and their weights."""
-        ids: dict[TddNode, str] = {}
-        decls: list[str] = []
-        edges: list[str] = []
-
-        def fmt(w):
-            return f"{w.real:.4g}{'+' if w.imag >= 0 else '-'}{abs(w.imag):.4g}j"
-
-        def nid(node):
-            if node not in ids:
-                ids[node] = f"n{len(ids)}"
-                label = "1" if node is self.terminal else node.index.name
-                shape = "box" if node is self.terminal else "circle"
-                decls.append(f'  {ids[node]} [label="{label}", shape={shape}];')
-            return ids[node]
-
-        def pending(node):
-            # popped low edge first, as a depth-first walk visits them
-            if node is self.terminal:
-                return []
-            return [(node, node.high, "solid"), (node, node.low, "dashed")]
-
-        nid(t.root.node)
-        stack = pending(t.root.node)
-        while stack:
-            node, edge, style = stack.pop()
-            known = edge.node in ids
-            edges.append(f'  {ids[node]} -> {nid(edge.node)} '
-                         f'[style={style}, label="{fmt(edge.weight)}"];')
-            if not known:
-                stack += pending(edge.node)
-
-        tail = ['  r [shape=none, label=""];',
-                f'  r -> {ids[t.root.node]} [label="{fmt(t.root.weight)}"];', "}"]
-        return "\n".join(["digraph tdd {", "  rankdir=TB;"] + decls + edges + tail)
 
 
 def _times_pow2(x: float, k: int) -> float:

@@ -1,7 +1,12 @@
 import functools
+import json
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -809,3 +814,36 @@ def test_m_eq_uniform_split_on_absent_index():
     lopsided = np.zeros((2, 2, 2))
     lopsided[:, 0, 0] = np.sqrt(0.5)
     assert not m_eq(m, t, m.from_dense(lopsided, legs), legs[:2])
+
+
+_ROOTS = """
+import json
+from tddeq import benchmarks
+from tddeq.encode import evaluate, prepare
+from tddeq.equivalence import check
+out = []
+for n, bits in %r:
+    a, b = benchmarks.qft(n, bits), benchmarks.dyn_qft(n, bits)
+    mgr, nets = prepare([a, b], mode="m")
+    weights = [evaluate(mgr, net).tdd.root.weight for net in nets]
+    out.append([[w.real.hex(), w.imag.hex()] for w in weights]
+               + [check(a, b, "m")[1].tv.hex()])
+print(json.dumps(out))
+"""
+
+
+def test_root_weights_do_not_depend_on_the_hash_seed():
+    # operand pairs are ordered by node creation, not by address, so the
+    # float bits of every compiled root weight repeat from run to run
+    cases = [(8, "11++0100"), (9, "0001++101"), (10, "0+0+101101"),
+             (11, "10+11+01110"), (12, "11+0+0011000")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _ROOTS % (cases,)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1] == runs[2]

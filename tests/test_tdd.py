@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tddeq.tdd import (KIND_WIRE, ONE_KEY, DenseLimitError, Tdd, TddEdge,
-                       TddError, TddManager, _recipe, wkey)
+from tddeq.tdd import (KIND_WIRE, ONE_KEY, ZERO_KEY, DenseLimitError, Tdd,
+                       TddEdge, TddError, TddManager, _recipe, wkey)
 
 from dense_ref import dense_add, dense_contract, dense_norm, dense_slice
 
@@ -476,16 +476,56 @@ def test_contract_and_add_snap_grid_zero_roots():
     assert m.add(tiny, Tdd(TddEdge(-1e-12 + 0j, h.root.node), h.indices)).root is m.zero
 
 
+def _sparse_tensor(rng, names):
+    """Random tensor with some slices zeroed, shrunk below the grid, or
+    shrunk to 1e-5, so that a product of two such slices is grid zero;
+    also whether no slice was shrunk to 1e-5."""
+    arr = rand_tensor(rng, names)
+    exact = True
+    for axis in range(len(names)):
+        if rng.random() < 0.5:
+            part = [slice(None)] * len(names)
+            part[axis] = int(rng.integers(2))
+            scale = rng.choice([0.0, 1e-10, 1e-5])
+            arr[tuple(part)] *= scale
+            exact = exact and scale != 1e-5
+    return arr, exact
+
+
+def test_grid_zero_edge_is_the_zero_edge():
+    # the kernels test for zero by identity: an edge is grid zero if and
+    # only if it is the manager's zero edge, for every child of every unique
+    # node and every result root
+    rng = np.random.default_rng(53)
+    m = mgr(6)
+    allnames = [m.index(f"x{k}") for k in range(6)]
+    letter = {x: chr(ord("a") + k) for k, x in enumerate(allnames)}
+    edges = []
+    for _ in range(150):
+        an, bn = ([allnames[k] for k in sorted(rng.choice(
+            6, size=int(rng.integers(1, 7)), replace=False))] for _ in range(2))
+        (a, exact_a), (b, exact_b) = _sparse_tensor(rng, an), _sparse_tensor(rng, bn)
+        ta, tb = m.from_dense(a, an), m.from_dense(b, bn)
+        shared = [x for x in an if x in bn and rng.random() < 0.5]
+        t = m.contract(ta, tb, shared)
+        if exact_a and exact_b:
+            # a 1e-5 slice can leave a root weight below the absolute grid
+            # (normalisation by the first nonzero weight), so those
+            # operands are left out of the dense comparison
+            spec = ",".join("".join(letter[x] for x in legs) for legs in (an, bn))
+            want = np.einsum(f"{spec}->{''.join(letter[x] for x in t.indices)}", a, b)
+            assert np.max(np.abs(m.to_dense(t) - want), initial=0.0) < 1e-8
+        edges += [t.root, m.add(ta, tb).root, m.add(ta, m.from_dense(-a, an)).root,
+                  m.slice(ta, an[0], int(rng.integers(2))).root]
+    for node in m._unique.values():
+        edges += [node.low, node.high]
+    for e in edges:
+        assert (wkey(e.weight) == ZERO_KEY) == (e is m.zero)
+
+
 def test_node_count():
     m = mgr(3)
     names = [m.index(f"x{k}") for k in range(3)]
     arr = np.random.default_rng(47).standard_normal((2, 2, 2))
     t = m.from_dense(arr, names)
     assert m.node_count(t) >= 2
-
-
-def test_to_dot_runs():
-    m = mgr(2)
-    t = m.from_dense(H_ARR, [m.index("x0"), m.index("x1")])
-    dot = m.to_dot(t)
-    assert dot.startswith("digraph") and "->" in dot
