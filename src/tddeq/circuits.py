@@ -5,10 +5,11 @@ measurement-dispatched branch construct, and sequential composition.
 Composition is associative, so ``Seq`` holds a flat tuple of steps and every
 pass over a circuit loops over it, recursing only into branch bodies.  Two
 additional step forms, ``Measure`` and ``CondGate``, are the lowered shape of
-a branch (measure first, then classically controlled gates); generators and
-the text format use them directly and ``lower_controls`` rewrites every
-branch into them whose bodies do not measure, merging the gates that its
-mutually exclusive bodies share into one gate under the OR of their guards.
+a branch (measure first, then classically controlled steps); generators and
+the text format use them directly.  ``lower_controls`` rewrites every branch
+into flat guarded steps, merging the gates that its mutually exclusive
+bodies share into one gate under the OR of their guards; a measurement in a
+body becomes a ``CondMeasure``, the one step form only lowering makes.
 
 A ``CircuitSpec`` wraps a circuit with its declared qubits, a fixed product
 input state on the non-principal inputs, the principal input/output qubits,
@@ -149,6 +150,16 @@ class CondGate:
 
 
 @dataclass(frozen=True)
+class CondMeasure:
+    """Measurement ``step`` taken when ``func`` of the bits equals 1; untaken,
+    its bits read 0.  Only ``lower_controls`` makes it, from a body's measure."""
+
+    step: MeasureStep
+    bits: tuple[str, ...]
+    func: BoolFunc
+
+
+@dataclass(frozen=True)
 class Branch:
     """Measure ``measure.qubits``, dispatch through ``func``, run one branch."""
 
@@ -175,7 +186,7 @@ class Seq:
             raise ValueError("a Seq step may not be a Seq; build with seq()")
 
 
-DynCircuit = Union[Conventional, Measure, CondGate, Branch, Seq]
+DynCircuit = Union[Conventional, Measure, CondGate, CondMeasure, Branch, Seq]
 
 
 def seq(*parts: DynCircuit) -> DynCircuit:
@@ -209,7 +220,7 @@ def qvar(c: DynCircuit) -> frozenset[str]:
     for st in flatten(c):
         if isinstance(st, Conventional):
             out.update(st.gates[0].qubits)
-        elif isinstance(st, Measure):
+        elif isinstance(st, (Measure, CondMeasure)):
             out.update(st.step.qubits)
         elif isinstance(st, CondGate):
             out.update(st.gate.qubits)
@@ -268,16 +279,19 @@ class Verdict:
 
 
 def _walk(c: DynCircuit, loc: str, gates: list[Gate], measured_qubits: set[str],
-          measured: set[str], errors: list[str]) -> tuple[set[str], set[str]]:
+          measured: set[str], errors: list[str],
+          scope: frozenset[str] = frozenset()) -> tuple[set[str], set[str]]:
     """One pass over ``c`` for ``validate``.
 
     Appends every gate to ``gates`` and every measured qubit to
-    ``measured_qubits``, checks write-once bits and bit-before-use order into
-    ``errors``, and returns ``qvar(c)`` with the bits measured on every
-    execution path.  Recurses only into branch bodies.
+    ``measured_qubits``, checks write-once bits into ``errors``, and that
+    every bit a control reads is measured on every path to it (``scope``
+    holds those measured before ``c``).  Returns ``qvar(c)`` with the bits
+    measured on every execution path, ``scope`` included.  Recurses only
+    into branch bodies.
     """
     qs: set[str] = set()
-    guaranteed: set[str] = set()
+    guaranteed: set[str] = set(scope)
 
     def mark(bits):
         for b in bits:
@@ -298,16 +312,18 @@ def _walk(c: DynCircuit, loc: str, gates: list[Gate], measured_qubits: set[str],
             gates.append(st.gate)
             qs.update(st.gate.qubits)
             for b in st.bits:
-                if b not in measured:
-                    errors.append(f"{loc}: control bit {b} used before measurement")
+                if b not in guaranteed:
+                    errors.append(f"{loc}: control bit {b} " + (
+                        "is not measured on every path" if b in measured
+                        else "used before measurement"))
         elif isinstance(st, Branch):
             measured_qubits.update(st.measure.qubits)
             mark(st.measure.bits)
             sub_guaranteed = None
             for i, body in enumerate(st.branches):
                 at = len(errors)
-                body_qs, g = _walk(body, f"{loc}/branch{i}", gates,
-                                   measured_qubits, measured, errors)
+                body_qs, g = _walk(body, f"{loc}/branch{i}", gates, measured_qubits,
+                                   measured, errors, frozenset(guaranteed))
                 overlap = frozenset(st.measure.qubits) & body_qs
                 if overlap:
                     errors.insert(at, f"{loc}: branch {i} acts on measured qubits "
@@ -376,65 +392,65 @@ def validate(spec: CircuitSpec) -> list[str]:
 
 
 def lower_controls(c: DynCircuit) -> DynCircuit:
-    """Rewrite branches whose bodies hold only gates and ifcs into measure +
-    cond-gate steps.
+    """Rewrite every branch into its measure and flat guarded steps.
 
-    Each body is read through ``flatten``, so a branch lowers the same
-    whether its bodies were built as one segment or parsed line by line.
-    Body i's gate is guarded by ``f == i``, its ``ifc g`` by ``f == i & g``.
-    At most one body runs, so gates of different bodies commute, and a gate
-    that bodies share becomes one gate under the OR of their guards, on
-    only the bits that guard reads (teleportation's {I, X, Z, XZ} become X
-    and Z, each under one bit).  Only branches with a measuring body stay
-    branches, their bodies lowered recursively.
+    Each body is lowered first and read through ``flatten``, so a branch
+    lowers the same whether its bodies were built as one segment or parsed
+    line by line.  Body i's gate or measurement is guarded by ``f == i``,
+    its ``ifc g`` or guarded step by ``f == i & g``, so nested dispatches
+    AND their guards; a guarded measurement is a ``CondMeasure``.  At most
+    one body runs, so steps of different bodies commute, and a gate that
+    bodies share becomes one gate under the OR of their guards, on only the
+    bits that guard reads (teleportation's {I, X, Z, XZ} become X and Z,
+    each under one bit).
     """
     if not isinstance(c, (Seq, Branch)):
         return c
     out: list[DynCircuit] = []
     for st in flatten(c):
-        if not isinstance(st, Branch):
-            out.append(st)
-        elif all(isinstance(s, (Conventional, CondGate))
-                 for b in st.branches for s in flatten(b)):
+        if isinstance(st, Branch):
             out.append(Measure(st.measure))
-            out.extend(_lower_branch_gates(st))
+            out.extend(_lower_branch(st))
         else:
-            out.append(Branch(st.measure, st.func,
-                              tuple(lower_controls(b) for b in st.branches), st.exprs))
+            out.append(st)
     return seq(*out)
 
 
-def _lower_branch_gates(c: Branch) -> list[DynCircuit]:
-    bodies = [flatten(b) for b in c.branches]
+def _lower_branch(c: Branch) -> list[DynCircuit]:
+    bodies = [flatten(lower_controls(b)) for b in c.branches]
     bits = c.measure.bits
-    for st in (s for body in bodies for s in body if isinstance(s, CondGate)):
+    for st in (s for body in bodies for s in body if isinstance(s, (CondGate, CondMeasure))):
         bits += tuple(b for b in st.bits if b not in bits)
-    merged: list[tuple[Gate, BoolFunc]] = []
+    merged: list[tuple[Gate | MeasureStep, BoolFunc]] = []
     for i, body in enumerate(bodies):
         sel = BoolFunc(len(bits), c.func.selector(i).roots)
         merged = _merge(merged, [
-            (st.gates[0], sel) if isinstance(st, Conventional) else
-            (st.gate, sel & st.func.relabel([bits.index(b) for b in st.bits],
-                                            len(bits)))
+            (st.gates[0] if isinstance(st, Conventional) else
+             st.gate if isinstance(st, CondGate) else st.step,
+             sel if isinstance(st, (Conventional, Measure)) else
+             sel & st.func.relabel([bits.index(b) for b in st.bits], len(bits)))
             for st in body])
     out: list[DynCircuit] = []
-    for g, f in merged:
+    for op, f in merged:
+        meas = isinstance(op, MeasureStep)
         if f.roots[0] is TRUE:
-            out.append(Conventional((g,)))
+            out.append(Measure(op) if meas else Conventional((op,)))
         elif f.roots[0] is not FALSE:
-            # each gate reads only the bits its guard depends on
+            # each step reads only the bits its guard depends on
             used = f.support()
             f = f.relabel([used.index(p) if p in used else 0
                            for p in range(f.arity)], len(used))
-            out.append(CondGate(g, tuple(bits[p] for p in used), f))
+            out.append((CondMeasure if meas else CondGate)(op, tuple(bits[p] for p in used), f))
     return out
 
 
 def _merge(a: list, b: list) -> list:
-    """Two (gate, guard) lists aligned by a longest common subsequence of
-    gate keys: an aligned pair ORs its guards, unaligned entries keep their
-    order, ``a``'s first."""
-    ka, kb = ([(g.name, g.params, g.qubits) for g, _ in x] for x in (a, b))
+    """Two (gate or measurement, guard) lists aligned by a longest common
+    subsequence of keys: an aligned pair ORs its guards, unaligned entries
+    keep their order, ``a``'s first.  A measurement keys as itself, and
+    bits are written once, so it aligns with nothing."""
+    ka, kb = ([op if isinstance(op, MeasureStep) else (op.name, op.params, op.qubits)
+               for op, _ in x] for x in (a, b))
     n, m = len(a), len(b)
     lcs = [[0] * (m + 1) for _ in range(n + 1)]   # LCS lengths of a[i:], b[j:]
     for i in reversed(range(n)):

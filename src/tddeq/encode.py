@@ -1,12 +1,13 @@
 """Compile a circuit spec into a tensor decision diagram.
 
-Every gate, fixed input state, measurement and classically controlled gate
+Every gate, fixed input state, measurement and guarded gate or measurement
 becomes a small tensor over wire-segment indices; the diagram of the circuit
 is the contraction of all of them.  Measurements follow the COPY-tensor
 encoding: a measurement is a rank-3 COPY with a separate outcome leg.  The
 netlist is built in three steps.  A walk gives each qubit a fresh wire
-segment at every step and emits every measurement as that rank-3 COPY.  A
-finish turns a measurement that ends its qubit into the rank-2 COPY, the
+segment at every step and emits every measurement as that rank-3 COPY, a
+guarded one as its guarded tensor.  A finish turns an unguarded
+measurement that ends its qubit into the rank-2 COPY, the
 identity, and joins a principal or discard leg through an identity.  A
 rename then drops each identity: an identity only renames an index, so the
 entry that produced its wire takes its other leg instead.  An identity
@@ -14,13 +15,15 @@ stays only on an open input wire, or where that entry already holds the
 other leg.  Classical controls attach to outcome indices pointwise, so one
 bit may drive several gates.
 
-Classical logic is compiled only as classically controlled gates:
-``lower_controls`` turns every dispatch into a measurement followed by
-gates under controls, and keeps a branch only when a body measures, which
-has no tensor here.  A control enters through one lift, ``func_to_tensor``:
-the 0/1 indicator [f(x) = 1] of its BDD over its outcome indices.  A gate
-under a control f is ind(f)*U + ind(!f)*I; a control on one bit keeps its
-rank-3 controlled-gate tensor.  No control tensor is built densely.
+Classical logic is compiled only as guarded steps: ``lower_controls`` turns
+every dispatch into a measurement followed by flat steps under guards, so
+no branch reaches the builder.  Every guarded tensor comes from one
+builder, ``_guarded``.  A gate under a guard f is ind(f)*U + ind(!f)*I; a
+measurement under f is ind(f)*COPY3(c, x, y) + ind(!f)*delta(x, y)*delta(c, 0),
+so an untaken measurement leaves its qubit alone and its bit at 0.  A guard
+on one bit with a tensor of at most ``RECIPE_LEGS`` legs in all is one
+dense tensor; any other enters through one lift, ``func_to_tensor``: the
+0/1 indicator [f(x) = 1] of its BDD over its outcome indices.
 
 Every contraction, of a whole netlist, of the part a discard leaves or of
 a per-qubit piece, runs through one loop, ``contract_all``: it folds runs
@@ -49,11 +52,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import (Branch, CircuitSpec, CondGate, Conventional, INIT_STATES,
+from .circuits import (CircuitSpec, CondGate, CondMeasure, Conventional, INIT_STATES,
                        Measure, flatten, lower_controls)
-from .logic import func_to_tensor
-from .tdd import (KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, NORM_TOL, IndexId,
-                  Tdd, TddManager)
+from .logic import BoolFunc, func_to_tensor
+from .tdd import (KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, NORM_TOL, RECIPE_LEGS,
+                  IndexId, Tdd, TddManager)
 
 
 class CompileError(Exception):
@@ -69,6 +72,8 @@ BLOCK_LEGS = 8    # most open legs a block keeps before it joins the running dia
 COPY3 = np.zeros((2, 2, 2))
 COPY3[0, 0, 0] = COPY3[1, 1, 1] = 1.0
 COPY3.setflags(write=False)
+UNTAKEN = np.stack([np.eye(2), np.zeros((2, 2))])   # delta(c, 0)*delta(x, y) over (c, x, y)
+UNTAKEN.setflags(write=False)
 
 
 def measurement_tensor(mgr: TddManager, x: IndexId, y: IndexId,
@@ -84,26 +89,16 @@ def measurement_tensor(mgr: TddManager, x: IndexId, y: IndexId,
     return mgr.from_dense(COPY3, [c, x, y])
 
 
-def controlled_gate_tensor(mgr: TddManager, u: np.ndarray, c: IndexId,
-                           x: IndexId, y: IndexId, fire: int = 1) -> Tdd:
-    """Classically controlled single-qubit gate: U at c=fire, else identity."""
-    u = np.asarray(u, dtype=complex)
-    arr = np.zeros((2, 2, 2), dtype=complex)
-    arr[1 - fire] = np.eye(2)
-    arr[fire] = u.T  # entry at (c=fire, x, y) is U[y, x]
-    return mgr.from_dense(arr, [c, x, y])
-
-
 # -- netlist ------------------------------------------------------------------
 
 
 @dataclass
 class _Entry:
-    kind: str            # init | gate | cond | measure3, or the identities
+    kind: str            # init | gate | cond | measure3 | cmeasure, or the identities
                          # measure2 (a COPY without its dangling leg) and ident
     indices: tuple[str, ...]
     partition: str           # the qubit whose per-qubit piece holds the entry
-    payload: object = None   # the Gate, the CondGate or the init state
+    payload: object = None   # the Gate, the CondGate, the CondMeasure or the init state
 
 
 @dataclass
@@ -131,13 +126,13 @@ class _Builder:
     """Emit the netlist of a lowered circuit: walk, finish, rename.
 
     The walk gives each qubit a fresh wire segment at every step and emits
-    every measurement as a rank-3 COPY.  The finish ends each qubit: a last
-    measurement that nothing follows and that keeps no principal leg drops
-    its dangling leg and becomes the rank-2 COPY, the identity; a qubit
-    that needs a principal or discard leg gets an identity onto it.  The
-    rename drops each identity whose wire has a producer, an earlier entry,
-    by renaming that wire to the identity's other leg there; not when the
-    producer already holds that leg.
+    every unguarded measurement as a rank-3 COPY.  The finish ends each
+    qubit: a last unguarded measurement that nothing follows and that keeps
+    no principal leg drops its dangling leg and becomes the rank-2 COPY, the
+    identity; a qubit that needs a principal or discard leg gets an identity
+    onto it.  The rename drops each identity whose wire has a producer, an
+    earlier entry, by renaming that wire to the identity's other leg there;
+    not when the producer already holds that leg.
     """
 
     def __init__(self, spec: CircuitSpec, mode: str, open_inputs: bool):
@@ -224,7 +219,9 @@ class _Builder:
             outs, ins = self._step(st.gate.qubits)
             part = self._owner(st.gate.qubits + tuple(self.bit_source[b] for b in st.bits))
             entries.append(_Entry("cond", bits + outs + ins, part, st))
-        elif isinstance(st, Measure):
+        elif isinstance(st, (Measure, CondMeasure)):
+            guard = () if isinstance(st, Measure) else st.bits
+            bits = tuple(self.bit_outcome[b] for b in guard)
             for q, bit in zip(st.step.qubits, st.step.bits):
                 self.meas_seq.setdefault(bit, len(self.meas_seq))
                 c = self.bit_outcome[bit] = self.outcome_index(bit, q)
@@ -233,13 +230,12 @@ class _Builder:
                 if self.mode == "q":
                     self.net.peel_set.add(c)
                 (y,), (x,) = self._step((q,))
-                e = self.last_measure[q] = _Entry("measure3", (c, x, y), q)
+                if not guard:
+                    e = self.last_measure[q] = _Entry("measure3", (c, x, y), q)
+                else:   # never a last measure: untaken, it must keep its wire
+                    e = _Entry("cmeasure", bits + (c, x, y), self._owner(
+                        (q,) + tuple(self.bit_source[b] for b in guard)), st)
                 entries.append(e)
-        elif isinstance(st, Branch):
-            # lower_controls keeps a branch only when a body measures; the
-            # COPY/controlled-gate tensor repertoire has nothing for that
-            raise CompileError("measurements nested inside branch bodies "
-                               "have no tensor encoding; flatten the circuit")
         else:
             raise TypeError(st)
 
@@ -355,22 +351,23 @@ def _entry_tensor(mgr: TddManager, e: _Entry) -> Tdd:
         c, x, y = legs
         return measurement_tensor(mgr, x, y, c)
     if e.kind == "cond":
-        return _cond_tensor(mgr, e.payload, legs)
+        k = len(e.payload.gate.qubits)
+        shape = (2,) * (2 * k)
+        return _guarded(mgr, e.payload.func, legs, e.payload.gate.matrix.reshape(shape),
+                        np.eye(1 << k).reshape(shape))
+    if e.kind == "cmeasure":
+        return _guarded(mgr, e.payload.func, legs, COPY3, UNTAKEN)
     raise CompileError(f"unknown entry kind {e.kind}")
 
 
-def _cond_tensor(mgr: TddManager, st: CondGate, legs) -> Tdd:
-    """``legs`` are the control outcomes, then the gate's outputs and inputs."""
-    f, u, k = st.func, st.gate.matrix, len(st.gate.qubits)
-    cin, legs = legs[:-2 * k], legs[-2 * k:]
-    if k == 1 and f.arity == 1 and f((0,)) != f((1,)):
-        # c or !c: the rank-3 controlled gate, its slices swapped for !c
-        return controlled_gate_tensor(mgr, u, cin[0], legs[1], legs[0], fire=f((1,)))
-    shape = (2,) * (2 * k)
-    fired = mgr.contract(func_to_tensor(mgr, f, cin),
-                         mgr.from_dense(u.reshape(shape), legs), set())
-    idle = mgr.contract(func_to_tensor(mgr, ~f, cin),
-                        mgr.from_dense(np.eye(1 << k).reshape(shape), legs), set())
+def _guarded(mgr: TddManager, f: BoolFunc, legs, on: np.ndarray, off: np.ndarray) -> Tdd:
+    """ind(f)*on + ind(!f)*off: ``legs`` are f's bits, then the axes of the
+    dense tensors ``on`` and ``off``."""
+    cin, axes = legs[:f.arity], legs[f.arity:]
+    if f.arity == 1 and len(legs) <= RECIPE_LEGS:
+        return mgr.from_dense(np.stack([on if f((v,)) else off for v in (0, 1)]), legs)
+    fired = mgr.contract(func_to_tensor(mgr, f, cin), mgr.from_dense(on, axes), set())
+    idle = mgr.contract(func_to_tensor(mgr, ~f, cin), mgr.from_dense(off, axes), set())
     return mgr.add(fired, idle)
 
 

@@ -136,13 +136,16 @@ def _distance(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, witness: list | None) ->
     total, _, lvl = known(rk, rs)
     tv = ldexp(total, len(order) - lvl - 1)
     if witness is not None:
-        path, (na, nb, x, y) = [], root
+        # follow the walk's own keys: a key formed again from these
+        # unscaled weights can round to one the walk never stored
+        path, (na, nb, x, y), k = [], root, rk
         for i in reversed(order):
             lvl, kids = children(na, nb, x, y)
             bit = 0
             if lvl == level[i]:
-                bit = int(known(*key(kids[1]))[1] > known(*key(kids[0]))[1])
-                na, nb, x, y = kids[bit]
+                sub = below[k][1]
+                bit = int(known(*sub[1])[1] > known(*sub[0])[1])
+                (na, nb, x, y), k = kids[bit], sub[bit][0]
             path.append((i.name, bit))
         witness.append({"kind": "outcome-mass", "path": path, "tv": tv,
                         "mass_a": x and x * mass_a[na], "mass_b": y and y * mass_b[nb]})

@@ -130,6 +130,28 @@ def test_validate_bit_used_before_measurement():
     assert any("before measurement" in e for e in errs)
 
 
+def test_validate_rejects_a_read_of_a_bit_measured_on_one_path():
+    # d is measured only when body 1 runs, so the ifc after the dispatch
+    # has no value of d to read when body 0 runs
+    x = BoolFunc.identity(1)
+    br = Branch(MeasureStep(("a",), ("c0",)), x,
+                (Conventional(()), Measure(MeasureStep(("b",), ("d",)))))
+    spec = CircuitSpec(qubits=("a", "b", "t"),
+                       circuit=seq(br, CondGate(gate("X", ["t"]), ("d",), x)),
+                       fixed_init={"a": "+", "b": "+", "t": "0"}, outputs=("t",))
+    errs = validate(spec)
+    assert any("bit d is not measured on every path" in e for e in errs)
+    for plan in ("basic", "partitioned"):
+        assert check(spec, spec, "q", plan)[0].status == "inconclusive", plan
+    # a body may not read a bit that another body measures either
+    other = Branch(MeasureStep(("a",), ("c0",)), x,
+                   (Measure(MeasureStep(("b",), ("d",))),
+                    CondGate(gate("X", ["t"]), ("d",), x)))
+    errs = validate(CircuitSpec(qubits=("a", "b", "t"), circuit=other,
+                                fixed_init={"a": "+", "b": "+", "t": "0"}))
+    assert any("bit d is not measured on every path" in e for e in errs)
+
+
 def test_validate_is_total_on_junk():
     # arbitrary wrong shapes produce error lists, not crashes
     spec = CircuitSpec(qubits=("q0", "q0"), circuit=Conventional(()),

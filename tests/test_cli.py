@@ -6,7 +6,7 @@ import pytest
 from tddeq.circuits import validate
 from tddeq.cli import main
 from tddeq.equivalence import check
-from tddeq.oracle import oracle_m_eq
+from tddeq.oracle import oracle_m_eq, oracle_q_eq
 from tddeq.textfmt import parse, print_spec
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -174,20 +174,45 @@ def test_full_mode_reads_ifc_inside_a_body(tmp_path, capsys):
     assert recs[0]["verdict"] == "equivalent"
 
 
-def test_measuring_body_has_no_tensor_encoding(tmp_path, capsys):
+def test_measuring_body_is_decided(tmp_path, capsys):
+    # t is flipped only when body 1 runs and measures d = 1, so the output
+    # depends on the record: not q-equivalent even to itself
     text = ("qubits a b t\noutputs t\ninit a=+\ninit b=+\ninit t=0\n"
             "measure a -> c0\ndispatch c0 { 0: s0 1: s1 }\n"
             "subcircuit s0 {\n}\nsubcircuit s1 {\n  measure b -> d\n"
             "  ifc d apply X t\n}\n")
-    spec = parse(text)
-    assert validate(spec) == []
-    v, _ = check(spec, spec, "q")
-    assert v.status == "inconclusive" and "no tensor encoding" in v.reason
-    f = tmp_path / "nested.dqc"
-    f.write_text(text)
-    code, recs = run(capsys, "check", str(f), str(f), "--mode", "q")
-    assert code == 2
-    assert recs[0]["verdict"] == "inconclusive"
+    head = ("qubits q a r\ninputs r\noutputs r\ninit q=+\ninit a=0\n"
+            "measure q -> c0\n")
+    # body 0 measures a qubit that nothing reads: r is untouched on every path
+    independent = head + ("dispatch c0 { 0: m0 1: m1 }\nsubcircuit m0 {\n"
+                          "  gate H a\n  measure a -> c1\n}\nsubcircuit m1 {\n}\n")
+    cases = [(text, text, 1), (independent, head, 0)]
+    for k, (a, b, want) in enumerate(cases):
+        fa, fb = tmp_path / f"a{k}.dqc", tmp_path / f"b{k}.dqc"
+        fa.write_text(a)
+        fb.write_text(b)
+        assert oracle_q_eq(parse(a), parse(b)) == (want == 0)
+        for plan in ("basic", "partitioned"):
+            code, recs = run(capsys, "check", str(fa), str(fb), "--mode", "q",
+                             "--plan", plan)
+            assert code == want, (k, plan)
+            assert recs[0]["verdict"] == ("equivalent", "not-equivalent")[want]
+
+
+def test_measuring_body_m_mode_distance():
+    # both read b after body 0's ifc on its own bit; only B flips b in body 1,
+    # which moves the c0 = 1 half of the mass from o = 0 to o = 1
+    text = ("qubits q a b\noutbits c0 o\ninit q=+\ninit a=+\ninit b=0\n"
+            "measure q -> c0\ndispatch c0 { 0: s0 1: s1 }\nmeasure b -> o\n"
+            "subcircuit s0 {\n  measure a -> c1\n  ifc c1 apply X b\n}\n"
+            "subcircuit s1 {\n")
+    a, b = parse(text + "}\n"), parse(text + "  gate X b\n}\n")
+    assert not oracle_m_eq(a, b)
+    for plan in ("basic", "partitioned"):
+        v, report = check(a, b, "m", plan)
+        assert v.status == "not-equivalent", plan
+        assert abs(report.tv - 0.5) < 1e-9, plan
+        assert check(a, a, "m", plan)[0].status == "equivalent", plan
 
 
 REPRO_A = "qubits q\noutbits c0\ninit q=0\nmeasure q -> c0\n"

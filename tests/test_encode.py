@@ -9,12 +9,12 @@ from dense_ref import dense_contract
 from tddeq import benchmarks as B
 from tddeq.circuits import (CircuitSpec, Conventional, Measure, MeasureStep,
                             gate, seq, validate)
-from tddeq.encode import (BLOCK_LEGS, CompileScaleError, CompileStats,
-                          _count_uses, _entry_tensor, compile_spec,
-                          contract_all, controlled_gate_tensor,
-                          evaluate, evaluate_pieces, measurement_tensor,
-                          prepare)
+from tddeq.encode import (BLOCK_LEGS, COPY3, UNTAKEN, CompileScaleError,
+                          CompileStats, _count_uses, _entry_tensor, _guarded,
+                          compile_spec, contract_all, evaluate,
+                          evaluate_pieces, measurement_tensor, prepare)
 from tddeq.equivalence import check
+from tddeq.logic import BoolFunc
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
 from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, TddManager
 from tddeq.textfmt import parse
@@ -38,6 +38,11 @@ def small_mgr():
     return TddManager([("c", KIND_OUTCOME), ("x", KIND_WIRE), ("y", KIND_WIRE)])
 
 
+def controlled_gate(m, u, c, x, y):
+    """U on input x, output y when c = 1, else the identity."""
+    return _guarded(m, BoolFunc.identity(1), [c, y, x], np.asarray(u), np.eye(2))
+
+
 def test_measurement_tensor_rank2_identity():
     m = small_mgr()
     t = measurement_tensor(m, m.index("x"), m.index("y"))
@@ -57,8 +62,8 @@ def test_measurement_tensor_slices_are_projectors():
 
 def test_controlled_gate_tensor_slices():
     m = small_mgr()
-    t = controlled_gate_tensor(m, gate("SDG", ["q"]).matrix,
-                               m.index("c"), m.index("x"), m.index("y"))
+    t = controlled_gate(m, gate("SDG", ["q"]).matrix,
+                        m.index("c"), m.index("x"), m.index("y"))
     at0 = m.to_dense(m.slice(t, m.index("c"), 0))
     at1 = m.to_dense(m.slice(t, m.index("c"), 1))
     assert np.allclose(at0, np.eye(2))       # axes (x, y): identity
@@ -71,8 +76,8 @@ def test_copy_control_fusion_gives_cnot():
     m = TddManager([("c", KIND_OUTCOME), ("x", KIND_WIRE), ("y", KIND_WIRE),
                     ("u", KIND_WIRE), ("v", KIND_WIRE)])
     meas = measurement_tensor(m, m.index("x"), m.index("y"), m.index("c"))
-    ctrl = controlled_gate_tensor(m, gate("X", ["q"]).matrix,
-                                  m.index("c"), m.index("u"), m.index("v"))
+    ctrl = controlled_gate(m, gate("X", ["q"]).matrix,
+                           m.index("c"), m.index("u"), m.index("v"))
     fused = m.contract(meas, ctrl, {m.index("c")})
     got = m.to_dense(fused)  # axes (x, y, u, v)
     ref = np.zeros((2, 2, 2, 2), dtype=complex)
@@ -90,15 +95,15 @@ def test_copy_control_fusion_gives_cnot():
 
 def test_controlled_identity_reduces_away():
     m = small_mgr()
-    t = controlled_gate_tensor(m, np.eye(2), m.index("c"), m.index("x"), m.index("y"))
+    t = controlled_gate(m, np.eye(2), m.index("c"), m.index("x"), m.index("y"))
     # c ranks first, so a diagram that depended on it would have it at the root
     assert t.root.node.index is not m.index("c")
 
 
 def test_controlled_sdg_dense_form():
     m = small_mgr()
-    t = controlled_gate_tensor(m, gate("SDG", ["q"]).matrix,
-                               m.index("c"), m.index("x"), m.index("y"))
+    t = controlled_gate(m, gate("SDG", ["q"]).matrix,
+                        m.index("c"), m.index("x"), m.index("y"))
     got = m.to_dense(t)  # axes (c, x, y)
     mat = np.zeros((4, 4), dtype=complex)
     for c, x, y in itertools.product((0, 1), repeat=3):
@@ -109,6 +114,26 @@ def test_controlled_sdg_dense_form():
     # |0><0| (x) I + |1><1| (x) S+ with the classical leg as the high qubit
     perm = [0, 2, 1, 3]
     assert np.allclose(mat[np.ix_(perm, perm)], ref)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_guarded_measurement_slices(arity):
+    # one guard bit takes the dense tensor, two go through func_to_tensor
+    names = [f"g{k}" for k in range(arity)]
+    m = TddManager([(n, KIND_OUTCOME) for n in names] + [
+        ("c", KIND_OUTCOME), ("x", KIND_WIRE), ("y", KIND_WIRE)])
+    f = BoolFunc.identity(arity).output_bit(0)
+    if arity == 2:
+        f = f & BoolFunc.identity(2).output_bit(1)
+    legs = [m.index(n) for n in names + ["c", "x", "y"]]
+    got = m.to_dense(_guarded(m, f, legs, COPY3, UNTAKEN))
+    for g in itertools.product((0, 1), repeat=arity):
+        want = COPY3 if f(g) else UNTAKEN
+        assert np.allclose(got[g], want), g
+    # taken: the projectors on c; untaken: the identity, with c = 0
+    assert np.allclose(got[(1,) * arity][1], np.diag([0.0, 1.0]))
+    assert np.allclose(got[(0,) * arity][0], np.eye(2))
+    assert np.allclose(got[(0,) * arity][1], 0.0)
 
 
 def test_compile_pe_pair_identical():

@@ -816,6 +816,20 @@ def test_m_eq_uniform_split_on_absent_index():
     assert not m_eq(m, t, m.from_dense(lopsided, legs), legs[:2])
 
 
+def test_distance_witness_reads_only_keys_the_walk_stored():
+    # CX and SWAP from |+0> on q1 q2 leave masses that differ in the last
+    # ulp: re-forming a pair's key from unscaled weights rounded to one the
+    # walk never stored, and the witness lookup raised KeyError
+    head = "qubits q0 q1 q2\noutputs q0\noutbits c0\ninit q0=+\ninit q1=+\ninit q2=0\n"
+    tail = ("gate T q2\ngate Y q1\ngate X q1\nmeasure q0 -> c0\n"
+            "ifc c0 apply H q2\ngate H q2\n")
+    a, b = (parse(head + f"gate {g} q1 q2\n" + tail) for g in ("CX", "SWAP"))
+    assert oracle_m_eq(a, b)
+    for plan in ("basic", "partitioned"):
+        v, report = check(a, b, "m", plan)
+        assert v.status == "equivalent" and report.tv < 1e-15, plan
+
+
 _ROOTS = """
 import json
 from tddeq import benchmarks
