@@ -4,16 +4,22 @@ Every gate, fixed input state, measurement and guarded gate or measurement
 becomes a small tensor over wire-segment indices; the diagram of the circuit
 is the contraction of all of them.  Measurements follow the COPY-tensor
 encoding: a measurement is a rank-3 COPY with a separate outcome leg.  The
-netlist is built in three steps.  A walk gives each qubit a fresh wire
-segment at every step and emits every measurement as that rank-3 COPY, a
-guarded one as its guarded tensor.  A finish turns an unguarded
-measurement that ends its qubit into the rank-2 COPY, the
-identity, and joins a principal or discard leg through an identity.  A
-rename then drops each identity: an identity only renames an index, so the
-entry that produced its wire takes its other leg instead.  An identity
-stays only on an open input wire, or where that entry already holds the
-other leg.  Classical controls attach to outcome indices pointwise, so one
-bit may drive several gates.
+netlist is built in three steps.  A walk gives a qubit a fresh wire
+segment at every step that does not pass it through, and emits every
+measurement as that rank-3 COPY, a guarded one as its guarded tensor.  A
+gate, guarded or not, passes through each qubit its matrix is
+block-diagonal on (every entry with out_j != in_j is exactly 0: CP, P, T,
+S, Z, CZ, the control of CX): it holds that qubit's current wire once, and
+its tensor keeps the (out_j, in_j) diagonal as one axis.  So a wire is
+held by its producer, any number of passing gates and its consumer, and
+``contract_all`` multiplies it pointwise until its last holder sums it.  A
+finish turns an unguarded measurement that ends its qubit into the rank-2
+COPY, the identity, and joins a principal or discard leg through an
+identity.  A rename then drops each identity: an identity only renames an
+index, so every entry that holds its wire takes its other leg instead.  An
+identity stays only on an open input wire, or where such an entry already
+holds the other leg.  Classical controls attach to outcome indices
+pointwise, so one bit may drive several gates.
 
 Classical logic is compiled only as guarded steps: ``lower_controls`` turns
 every dispatch into a measurement followed by flat steps under guards, so
@@ -48,15 +54,16 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .circuits import (CircuitSpec, CondGate, CondMeasure, Conventional, INIT_STATES,
-                       Measure, flatten, lower_controls)
+from .circuits import (CircuitSpec, CondGate, CondMeasure, Conventional, Gate,
+                       INIT_STATES, Measure, flatten, lower_controls)
 from .logic import BoolFunc, func_to_tensor
-from .tdd import (KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, NORM_TOL, RECIPE_LEGS,
-                  IndexId, Tdd, TddManager)
+from .tdd import (DENSE_CACHE, KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, NORM_TOL,
+                  RECIPE_LEGS, IndexId, Tdd, TddManager)
 
 
 class CompileError(Exception):
@@ -74,6 +81,28 @@ COPY3[0, 0, 0] = COPY3[1, 1, 1] = 1.0
 COPY3.setflags(write=False)
 UNTAKEN = np.stack([np.eye(2), np.zeros((2, 2))])   # delta(c, 0)*delta(x, y) over (c, x, y)
 UNTAKEN.setflags(write=False)
+
+
+def _diagonal_form(g: Gate) -> tuple[tuple[bool, ...], np.ndarray, np.ndarray]:
+    """``g``'s pass-through mask and its (gate, identity) tensors over its legs."""
+    return _diagonal_data(np.asarray(g.matrix, dtype=complex).tobytes(), len(g.qubits))
+
+
+@lru_cache(maxsize=DENSE_CACHE)
+def _diagonal_data(data: bytes, k: int):
+    """Qubit j of a k-qubit matrix passes through when every entry with
+    out_j != in_j is exactly 0.  Both tensors keep one axis for the
+    (out_j, in_j) diagonal of a passing qubit: the k out axes, then the in
+    axes of the other qubits, as ``_Builder._step`` names the legs."""
+    u = np.frombuffer(data, dtype=complex).reshape((2,) * (2 * k))
+    mask = tuple(not np.moveaxis(u, (j, k + j), (0, 1))[[0, 1], [1, 0]].any()
+                 for j in range(k))
+    ins = [j if p else k + j for j, p in enumerate(mask)]
+    axes = [*range(k), *ins], [*range(k), *(i for i in ins if i >= k)]
+    tensors = [np.einsum(m, *axes) for m in (u, np.eye(1 << k).reshape(u.shape))]
+    for t in tensors:
+        t.setflags(write=False)
+    return (mask, *tensors)
 
 
 def measurement_tensor(mgr: TddManager, x: IndexId, y: IndexId,
@@ -125,14 +154,15 @@ class _Netlist:
 class _Builder:
     """Emit the netlist of a lowered circuit: walk, finish, rename.
 
-    The walk gives each qubit a fresh wire segment at every step and emits
-    every unguarded measurement as a rank-3 COPY.  The finish ends each
-    qubit: a last unguarded measurement that nothing follows and that keeps
-    no principal leg drops its dangling leg and becomes the rank-2 COPY, the
-    identity; a qubit that needs a principal or discard leg gets an identity
-    onto it.  The rename drops each identity whose wire has a producer, an
-    earlier entry, by renaming that wire to the identity's other leg there;
-    not when the producer already holds that leg.
+    The walk gives a qubit a fresh wire segment at every step that does not
+    pass it through and emits every unguarded measurement as a rank-3 COPY.
+    The finish ends each qubit: a last unguarded measurement that nothing
+    follows, not even a passing gate, and that keeps no principal leg drops
+    its dangling leg and becomes the rank-2 COPY, the identity; a qubit that
+    needs a principal or discard leg gets an identity onto it.  The rename
+    drops each identity whose wire is not an open input, by renaming that
+    wire to the identity's other leg in every earlier entry that holds it;
+    not when one of them already holds that leg.
     """
 
     def __init__(self, spec: CircuitSpec, mode: str, open_inputs: bool):
@@ -198,12 +228,18 @@ class _Builder:
 
     # walk
 
-    def _step(self, qubits) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Fresh segments for ``qubits``: their (out, in) wire names."""
-        ins = tuple(self.wire(q) for q in qubits)
-        for q in qubits:
-            self.seg[q] += 1
-        return tuple(self.wire(q) for q in qubits), ins
+    def _step(self, qubits, passing) -> tuple[str, ...]:
+        """Legs of a step on ``qubits``: their out wires, then the in wires
+        of the qubits that do not pass through.  Each of those gets a fresh
+        segment; a passing qubit keeps its wire, held once, and so its last
+        measurement no longer ends it."""
+        ins = tuple(self.wire(q) for q, p in zip(qubits, passing) if not p)
+        for q, p in zip(qubits, passing):
+            if p:
+                self.last_measure.pop(q, None)
+            else:
+                self.seg[q] += 1
+        return tuple(self.wire(q) for q in qubits) + ins
 
     def _owner(self, qubits) -> str:
         return min(qubits, key=lambda q: self.net.qubit_pos[q])
@@ -212,13 +248,13 @@ class _Builder:
         entries = self.net.entries
         if isinstance(st, Conventional):
             for g in st.gates:
-                outs, ins = self._step(g.qubits)
-                entries.append(_Entry("gate", outs + ins, self._owner(g.qubits), g))
+                legs = self._step(g.qubits, _diagonal_form(g)[0])
+                entries.append(_Entry("gate", legs, self._owner(g.qubits), g))
         elif isinstance(st, CondGate):
             bits = tuple(self.bit_outcome[b] for b in st.bits)
-            outs, ins = self._step(st.gate.qubits)
+            legs = self._step(st.gate.qubits, _diagonal_form(st.gate)[0])
             part = self._owner(st.gate.qubits + tuple(self.bit_source[b] for b in st.bits))
-            entries.append(_Entry("cond", bits + outs + ins, part, st))
+            entries.append(_Entry("cond", bits + legs, part, st))
         elif isinstance(st, (Measure, CondMeasure)):
             guard = () if isinstance(st, Measure) else st.bits
             bits = tuple(self.bit_outcome[b] for b in guard)
@@ -229,7 +265,7 @@ class _Builder:
                 self.net.open_names.add(c)
                 if self.mode == "q":
                     self.net.peel_set.add(c)
-                (y,), (x,) = self._step((q,))
+                y, x = self._step((q,), (False,))
                 if not guard:
                     e = self.last_measure[q] = _Entry("measure3", (c, x, y), q)
                 else:   # never a last measure: untaken, it must keep its wire
@@ -262,16 +298,19 @@ class _Builder:
     # rename
 
     def _rename(self):
-        kept, holder = [], {}
+        kept, holders, inputs = [], {}, set(self.net.in_names)
         for e in self.net.entries:
             if e.kind in ("measure2", "ident"):
                 x, y = e.indices
-                p = holder.get(x)
-                if p is not None and y not in p.indices:
-                    p.indices = tuple(y if n == x else n for n in p.indices)
+                hs = holders.get(x)
+                if hs and x not in inputs and not any(y in p.indices for p in hs):
+                    for p in hs:
+                        p.indices = tuple(y if n == x else n for n in p.indices)
+                    holders.setdefault(y, []).extend(hs)
                     continue
             kept.append(e)
-            holder.update((n, e) for n in e.indices)
+            for n in e.indices:
+                holders.setdefault(n, []).append(e)
         self.net.entries = kept
 
 
@@ -344,17 +383,15 @@ def _entry_tensor(mgr: TddManager, e: _Entry) -> Tdd:
     if e.kind == "init":
         return mgr.from_dense(INIT_STATES[e.payload], legs)
     if e.kind == "gate":
-        return mgr.from_dense(e.payload.matrix.reshape((2,) * len(legs)), legs)
+        return mgr.from_dense(_diagonal_form(e.payload)[1], legs)
     if e.kind in ("measure2", "ident"):
         return measurement_tensor(mgr, *legs)
     if e.kind == "measure3":
         c, x, y = legs
         return measurement_tensor(mgr, x, y, c)
     if e.kind == "cond":
-        k = len(e.payload.gate.qubits)
-        shape = (2,) * (2 * k)
-        return _guarded(mgr, e.payload.func, legs, e.payload.gate.matrix.reshape(shape),
-                        np.eye(1 << k).reshape(shape))
+        _, on, off = _diagonal_form(e.payload.gate)
+        return _guarded(mgr, e.payload.func, legs, on, off)
     if e.kind == "cmeasure":
         return _guarded(mgr, e.payload.func, legs, COPY3, UNTAKEN)
     raise CompileError(f"unknown entry kind {e.kind}")

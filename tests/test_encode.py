@@ -370,10 +370,11 @@ def test_shared_outcome_after_a_shared_gate_keeps_rank2_copy():
         fixed_init={"a": "+", "b": "0"}, output_bits=("c",))
     assert any("measured twice" in err for err in validate(spec))
     kinds, net = _kinds(spec)
-    # a's outcome names the CX's leg; b's cannot take the same name there
+    # the CX control passes through: a's one wire, held by its init and the
+    # CX, takes a's outcome name; b's outcome cannot take the same name there
     assert kinds.count("measure2") == 1
-    assert [e.indices for e in net.entries if e.kind == "gate"] == \
-        [("outbit:0", "w:b.1", "w:a.0", "w:b.0")]
+    assert [e.indices for e in net.entries if e.kind in ("init", "gate")] == \
+        [("outbit:0",), ("w:b.0",), ("outbit:0", "w:b.1", "w:b.0")]
     psi = gate("CX", ["a", "b"]).matrix @ np.kron([1, 1], [1, 0]) / np.sqrt(2)
     want = np.array([psi[0], psi[3]])
     r = compile_spec(spec)
@@ -435,13 +436,15 @@ def test_blocked_fold_matches_gate_by_gate(spec, mode, open_inputs):
     r = compile_spec(spec, **kw)
     entries = r.net.entries
     # a rank-2 identity survives only where no rename can drop it: on an
-    # open input wire, or when its producer already holds the target
+    # open input wire, which pass-through gates may hold, or when an entry
+    # that holds its wire (the producer or a pass-through gate) already
+    # holds the target
     for k, e in enumerate(entries):
         if e.kind in ("measure2", "ident"):
             x, y = e.indices
-            producers = [p for p in entries[:k] if x in p.indices]
-            assert (y in producers[-1].indices if producers
-                    else x in r.net.in_names), e
+            holders = [p for p in entries[:k] if x in p.indices]
+            assert (x in r.net.in_names
+                    or any(y in p.indices for p in holders)), e
     ref, peak = gate_by_gate(r.mgr, _entry_factors(r.mgr, entries),
                              _count_uses(entries), r.net.open_names)
     assert r.mgr.identical(r.tdd, ref)
@@ -526,7 +529,9 @@ def test_factor_wider_than_a_block_contracts():
 
 
 def test_partition_piece_wider_than_a_block_contracts():
-    spec = B.qft(5)
+    # a diagonal gate holds its control's wire once, so a qft(n) piece has
+    # at most n + 1 legs: qft(8) is the smallest with one wider than a block
+    spec = B.qft(8)
     mgr, t, _, pieces = compile_by_pieces(spec, order="interleaved",
                                           open_inputs=True)
     assert max(len(p.indices) for p in pieces.values()) > BLOCK_LEGS
