@@ -84,12 +84,12 @@ def gate(name: str, qubits: Sequence[str], params: Sequence[float] = ()) -> Gate
         if params:
             raise ValueError(f"{name} takes no parameters")
         mat = _FIXED[name]
-    elif name == "P":
-        (theta,) = params
-        mat = np.diag([1.0, cmath.exp(1j * theta)])
-    elif name == "CP":
-        (theta,) = params
-        mat = np.diag([1.0, 1.0, 1.0, cmath.exp(1j * theta)])
+    elif name in ("P", "CP"):
+        if len(params) != 1:
+            raise ValueError(f"{name} takes 1 parameter, got {len(params)}")
+        if not math.isfinite(params[0]):
+            raise ValueError(f"{name}: parameter {params[0]} is not finite")
+        mat = np.diag([1.0] * (1 if name == "P" else 3) + [cmath.exp(1j * params[0])])
     else:
         raise ValueError(f"unknown gate {name!r}")
     g = Gate(name, params, tuple(qubits), _frozen(mat))
@@ -100,7 +100,7 @@ def gate(name: str, qubits: Sequence[str], params: Sequence[float] = ()) -> Gate
 def _check_unitary(g: Gate):
     d = g.matrix.shape[0]
     err = _unitary_deviation(np.asarray(g.matrix, dtype=complex).tobytes(), d)
-    if err > UNITARY_TOL:
+    if not err <= UNITARY_TOL:    # also true for nan
         raise ValueError(f"{g.name}: matrix is not unitary (deviation {err:.2e})")
 
 

@@ -1,13 +1,19 @@
 """Compile a circuit spec into a tensor decision diagram.
 
-Every gate, fixed input state, measurement and guarded gate or measurement
-becomes a small tensor over wire-segment indices; the diagram of the circuit
-is the contraction of all of them.  Measurements follow the COPY-tensor
-encoding: a measurement is a rank-3 COPY with a separate outcome leg.  The
-netlist is built in three steps.  A walk gives a qubit a fresh wire
-segment at every step that does not pass it through, and emits every
-measurement as that rank-3 COPY, a guarded one as its guarded tensor.  A
-gate, guarded or not, passes through each qubit its matrix is
+Every gate, measurement and guarded gate or measurement becomes a small
+tensor over wire-segment indices; the diagram of the circuit is the
+contraction of all of them.  A measurement is a rank-3 COPY with a
+separate outcome leg.  The netlist is built in four steps.  A walk carries
+each fixed-input qubit as a dense 2-vector until a step entangles it.  A
+1-qubit gate updates the vector; a gate, guarded or not, that passes
+through a qubit in a basis state |b> is sliced at b, and the qubit keeps
+its vector (a CP on |0> vanishes, on |1> it is a P on its other qubit; a
+phase an all-basis slice leaves goes into a vector, or onto the guard
+bits).  Any other step takes the vector into its own tensor, and a
+measurement or the finish emits it as a rank-1 entry.  Past that, the walk
+gives a qubit a fresh wire segment at every step that does not pass it
+through, and emits every measurement as that rank-3 COPY, a guarded one as
+its guarded tensor.  A gate passes through each qubit its matrix is
 block-diagonal on (every entry with out_j != in_j is exactly 0: CP, P, T,
 S, Z, CZ, the control of CX): it holds that qubit's current wire once, and
 its tensor keeps the (out_j, in_j) diagonal as one axis.  So a wire is
@@ -15,21 +21,22 @@ held by its producer, any number of passing gates and its consumer, and
 ``contract_all`` multiplies it pointwise until its last holder sums it.  A
 finish turns an unguarded measurement that ends its qubit into the rank-2
 COPY, the identity, and joins a principal or discard leg through an
-identity.  A rename then drops each identity: an identity only renames an
-index, so every entry that holds its wire takes its other leg instead.  An
-identity stays only on an open input wire, or where such an entry already
-holds the other leg.  Classical controls attach to outcome indices
-pointwise, so one bit may drive several gates.
+identity.  A rename drops each identity but one on an open input wire, or
+one whose other leg an entry holding its wire already holds: every entry
+that holds its wire takes its other leg instead.  Last, the rank-1 entries
+on each index (states, 1-qubit diagonals on a wire, guarded phases sliced
+down to their bit) multiply into one.  Classical controls attach to
+outcome indices pointwise, so one bit may drive several gates.
 
 Classical logic is compiled only as guarded steps: ``lower_controls`` turns
 every dispatch into a measurement followed by flat steps under guards, so
 no branch reaches the builder.  Every guarded tensor comes from one
-builder, ``_guarded``.  A gate under a guard f is ind(f)*U + ind(!f)*I; a
+builder, ``_guard``.  A gate under a guard f is ind(f)*U + ind(!f)*I; a
 measurement under f is ind(f)*COPY3(c, x, y) + ind(!f)*delta(x, y)*delta(c, 0),
 so an untaken measurement leaves its qubit alone and its bit at 0.  A guard
 on one bit with a tensor of at most ``RECIPE_LEGS`` legs in all is one
-dense tensor; any other enters through one lift, ``func_to_tensor``: the
-0/1 indicator [f(x) = 1] of its BDD over its outcome indices.
+dense tensor; any other enters through one lift, ``_guarded``: the 0/1
+indicator [f(x) = 1] of its BDD over its outcome indices.
 
 Every contraction, of a whole netlist, of the part a discard leaves or of
 a per-qubit piece, runs through one loop, ``contract_all``: it folds runs
@@ -59,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import (CircuitSpec, CondGate, CondMeasure, Conventional, Gate,
+from .circuits import (CircuitSpec, CondGate, CondMeasure, Conventional,
                        INIT_STATES, Measure, flatten, lower_controls)
 from .logic import BoolFunc, func_to_tensor
 from .tdd import (DENSE_CACHE, KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, NORM_TOL,
@@ -83,11 +90,6 @@ UNTAKEN = np.stack([np.eye(2), np.zeros((2, 2))])   # delta(c, 0)*delta(x, y) ov
 UNTAKEN.setflags(write=False)
 
 
-def _diagonal_form(g: Gate) -> tuple[tuple[bool, ...], np.ndarray, np.ndarray]:
-    """``g``'s pass-through mask and its (gate, identity) tensors over its legs."""
-    return _diagonal_data(np.asarray(g.matrix, dtype=complex).tobytes(), len(g.qubits))
-
-
 @lru_cache(maxsize=DENSE_CACHE)
 def _diagonal_data(data: bytes, k: int):
     """Qubit j of a k-qubit matrix passes through when every entry with
@@ -103,6 +105,31 @@ def _diagonal_data(data: bytes, k: int):
     for t in tensors:
         t.setflags(write=False)
     return (mask, *tensors)
+
+
+@lru_cache(maxsize=DENSE_CACHE)
+def _sliced(data: bytes, k: int, pattern: tuple) -> bytes | None:
+    """A k-qubit matrix with qubit j held at |b> wherever ``pattern[j]`` is
+    a basis value b (the matrix passes through it): the matrix left on the
+    qubits whose pattern is None, as bytes; None when that is the identity."""
+    at = tuple(slice(None) if b is None else b for b in pattern)
+    d = 1 << pattern.count(None)
+    m = np.frombuffer(data, dtype=complex).reshape((2,) * (2 * k))[at + at].reshape(d, d)
+    return None if np.array_equal(m, np.eye(d)) else m.tobytes()
+
+
+def _basis(v) -> int | None:
+    """b when the state ``v`` is a multiple of |b>; None for any other state or none."""
+    return None if v is None or (v[0] and v[1]) else int(v[0] == 0)
+
+
+def _guard(f: BoolFunc, legs, on: np.ndarray, off: np.ndarray):
+    """Payload of ind(f)*on + ind(!f)*off over ``legs`` (f's bits, then the
+    axes of ``on`` and ``off``): one dense tensor for one guard bit and at
+    most ``RECIPE_LEGS`` legs, else (f, on, off) for ``_guarded``."""
+    if f.arity == 1 and len(legs) <= RECIPE_LEGS:
+        return np.stack([on if f((v,)) else off for v in (0, 1)])
+    return f, on, off
 
 
 def measurement_tensor(mgr: TddManager, x: IndexId, y: IndexId,
@@ -127,7 +154,7 @@ class _Entry:
                          # measure2 (a COPY without its dangling leg) and ident
     indices: tuple[str, ...]
     partition: str           # the qubit whose per-qubit piece holds the entry
-    payload: object = None   # the Gate, the CondGate, the CondMeasure or the init state
+    payload: object = None   # the dense tensor over ``indices``, or (f, on, off) of ``_guard``
 
 
 @dataclass
@@ -152,17 +179,20 @@ class _Netlist:
 
 
 class _Builder:
-    """Emit the netlist of a lowered circuit: walk, finish, rename.
+    """Emit the netlist of a lowered circuit: walk, finish, rename, merge.
 
-    The walk gives a qubit a fresh wire segment at every step that does not
-    pass it through and emits every unguarded measurement as a rank-3 COPY.
-    The finish ends each qubit: a last unguarded measurement that nothing
-    follows, not even a passing gate, and that keeps no principal leg drops
-    its dangling leg and becomes the rank-2 COPY, the identity; a qubit that
-    needs a principal or discard leg gets an identity onto it.  The rename
-    drops each identity whose wire is not an open input, by renaming that
-    wire to the identity's other leg in every earlier entry that holds it;
-    not when one of them already holds that leg.
+    The walk carries each fixed-input qubit as a 2-vector until a step
+    entangles it (``_gate``, ``_carry``), then gives a qubit a fresh wire
+    segment at every step that does not pass it through and emits every
+    unguarded measurement as a rank-3 COPY.  The finish emits each state
+    still carried as a rank-1 entry and ends each qubit: a last unguarded
+    measurement that nothing follows, not even a passing gate, and that
+    keeps no principal leg drops its dangling leg and becomes the rank-2
+    COPY, the identity; a qubit that needs a principal or discard leg gets
+    an identity onto it.  The rename drops each identity whose wire is not
+    an open input, by renaming that wire to the identity's other leg in
+    every earlier entry that holds it; not when one of them already holds
+    that leg.  The merge multiplies the rank-1 entries on each index into one.
     """
 
     def __init__(self, spec: CircuitSpec, mode: str, open_inputs: bool):
@@ -176,6 +206,7 @@ class _Builder:
         self.bit_outcome: dict[str, str] = {}
         self.bit_source: dict[str, str] = {}
         self.meas_seq: dict[str, int] = {}    # bit -> measurement counter
+        self.state: dict[str, np.ndarray] = {}  # carried qubit -> its 2-vector
 
     # index declarations
 
@@ -210,17 +241,19 @@ class _Builder:
     def build(self) -> _Netlist:
         spec, net = self.spec, self.net
         for q in spec.qubits:
-            w = self.wire(q)
             if q in spec.inputs or self.open_inputs:
+                w = self.wire(q)
                 net.in_names.append(w)
                 net.open_names.add(w)
             else:
-                net.entries.append(_Entry("init", (w,), q, spec.fixed_init.get(q, "0")))
+                self.state[q] = INIT_STATES[spec.fixed_init.get(q, "0")]
         for st in flatten(lower_controls(spec.circuit)):
             self._emit(st)
         for q in spec.qubits:
+            self._drop(q)
             self._finish(q)
         self._rename()
+        self._merge()
         used = {n for e in net.entries for n in e.indices} | net.open_names
         net.decls = {n: d for n, d in net.decls.items() if n in used}
         net.m_set = [f"outbit:{k}" for k in range(len(spec.output_bits))]
@@ -248,13 +281,9 @@ class _Builder:
         entries = self.net.entries
         if isinstance(st, Conventional):
             for g in st.gates:
-                legs = self._step(g.qubits, _diagonal_form(g)[0])
-                entries.append(_Entry("gate", legs, self._owner(g.qubits), g))
+                self._gate(g.qubits, np.asarray(g.matrix, dtype=complex).tobytes())
         elif isinstance(st, CondGate):
-            bits = tuple(self.bit_outcome[b] for b in st.bits)
-            legs = self._step(st.gate.qubits, _diagonal_form(st.gate)[0])
-            part = self._owner(st.gate.qubits + tuple(self.bit_source[b] for b in st.bits))
-            entries.append(_Entry("cond", bits + legs, part, st))
+            self._gate(st.gate.qubits, np.asarray(st.gate.matrix, dtype=complex).tobytes(), st)
         elif isinstance(st, (Measure, CondMeasure)):
             guard = () if isinstance(st, Measure) else st.bits
             bits = tuple(self.bit_outcome[b] for b in guard)
@@ -265,15 +294,77 @@ class _Builder:
                 self.net.open_names.add(c)
                 if self.mode == "q":
                     self.net.peel_set.add(c)
+                self._drop(q)
                 y, x = self._step((q,), (False,))
                 if not guard:
-                    e = self.last_measure[q] = _Entry("measure3", (c, x, y), q)
+                    e = self.last_measure[q] = _Entry("measure3", (c, x, y), q, COPY3)
                 else:   # never a last measure: untaken, it must keep its wire
-                    e = _Entry("cmeasure", bits + (c, x, y), self._owner(
-                        (q,) + tuple(self.bit_source[b] for b in guard)), st)
+                    legs = bits + (c, x, y)
+                    e = _Entry("cmeasure", legs, self._owner(
+                        (q,) + tuple(self.bit_source[b] for b in guard)),
+                        _guard(st.func, legs, COPY3, UNTAKEN))
                 entries.append(e)
         else:
             raise TypeError(st)
+
+    def _gate(self, qubits, data: bytes, cond: CondGate | None = None):
+        """Emit the gate on ``qubits`` with matrix bytes ``data``, under
+        ``cond``'s guard if given, folded first by ``_carry``.  A state it
+        still reaches scales a passing qubit's held axis, else is summed
+        into its in axis, and the qubit is carried no more."""
+        taken = {}
+        if self.state and any(q in self.state for q in qubits):
+            folded = self._carry(qubits, data, cond)
+            if folded is None:
+                return
+            qubits, data, taken = folded
+        k = len(qubits)
+        mask, on, off = _diagonal_data(data, k)
+        legs = self._step(qubits, mask)
+        for j in sorted(taken, reverse=True):   # later in axes first: earlier ones stay put
+            v = taken[j]
+            if mask[j]:
+                on, off = (t * v.reshape((2,) + (1,) * (t.ndim - j - 1)) for t in (on, off))
+            else:
+                ax = k + mask[:j].count(False)
+                on, off = (np.tensordot(t, v, ([ax], [0])) for t in (on, off))
+                legs = legs[:ax] + legs[ax + 1:]
+        if cond is None:
+            self.net.entries.append(_Entry("gate", legs, self._owner(qubits), on))
+            return
+        legs = tuple(self.bit_outcome[b] for b in cond.bits) + legs
+        part = self._owner(qubits + tuple(self.bit_source[b] for b in cond.bits))
+        self.net.entries.append(_Entry("cond", legs, part, _guard(cond.func, legs, on, off)))
+
+    def _carry(self, qubits, data: bytes, cond):
+        """Fold a gate into the carried states as far as it can: slice it at
+        b on each carried qubit in a basis state |b> that it passes through,
+        put a phase an all-basis slice leaves into the first such state, and
+        apply an unguarded remainder on one carried qubit to its state.
+        None when nothing is left to emit, else the remainder's qubits and
+        matrix bytes, and the states it takes in, by position."""
+        state, k = self.state, len(qubits)
+        mask = _diagonal_data(data, k)[0]
+        pattern = tuple(_basis(state.get(q)) if p else None for q, p in zip(qubits, mask))
+        if pattern.count(None) < k:
+            data = _sliced(data, k, pattern)
+            if data is None:
+                return None
+            if None not in pattern and cond is None:     # a phase is left
+                state[qubits[0]] = state[qubits[0]] * np.frombuffer(data, dtype=complex)[0]
+                return None
+            qubits = tuple(q for q, b in zip(qubits, pattern) if b is None)
+        if cond is None and len(qubits) == 1 and qubits[0] in state:
+            q, = qubits
+            state[q] = np.frombuffer(data, dtype=complex).reshape(2, 2) @ state[q]
+            return None
+        return qubits, data, {j: state.pop(q) for j, q in enumerate(qubits) if q in state}
+
+    def _drop(self, q: str):
+        """Emit the state ``q`` carries, if any, as a rank-1 entry on its wire."""
+        v = self.state.pop(q, None)
+        if v is not None:
+            self.net.entries.append(_Entry("init", (self.wire(q),), q, v))
 
     # finish
 
@@ -283,7 +374,7 @@ class _Builder:
         principal = q in self.spec.outputs
         if e is not None and e.indices[2] == y and not (principal and self.mode == "q"):
             c, x, _ = e.indices
-            e.kind, e.indices = "measure2", (x, c)
+            e.kind, e.indices, e.payload = "measure2", (x, c), np.eye(2)
             return
         if principal and (self.mode == "q" or not self.spec.output_bits):
             end = self.principal_out(q)
@@ -293,7 +384,7 @@ class _Builder:
             self.net.open_names.add(y)
             return
         self.net.open_names.add(end)
-        self.net.entries.append(_Entry("ident", (y, end), q))
+        self.net.entries.append(_Entry("ident", (y, end), q, np.eye(2)))
 
     # rename
 
@@ -311,6 +402,18 @@ class _Builder:
             kept.append(e)
             for n in e.indices:
                 holders.setdefault(n, []).append(e)
+        self.net.entries = kept
+
+    def _merge(self):
+        """Multiply the rank-1 entries on each index into the first of them."""
+        kept, first = [], {}
+        for e in self.net.entries:
+            if len(e.indices) == 1:
+                f = first.setdefault(e.indices[0], e)
+                if f is not e:
+                    f.payload = f.payload * e.payload
+                    continue
+            kept.append(e)
         self.net.entries = kept
 
 
@@ -380,29 +483,16 @@ def _count_uses(entries) -> Counter:
 
 def _entry_tensor(mgr: TddManager, e: _Entry) -> Tdd:
     legs = [mgr.index(n) for n in e.indices]
-    if e.kind == "init":
-        return mgr.from_dense(INIT_STATES[e.payload], legs)
-    if e.kind == "gate":
-        return mgr.from_dense(_diagonal_form(e.payload)[1], legs)
-    if e.kind in ("measure2", "ident"):
-        return measurement_tensor(mgr, *legs)
-    if e.kind == "measure3":
-        c, x, y = legs
-        return measurement_tensor(mgr, x, y, c)
-    if e.kind == "cond":
-        _, on, off = _diagonal_form(e.payload.gate)
-        return _guarded(mgr, e.payload.func, legs, on, off)
-    if e.kind == "cmeasure":
-        return _guarded(mgr, e.payload.func, legs, COPY3, UNTAKEN)
-    raise CompileError(f"unknown entry kind {e.kind}")
+    if isinstance(e.payload, tuple):
+        f, on, off = e.payload
+        return _guarded(mgr, f, legs, on, off)
+    return mgr.from_dense(e.payload, legs)
 
 
 def _guarded(mgr: TddManager, f: BoolFunc, legs, on: np.ndarray, off: np.ndarray) -> Tdd:
-    """ind(f)*on + ind(!f)*off: ``legs`` are f's bits, then the axes of the
-    dense tensors ``on`` and ``off``."""
+    """ind(f)*on + ind(!f)*off through the indicator of f's BDD: ``legs``
+    are f's bits, then the axes of the dense tensors ``on`` and ``off``."""
     cin, axes = legs[:f.arity], legs[f.arity:]
-    if f.arity == 1 and len(legs) <= RECIPE_LEGS:
-        return mgr.from_dense(np.stack([on if f((v,)) else off for v in (0, 1)]), legs)
     fired = mgr.contract(func_to_tensor(mgr, f, cin), mgr.from_dense(on, axes), set())
     idle = mgr.contract(func_to_tensor(mgr, ~f, cin), mgr.from_dense(off, axes), set())
     return mgr.add(fired, idle)

@@ -247,3 +247,17 @@ def test_eps_outside_unit_interval_is_usage_error(tmp_path, capsys, eps):
         main(["check", fa, fb, "--mode", "m", "--eps", eps])
     assert exc.value.code == 2
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token,message", [
+    ("P(inf)", "P: parameter inf is not finite"), ("P(nan)", "P: parameter nan is not finite"),
+    ("CP(-inf)", "CP: parameter -inf is not finite"), ("P(1,2)", "P takes 1 parameter, got 2"),
+    ("P", "P takes 1 parameter, got 0")])
+def test_bad_gate_parameter_exits_two_with_its_line(tmp_path, capsys, token, message):
+    # a nan phase used to pass the unitarity check and end in a traceback
+    f = tmp_path / "bad.dqc"
+    qubits = "q r" if token.startswith("CP") else "q"
+    f.write_text(f"qubits q r\ninputs q r\noutputs q r\ngate H q\ngate {token} {qubits}\n")
+    assert main(["check", str(f), str(f), "--mode", "q"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: line 5: {message}\n"

@@ -173,17 +173,18 @@ def test_plans_agree_on_single_qubit():
 
 
 def test_teleport_partition_assignment():
-    _, (net,) = prepare([B.teleport()])
+    # open inputs carry no state, so every gate keeps an entry of its own
+    _, (net,) = prepare([B.teleport()], open_inputs=True)
     parts = {}
     for e in net.entries:
         parts.setdefault(e.partition, []).append(e)
     assert set(parts) == {"q", "q1", "q2"}
     # CX(q, q1) is owned by q, as is q's outcome index: the measurement
     # that ends q names the output leg of q's last gate
-    assert any(e.kind == "gate" and e.payload.name == "CX"
-               and e.payload.qubits == ("q", "q1") for e in parts["q"])
+    gates = {q: [e.indices for e in es if e.kind == "gate"] for q, es in parts.items()}
+    assert ("w:q.0", "bit:c1", "w:q1.1") in gates["q"]
     assert any("bit:c0" in e.indices for e in parts["q"])
-    assert any(e.kind == "gate" and e.payload.name == "H" for e in parts["q2"])
+    assert ("w:q2.1", "w:q2.0") in gates["q2"]       # H q2
     # every tensor lands in exactly one partition
     assert sum(map(len, parts.values())) == len(net.entries)
 
@@ -271,11 +272,14 @@ def _dense_by_name(mgr, t, names):
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_qft_measurements_cost_no_tensor(n):
-    kinds, net = _kinds(B.qft(n))
+    # open inputs, so that the gates are not folded into carried states
+    kinds, net = _kinds(B.qft(n), open_inputs=True)
     assert not any(k.startswith("measure") for k in kinds)
-    # every outcome index is the output leg of its qubit's last gate
+    # every outcome index is the output leg of its qubit's last gate: H
+    # has (out, in) legs, a CP holds both of its wires
+    h = gate("H", ["q"]).matrix
     legs = {x for e in net.entries if e.kind == "gate"
-            for x in e.indices[:len(e.payload.qubits)]}
+            for x in (e.indices[:1] if np.array_equal(e.payload, h) else e.indices)}
     assert {f"outbit:{k}" for k in range(n)} <= legs
 
 
@@ -370,11 +374,12 @@ def test_shared_outcome_after_a_shared_gate_keeps_rank2_copy():
         fixed_init={"a": "+", "b": "0"}, output_bits=("c",))
     assert any("measured twice" in err for err in validate(spec))
     kinds, net = _kinds(spec)
-    # the CX control passes through: a's one wire, held by its init and the
-    # CX, takes a's outcome name; b's outcome cannot take the same name there
+    # the CX control passes through and takes in a's state: a's one wire,
+    # held by the CX, takes a's outcome name; b's state is summed into the
+    # CX's in leg, and b's outcome cannot take the same name on its out leg
     assert kinds.count("measure2") == 1
     assert [e.indices for e in net.entries if e.kind in ("init", "gate")] == \
-        [("outbit:0",), ("w:b.0",), ("outbit:0", "w:b.1", "w:b.0")]
+        [("outbit:0", "w:b.1")]
     psi = gate("CX", ["a", "b"]).matrix @ np.kron([1, 1], [1, 0]) / np.sqrt(2)
     want = np.array([psi[0], psi[3]])
     r = compile_spec(spec)
@@ -394,8 +399,7 @@ def test_q_mode_discarded_qubit_ends_on_its_peeled_outcome():
     kinds, net = _kinds(a)
     assert not any(k.startswith("measure") for k in kinds)
     assert "bit:c" in net.peel_set
-    assert any(e.kind == "gate" and e.indices[:len(e.payload.qubits)] == ("bit:c",)
-               for e in net.entries)
+    assert any(e.kind == "gate" and e.indices == ("bit:c",) for e in net.entries)   # T a
     assert {_agrees_with_oracle(a, parse(head + f"gate {g} a\n" + tail), "q")
             for g in ("S", "H")} == {True, False}
 

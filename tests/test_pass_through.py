@@ -125,16 +125,16 @@ def test_pass_through_gate_after_a_last_measurement_keeps_its_leg():
 
 def test_rename_reaches_every_holder_of_a_wire():
     # H's output wire is held by H and by T; the final measurement renames
-    # it to the outcome in both
+    # it to the outcome in both (an open input, so no state is carried)
     spec = CircuitSpec(qubits=("a",), circuit=seq(
         Conventional((gate("H", ["a"]), gate("T", ["a"]))),
         Measure(MeasureStep(("a",), ("c",)))),
         fixed_init={"a": "0"}, output_bits=("c",))
-    r = compile_spec(spec)
+    r = compile_spec(spec, open_inputs=True)
     assert [(e.kind, e.indices) for e in r.net.entries] == [
-        ("init", ("w:a.0",)), ("gate", ("outbit:0", "w:a.0")), ("gate", ("outbit:0",))]
-    want = np.array([1, np.exp(0.25j * np.pi)]) / np.sqrt(2)
-    assert np.max(np.abs(_by_name(r, ["outbit:0"]) - want)) < 1e-12
+        ("gate", ("outbit:0", "w:a.0")), ("gate", ("outbit:0",))]
+    want = np.diag([1, np.exp(0.25j * np.pi)]) @ gate("H", ["a"]).matrix
+    assert np.max(np.abs(_by_name(r, ["outbit:0", "w:a.0"]) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("mode", ["m", "q"])

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from tddeq import benchmarks as B
-from tddeq.circuits import CondGate, flatten, validate
+from tddeq.circuits import (CircuitSpec, CondGate, Conventional, Gate, flatten,
+                            validate)
 from tddeq.equivalence import check
 from tddeq.oracle import oracle_full_eq, superoperator
 from tddeq.textfmt import ParseError, expr_from_func, parse, parse_expr, print_spec
@@ -43,6 +44,25 @@ def test_parse_undeclared_qubit_is_positioned():
         parse(text)
     assert "line 2" in str(exc.value)
     assert "q1" in str(exc.value)
+
+
+@pytest.mark.parametrize("token,message", [
+    ("P(inf)", "P: parameter inf is not finite"), ("P(nan)", "P: parameter nan is not finite"),
+    ("P(1e400)", "P: parameter inf is not finite"), ("P(1,2)", "P takes 1 parameter, got 2"),
+    ("CP()", "CP takes 1 parameter, got 0")])
+def test_parse_bad_gate_parameters_are_positioned(token, message):
+    qubits = "q0 q1" if token.startswith("CP") else "q0"
+    with pytest.raises(ParseError) as exc:
+        parse(f"qubits q0 q1\ngate H q0\ngate {token} {qubits}\n")
+    assert str(exc.value) == f"line 3: {message}"
+
+
+def test_nan_gate_matrix_is_not_unitary():
+    # nan > UNITARY_TOL is false: the check must read not (err <= tol)
+    g = Gate("U", (), ("q",), np.diag([1.0, complex("nan")]))
+    spec = CircuitSpec(qubits=("q",), circuit=Conventional((g,)), inputs=("q",),
+                       outputs=("q",))
+    assert any("not unitary" in e for e in validate(spec))
 
 
 def test_parse_bad_measure():
