@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
@@ -30,24 +31,27 @@ from .logic import FALSE, TRUE, BoolFunc
 from .tdd import DENSE_CACHE, UNITARY_TOL
 
 
-def _frozen(mat) -> np.ndarray:
-    arr = np.asarray(mat, dtype=complex)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A named unitary on an ordered qubit tuple, params in radians."""
+    """A named unitary on an ordered qubit tuple, params in radians.
+
+    The gate owns a read-only complex copy of ``matrix`` and its bytes,
+    ``data``, on which every check and cache keys; changing the array it
+    was built from changes neither."""
 
     name: str
     params: tuple[float, ...]
     qubits: tuple[str, ...]
     matrix: np.ndarray
+    data: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         k = len(self.qubits)
-        if self.matrix.shape != (1 << k, 1 << k):
+        mat = np.array(self.matrix, dtype=complex)
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "data", mat.tobytes())
+        if mat.shape != (1 << k, 1 << k):
             raise ValueError(f"{self.name}: matrix shape does not match {k} qubits")
         if len(set(self.qubits)) != k:
             raise ValueError(f"{self.name}: repeated qubit")
@@ -77,9 +81,19 @@ _FIXED = {
 
 
 def gate(name: str, qubits: Sequence[str], params: Sequence[float] = ()) -> Gate:
-    """Library constructor; knows H X Y Z S SDG T TDG CX CZ SWAP P CP."""
-    name = name.upper()
+    """Library constructor; knows H X Y Z S SDG T TDG CX CZ SWAP P CP.
+
+    Library gates are interned: each distinct (name, qubits, params) is one
+    shared, immutable ``Gate``, checked and built once per process."""
     params = tuple(float(p) for p in params)
+    # -0.0 == 0.0, but P(-0.0) prints apart from P(0.0): the signs keep it its label
+    return _library_gate(name.upper(), tuple(qubits), params,
+                         tuple(math.copysign(1.0, p) for p in params))
+
+
+@lru_cache(maxsize=DENSE_CACHE)
+def _library_gate(name: str, qubits: tuple[str, ...], params: tuple[float, ...],
+                  signs: tuple[float, ...]) -> Gate:
     if name in _FIXED:
         if params:
             raise ValueError(f"{name} takes no parameters")
@@ -92,14 +106,13 @@ def gate(name: str, qubits: Sequence[str], params: Sequence[float] = ()) -> Gate
         mat = np.diag([1.0] * (1 if name == "P" else 3) + [cmath.exp(1j * params[0])])
     else:
         raise ValueError(f"unknown gate {name!r}")
-    g = Gate(name, params, tuple(qubits), _frozen(mat))
+    g = Gate(name, params, qubits, mat)
     _check_unitary(g)
     return g
 
 
 def _check_unitary(g: Gate):
-    d = g.matrix.shape[0]
-    err = _unitary_deviation(np.asarray(g.matrix, dtype=complex).tobytes(), d)
+    err = _unitary_deviation(g.data, g.matrix.shape[0])
     if not err <= UNITARY_TOL:    # also true for nan
         raise ValueError(f"{g.name}: matrix is not unitary (deviation {err:.2e})")
 
@@ -358,6 +371,11 @@ def validate(spec: CircuitSpec) -> list[str]:
     for q in spec.outputs:
         if q not in declared:
             errors.append(f"principal output {q} not declared")
+    for what, names in (("principal input", spec.inputs), ("principal output", spec.outputs),
+                        ("output bit", spec.output_bits)):
+        twice = sorted(n for n, c in Counter(names).items() if c > 1)
+        if twice:
+            errors.append(f"duplicate {what} {twice}")
     expected_init = declared - set(spec.inputs)
     if set(spec.fixed_init) != expected_init:
         missing = expected_init - set(spec.fixed_init)

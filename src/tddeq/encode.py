@@ -281,9 +281,9 @@ class _Builder:
         entries = self.net.entries
         if isinstance(st, Conventional):
             for g in st.gates:
-                self._gate(g.qubits, np.asarray(g.matrix, dtype=complex).tobytes())
+                self._gate(g.qubits, g.data)
         elif isinstance(st, CondGate):
-            self._gate(st.gate.qubits, np.asarray(st.gate.matrix, dtype=complex).tobytes(), st)
+            self._gate(st.gate.qubits, st.gate.data, st)
         elif isinstance(st, (Measure, CondMeasure)):
             guard = () if isinstance(st, Measure) else st.bits
             bits = tuple(self.bit_outcome[b] for b in guard)

@@ -24,19 +24,23 @@ Control expressions use bits, ``!``, ``&``, ``|``, ``^`` and parentheses;
 
 The parser turns each control expression straight into a BDD by apply over
 its syntax tree (``== 0`` negates), so a control's cost grows with its
-BDD, not with the 2^n assignments of its bits.  The printer writes the
-expression text kept from parsing, or else one product of literals per
-path to 1 in the BDD.
+BDD, not with the 2^n assignments of its bits.  Each distinct gate token
+and control expression is parsed (and lifted to its BDD) once per process;
+no error is cached, and every use checks that its bits are measured.  The
+printer writes the expression text kept from parsing, or else one product
+of literals per path to 1 in the BDD.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from . import logic
 from .circuits import (Branch, CircuitSpec, CondGate, Conventional, Measure,
                        MeasureStep, flatten, gate, seq)
 from .logic import BoolFunc
+from .tdd import DENSE_CACHE
 
 
 class ParseError(Exception):
@@ -50,6 +54,7 @@ class ParseError(Exception):
 
 
 _TOKEN = re.compile(r"\s*(=>|[()!&|^]|[A-Za-z_][A-Za-z_0-9]*|[01])")
+_BIT = re.compile(r"[A-Za-z_]")
 
 
 def _tokenize(s: str):
@@ -116,22 +121,28 @@ class _ExprParser:
             return node
         if t in ("0", "1"):
             return ("const", int(t))
-        if t is None or not re.match(r"[A-Za-z_]", t):
+        if t is None or not _BIT.match(t):
             raise ParseError(f"unexpected token {t!r} in control expression")
         if t not in self.bits:
             self.bits.append(t)
         return ("bit", t)
 
 
-def _expr_ast(text: str, known_bits=None):
-    """(bits in order of appearance, AST) of one control expression."""
+@lru_cache(maxsize=DENSE_CACHE)
+def _parsed_expr(text: str):
     p = _ExprParser(_tokenize(text))
     node = p.parse()
+    return tuple(p.bits), node
+
+
+def _expr_ast(text: str, known_bits=None):
+    """(bits in order of appearance, AST) of one control expression."""
+    bits, node = _parsed_expr(text)
     if known_bits is not None:
-        for b in p.bits:
+        for b in bits:
             if b not in known_bits:
                 raise ParseError(f"control references unmeasured bit {b!r}")
-    return tuple(p.bits), node
+    return bits, node
 
 
 def _bdd(node, pos: dict):
@@ -163,7 +174,13 @@ def _control_func(bits, nodes) -> BoolFunc:
 def parse_expr(text: str, known_bits=None):
     """(bits-in-use, BoolFunc over them, normalized text) for one control
     expression."""
-    bits, node = _expr_ast(text, known_bits)
+    _expr_ast(text, known_bits)
+    return _lifted_expr(text)
+
+
+@lru_cache(maxsize=DENSE_CACHE)
+def _lifted_expr(text: str):
+    bits, node = _parsed_expr(text)
     return bits, _control_func(bits, (node,)), _fmt_node(node)
 
 
@@ -205,20 +222,32 @@ _GATE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\(([^)]*)\))?$")
 
 
 def _parse_gate_token(tok: str, qubits, line):
+    try:
+        return _token_gate(tok, tuple(qubits))
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from None
+
+
+@lru_cache(maxsize=DENSE_CACHE)
+def _token_gate(tok: str, qubits: tuple[str, ...]):
     m = _GATE_RE.match(tok)
     if not m:
-        raise ParseError(f"bad gate token {tok!r}", line)
-    name = m.group(1)
+        raise ValueError(f"bad gate token {tok!r}")
     params = []
     if m.group(2):
-        try:
-            params = [float(p) for p in m.group(2).split(",") if p.strip()]
+        try:    # float("") raises, so an empty slot, as in P(1,), is refused
+            params = [float(p) for p in m.group(2).split(",")]
         except ValueError:
-            raise ParseError(f"bad gate parameters in {tok!r}", line)
+            raise ValueError(f"bad gate parameters in {tok!r}") from None
+    return gate(m.group(1), qubits, params)
+
+
+def _at(line: int, fn, *args):
+    """``fn(*args)``, a ParseError it raises placed at ``line``."""
     try:
-        return gate(name, qubits, params)
-    except ValueError as exc:
-        raise ParseError(str(exc), line)
+        return fn(*args)
+    except ParseError as exc:
+        raise ParseError(str(exc), line) from None
 
 
 def _fmt_gate(g) -> str:
@@ -226,6 +255,14 @@ def _fmt_gate(g) -> str:
 
 
 # -- parser ----------------------------------------------------------------------
+
+
+_SUBCIRCUIT = re.compile(r"subcircuit\s+([A-Za-z_][\w]*)\s*\{\s*$")
+_INIT = re.compile(r"init\s+([\w]+)\s*=\s*([01+])\s*$")
+_MEASURE = re.compile(r"measure\s+([\w]+)\s*->\s*([\w]+)\s*$")
+_IFC = re.compile(r"ifc\s+(.+?)(?:\s*==\s*([01]))?\s+apply\s+(\S+)\s+(.+)$")
+_DISPATCH = re.compile(r"dispatch\s+(.+?)\s*\{(.*)\}\s*$")
+_TABLE_ITEM = re.compile(r"(\d+)\s*:\s*([A-Za-z_][\w]*)")
 
 
 def parse(text: str) -> CircuitSpec:
@@ -244,7 +281,7 @@ def parse(text: str) -> CircuitSpec:
         if not line:
             continue
         if line.startswith("subcircuit"):
-            m = re.match(r"subcircuit\s+([A-Za-z_][\w]*)\s*\{\s*$", line)
+            m = _SUBCIRCUIT.match(line)
             if not m:
                 raise ParseError("bad subcircuit header", no)
             if current is not None:
@@ -271,9 +308,11 @@ def parse(text: str) -> CircuitSpec:
         if head in header:
             header[head] = line.split()[1:]
         elif head == "init":
-            m = re.match(r"init\s+([\w]+)\s*=\s*([01+])\s*$", line)
+            m = _INIT.match(line)
             if not m:
                 raise ParseError("bad init line (want `init q=0|1|+`)", no)
+            if m.group(1) in init:
+                raise ParseError(f"qubit {m.group(1)!r} initialised twice", no)
             init[m.group(1)] = m.group(2)
         else:
             body.append((no, line))
@@ -315,7 +354,7 @@ def _parse_body(body, qubits, subs, measured):
                     raise ParseError(f"undeclared qubit {q!r}", no)
             steps.append(Conventional((_parse_gate_token(toks[1], toks[2:], no),)))
         elif head == "measure":
-            m = re.match(r"measure\s+([\w]+)\s*->\s*([\w]+)\s*$", line)
+            m = _MEASURE.match(line)
             if not m:
                 raise ParseError("bad measure line (want `measure q -> c`)", no)
             q, b = m.group(1), m.group(2)
@@ -326,12 +365,12 @@ def _parse_body(body, qubits, subs, measured):
             measured.add(b)
             pending_meas.append((q, b))
         elif head == "ifc":
-            m = re.match(r"ifc\s+(.+?)(?:\s*==\s*([01]))?\s+apply\s+(\S+)\s+(.+)$", line)
+            m = _IFC.match(line)
             if not m:
                 raise ParseError("bad ifc line (want `ifc expr [== k] apply G q...`)", no)
             flush_meas()
             expr_text, cmp_val, gtok, qlist = m.groups()
-            bits, func, norm = parse_expr(expr_text, measured)
+            bits, func, norm = _at(no, parse_expr, expr_text, measured)
             if not bits:
                 raise ParseError("control expression uses no bits", no)
             if cmp_val == "0":
@@ -344,14 +383,14 @@ def _parse_body(body, qubits, subs, measured):
             steps.append(CondGate(_parse_gate_token(gtok, qs, no), bits, func,
                                   expr=norm))
         elif head == "dispatch":
-            m = re.match(r"dispatch\s+(.+?)\s*\{(.*)\}\s*$", line)
+            m = _DISPATCH.match(line)
             if not m:
                 raise ParseError("bad dispatch line", no)
             exprs_text, table_text = m.groups()
             exprs = [e.strip() for e in exprs_text.split(",") if e.strip()]
             if not exprs:
                 raise ParseError("dispatch needs at least one expression", no)
-            parsed = [_expr_ast(e, measured) for e in exprs]
+            parsed = [_at(no, _expr_ast, e, measured) for e in exprs]
             used_bits = {b for bits, _ in parsed for b in bits}
             pend_bits = [b for _, b in pending_meas]
             if used_bits - set(pend_bits):
@@ -362,11 +401,11 @@ def _parse_body(body, qubits, subs, measured):
             pending_meas.clear()
             t = len(parsed)
             branch_names = {}
-            for item in re.findall(r"(\d+)\s*:\s*([A-Za-z_][\w]*)", table_text):
+            for item in _TABLE_ITEM.findall(table_text):
                 branch_names[int(item[0])] = item[1]
             if sorted(branch_names) != list(range(1 << t)):
                 raise ParseError(f"dispatch table must name branches 0..{(1 << t) - 1}", no)
-            func = _control_func(r_bits, [node for _, node in parsed])
+            func = _at(no, _control_func, r_bits, [node for _, node in parsed])
             branches = []
             for i in range(1 << t):
                 name = branch_names[i]

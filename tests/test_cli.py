@@ -261,3 +261,28 @@ def test_bad_gate_parameter_exits_two_with_its_line(tmp_path, capsys, token, mes
     assert main(["check", str(f), str(f), "--mode", "q"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: line 5: {message}\n"
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("qubits q\ninit q=+\noutbits c0 c0\nmeasure q -> c0\n", "duplicate output bit ['c0']"),
+    ("qubits q r\ninputs q r\noutputs q q\ngate H q\n", "duplicate principal output ['q']"),
+    ("qubits q r\ninputs q q r\noutputs q r\ngate H q\n", "duplicate principal input ['q']"),
+])
+@pytest.mark.parametrize("mode", ["m", "q"])
+def test_duplicate_header_names_exit_two(tmp_path, capsys, text, reason, mode):
+    # outbits c0 c0 used to end in KeyError: 'outbit:1' with exit 1
+    f = tmp_path / "dup.dqc"
+    f.write_text(text)
+    code, recs = run(capsys, "check", str(f), str(f), "--mode", mode)
+    assert code == 2
+    assert recs[0]["verdict"] == "inconclusive"
+    assert recs[0]["reason"].startswith(f"a: {reason}")
+
+
+@pytest.mark.parametrize("mode", ["m", "q"])
+def test_second_init_of_a_qubit_exits_two_with_its_line(tmp_path, capsys, mode):
+    f = tmp_path / "init.dqc"
+    f.write_text("qubits q\ninit q=0\noutbits c\ninit q=1\nmeasure q -> c\n")
+    assert main(["check", str(f), str(f), "--mode", mode]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: line 4: qubit 'q' initialised twice\n"
