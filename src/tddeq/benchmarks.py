@@ -285,6 +285,8 @@ def qec_suite() -> list[BenchmarkPair]:
 
 
 def suite(name: str, max_n: int = 12) -> list[BenchmarkPair]:
+    if name in ("qft", "pe", "all") and max_n < 2:   # else it would check no pair
+        raise ValueError(f"suite {name!r} needs max_n >= 2, got {max_n}")
     if name == "qft":
         return [qft_pair(n) for n in range(2, max_n + 1)]
     if name == "pe":

@@ -70,8 +70,7 @@ def cmd_check(args) -> int:
                              verdict, 0.0, 0.0, None, None)
         print(json.dumps(rec))
         return EXIT_EQ if equal else EXIT_NEQ
-    verdict, rep = check(spec_a, spec_b, args.mode, plan=args.plan,
-                         eps=args.eps, strict_q=args.strict_q)
+    verdict, rep = check(spec_a, spec_b, args.mode, plan=args.plan, eps=args.eps)
     nodes = _baseline_nodes(spec_a)
     rec = _report_record(f"{args.file_a}|{args.file_b}", args.mode, args.plan,
                          verdict, rep.tdd_time, rep.total_time,
@@ -88,12 +87,11 @@ def _name_key(name: str):
     return (name, -1)
 
 
-def _bench_rows(pairs, plan, eps, strict_q):
+def _bench_rows(pairs, plan, eps):
     rows = []
     for pair in sorted(pairs, key=lambda p: _name_key(p.name)):
         try:
-            verdict, rep = check(pair.spec_a, pair.spec_b, pair.mode, plan=plan,
-                                 eps=eps, strict_q=strict_q)
+            verdict, rep = check(pair.spec_a, pair.spec_b, pair.mode, plan=plan, eps=eps)
             nodes = _baseline_nodes(pair.spec_a)
             rows.append(_report_record(pair.name, pair.mode, plan, verdict,
                                        rep.tdd_time, rep.total_time,
@@ -112,7 +110,7 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERR
-    rows = _bench_rows(pairs, args.plan, args.eps, args.strict_q)
+    rows = _bench_rows(pairs, args.plan, args.eps)
     for rec in rows:
         print(json.dumps(rec))
     print(_human_table(rows), file=sys.stderr)
@@ -150,7 +148,6 @@ def main(argv=None) -> int:
     pc.add_argument("file_b")
     pc.add_argument("--mode", choices=["m", "q", "full"], default="m")
     pc.add_argument("--plan", choices=["basic", "partitioned"], default="basic")
-    pc.add_argument("--strict-q", action="store_true", dest="strict_q")
     pc.add_argument("--eps", type=_eps, default=None)
     pc.set_defaults(fn=cmd_check)
 
@@ -158,7 +155,6 @@ def main(argv=None) -> int:
     pb.add_argument("--suite", choices=["qft", "pe", "qec", "all"], required=True)
     pb.add_argument("--max-n", type=int, default=12, dest="max_n")
     pb.add_argument("--plan", choices=["basic", "partitioned"], default="basic")
-    pb.add_argument("--strict-q", action="store_true", dest="strict_q")
     pb.add_argument("--eps", type=_eps, default=None)
     pb.set_defaults(fn=cmd_bench)
 

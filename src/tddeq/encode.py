@@ -461,7 +461,10 @@ def _infer_mode(spec: CircuitSpec) -> str:
 
 def prepare(specs: Sequence[CircuitSpec], *, mode: str | None = None,
             order: str = "grouped", open_inputs: bool = False):
-    """Build netlists for all specs and one shared manager."""
+    """Build netlists for all specs and one shared manager; ``mode`` None
+    takes each spec's own mode, and one not "m" or "q" raises ValueError."""
+    if mode not in (None, "m", "q"):
+        raise ValueError(f"unknown mode {mode!r}")
     nets = [
         _Builder(spec, mode or _infer_mode(spec), open_inputs).build()
         for spec in specs

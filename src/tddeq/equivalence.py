@@ -41,13 +41,12 @@ class IndexOrderError(Exception):
 def _peel(mgr: TddManager, t: Tdd, m_set):
     """One walk over the measurement nodes of ``t``.
 
-    Returns ``(residuals, nodes)``: ``residuals`` maps every sub-diagram
-    root reached by branching on ``m_set`` indices to its first path in
-    low-before-high order, a list of ``(index name, bit)``; ``nodes`` lists
-    the measurement nodes visited, children first.  Zero-weight edges
-    (impossible outcomes) are skipped.  An explicit stack visits each
-    measurement node once, so the cost is linear in the diagram, not in the
-    number of paths.  A residual outranking ``m_set`` raises ``IndexOrderError``.
+    Returns a map of every sub-diagram root reached by branching on
+    ``m_set`` indices to its first path in low-before-high order, a list of
+    ``(index name, bit)``.  Zero-weight edges (impossible outcomes) are
+    skipped.  An explicit stack visits each measurement node once, so the
+    cost is linear in the diagram, not in the number of paths.  A residual
+    outranking ``m_set`` raises ``IndexOrderError``.
     """
     floor = min((i.rank for i in m_set), default=inf)
     residuals: dict = {}
@@ -67,7 +66,7 @@ def _peel(mgr: TddManager, t: Tdd, m_set):
             for bit, child in ((1, node.high), (0, node.low)):
                 if child is not mgr.zero:
                     stack.append((child, path + ((name, bit),)))
-    return residuals, sorted(seen, key=lambda n: n.rank)
+    return residuals
 
 
 def _distance(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, witness: list | None) -> float:
@@ -88,7 +87,7 @@ def _distance(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, witness: list | None) ->
         return 0.0
     order = sorted(m_set, key=lambda i: i.rank)
     level = {i: k for k, i in enumerate(order, 1)}
-    mass_a, mass_b = (mgr.norms(_peel(mgr, t, m_set)[0], [i for i in t.indices if i not in m_set])
+    mass_a, mass_b = (mgr.norms(_peel(mgr, t, m_set), [i for i in t.indices if i not in m_set])
                       for t in (t1, t2))
 
     def children(na, nb, x, y):
@@ -161,53 +160,30 @@ def m_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, eps: float = DEFAULT_EPS,
     return _distance(mgr, t1, t2, set(m_set), witness) <= eps
 
 
-def _path_range(mgr: TddManager, t: Tdd, nodes) -> tuple[float, float]:
-    """Least and greatest weight magnitude along a peel path of ``t``."""
-    lo: dict = {}
-    hi: dict = {}
-    for node in nodes:
-        ends = [(abs(e.weight), e.node) for e in (node.low, node.high) if e is not mgr.zero]
-        lo[node] = min(w * lo.get(n, 1.0) for w, n in ends)
-        hi[node] = max(w * hi.get(n, 1.0) for w, n in ends)
-    w = abs(t.root.weight)            # 0.0 when no path is live
-    return w * lo.get(t.root.node, 1.0), w * hi.get(t.root.node, 1.0)
-
-
 def get_nodes(mgr: TddManager, t: Tdd, m_set) -> set:
     """Sub-diagram roots reached by branching on measurement indices, past
     no zero-weight edge (an impossible outcome leaves no residual)."""
-    return set(_peel(mgr, t, set(m_set))[0])
+    return set(_peel(mgr, t, set(m_set)))
 
 
-def q_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, strict: bool = False,
-         eps: float = DEFAULT_EPS, witness: list | None = None) -> bool:
+def q_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, witness: list | None = None) -> bool:
     """Outcome-independence with a shared residual diagram.
 
-    Literal mode collects residual nodes only.  Strict mode additionally
-    requires all nonzero peel paths within each diagram to carry weights of
-    one magnitude (uniform branch amplitudes), a stronger diagnostic than
-    the definition itself demands.  Each diagram is walked once.
+    Every residual of both diagrams must be one and the same canonical
+    node: each reachable branch map is then proportional to one common map,
+    which is q-equivalence.  Each diagram is walked once.
     """
     m_set = set(m_set)
-    walks = [(t, *_peel(mgr, t, m_set)) for t in (t1, t2)]
     exemplars: dict = {}
-    for _, residuals, _ in walks:
-        for node, path in residuals.items():
+    for t in (t1, t2):
+        for node, path in _peel(mgr, t, m_set).items():
             exemplars.setdefault(node, path)
-    if len(exemplars) != 1:
-        if witness is not None:
-            witness.append({"kind": "residual-nodes", "count": len(exemplars),
-                            "paths": list(exemplars.values())[:2]})
-        return False
-    if strict:
-        for tag, (t, _, nodes) in zip("ab", walks):
-            lo, hi = _path_range(mgr, t, nodes)
-            if hi - lo > eps:
-                if witness is not None:
-                    witness.append({"kind": "branch-magnitude", "side": tag,
-                                    "min": lo, "max": hi})
-                return False
-    return True
+    if len(exemplars) == 1:
+        return True
+    if witness is not None:
+        witness.append({"kind": "residual-nodes", "count": len(exemplars),
+                        "paths": list(exemplars.values())[:2]})
+    return False
 
 
 # -- the check driver ----------------------------------------------------------
@@ -228,8 +204,7 @@ class CheckReport:
 
 
 def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
-          plan: str = "basic", *, eps: float | None = None,
-          strict_q: bool = False):
+          plan: str = "basic", *, eps: float | None = None):
     """Full pipeline: validate, compile both sides, decide equivalence.
 
     Both circuits are compiled as specified, fixed initial states included,
@@ -241,10 +216,15 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
     NotEquivalent after a discard is re-checked with nothing discarded
     before it is reported.  In m-mode ``eps`` (default ``DEFAULT_EPS``)
     bounds the total-variation distance of the two outcome distributions,
-    reported as ``CheckReport.tv``; it must satisfy ``0 <= eps < 1``, and
-    anything else raises ``ValueError``.
+    reported as ``CheckReport.tv``; it must satisfy ``0 <= eps < 1``.  An
+    ``eps`` outside that range, a ``mode`` other than ``"m"`` or ``"q"``
+    and an unknown ``plan`` raise ``ValueError``.
     """
     eps = valid_eps(DEFAULT_EPS if eps is None else eps)
+    if mode not in ("m", "q"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if plan not in ("basic", "partitioned"):
+        raise ValueError(f"unknown plan {plan!r}")
     t_start = time.perf_counter()
     report = CheckReport(mode=mode, plan=plan)
     errs = [f"a: {e}" for e in validate(spec_a)] + \
@@ -255,10 +235,8 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
         report.verdict = Verdict.inconclusive("; ".join(errs))
         report.total_time = time.perf_counter() - t_start
         return report.verdict, report
-    if plan not in ("basic", "partitioned"):
-        raise ValueError(f"unknown plan {plan!r}")
     try:
-        verdict = _check(spec_a, spec_b, mode, plan, eps, strict_q, report)
+        verdict = _check(spec_a, spec_b, mode, plan, eps, report)
     except (CompileScaleError, CompileError, IndexOrderError, TddError) as exc:
         verdict = Verdict.inconclusive(str(exc))
     except (RecursionError, MemoryError) as exc:
@@ -288,15 +266,15 @@ def _compatible(a: CircuitSpec, b: CircuitSpec, mode: str) -> list[str]:
     return errs
 
 
-def _decide(mgr, nets, ta, tb, mode, eps, strict_q, witness, report) -> bool:
+def _decide(mgr, nets, ta, tb, mode, eps, witness, report) -> bool:
     if mode == "m":
         report.tv = _distance(mgr, ta, tb, {mgr.index(n) for n in nets[0].m_set}, witness)
         return report.tv <= eps
     peel = {mgr.index(n) for n in nets[0].peel_set | nets[1].peel_set}
-    return q_eq(mgr, ta, tb, peel, strict_q, eps, witness)
+    return q_eq(mgr, ta, tb, peel, witness)
 
 
-def _check(spec_a, spec_b, mode, plan, eps, strict_q, report) -> Verdict:
+def _check(spec_a, spec_b, mode, plan, eps, report) -> Verdict:
     mgr, nets = prepare([spec_a, spec_b], mode=mode)
     skip = _discards(mgr, nets, report) if plan == "partitioned" else set()
     while True:
@@ -307,7 +285,7 @@ def _check(spec_a, spec_b, mode, plan, eps, strict_q, report) -> Verdict:
             report.final_nodes = max(report.final_nodes, s.final_nodes)
             report.max_nodes = max(report.max_nodes, s.max_nodes)
         witness: list = []
-        if _decide(mgr, nets, ra.tdd, rb.tdd, mode, eps, strict_q, witness, report):
+        if _decide(mgr, nets, ra.tdd, rb.tdd, mode, eps, witness, report):
             return Verdict.equivalent()
         if not skip:
             return Verdict.not_equivalent(witness)

@@ -110,6 +110,11 @@ def test_suites_compose():
                      "State_inject_S", "State_inject_T"]
     with pytest.raises(ValueError):
         B.suite("nope")
+    # a sized suite that would hold no pair is refused; qec has no size
+    for name, max_n in (("qft", 1), ("pe", 0), ("all", -3)):
+        with pytest.raises(ValueError, match="max_n >= 2"):
+            B.suite(name, max_n)
+    assert [p.name for p in B.suite("qec", 0)] == names
 
 
 def test_random_dqc_within_bounds():

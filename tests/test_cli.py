@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -286,3 +287,52 @@ def test_second_init_of_a_qubit_exits_two_with_its_line(tmp_path, capsys, mode):
     assert main(["check", str(f), str(f), "--mode", mode]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: line 4: qubit 'q' initialised twice\n"
+
+
+BIASED = ("qubits q a\ninputs q\noutputs q\ninit a=0\n"
+          "gate H a\ngate P(0.7) a\ngate H a\nmeasure a -> c\n")
+
+
+def test_biased_outcome_is_q_equivalent_to_itself(tmp_path, capsys):
+    # outcomes of probability 0.12 and 0.88 leave q as it was: q-mode asks
+    # the branch maps to be proportional, not of one weight
+    f = tmp_path / "biased.dqc"
+    f.write_text(BIASED)
+    assert oracle_q_eq(parse(BIASED), parse(BIASED))
+    for plan in ("basic", "partitioned"):
+        code, recs = run(capsys, "check", str(f), str(f), "--mode", "q", "--plan", plan)
+        assert code == 0 and recs[0]["verdict"] == "equivalent", plan
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(f), str(f), "--mode", "q", "--strict-q"])
+    assert exc.value.code == 2  # no such option
+
+
+@pytest.mark.parametrize("suite,max_n", [("qft", "0"), ("qft", "-3"), ("pe", "1"), ("all", "1")])
+def test_bench_that_would_check_no_pair_exits_two(capsys, suite, max_n):
+    # these used to print an empty table and exit 0
+    assert main(["bench", "--suite", suite, "--max-n", max_n]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: suite {suite!r} needs max_n >= 2, got {max_n}\n"
+
+
+def _help_text(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_readme_synopsis_lists_the_options_argparse_accepts(capsys):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed: dict[str, set] = {}
+    for line in block.splitlines():
+        if line.startswith("tddeq "):
+            options = listed.setdefault(line.split()[1], set())
+        options.update(re.findall(r"--[a-z][a-z-]*", line))
+    commands = re.search(r"\{([a-z,]+)\}", _help_text(capsys)).group(1).split(",")
+    assert sorted(listed) == sorted(commands)
+    for cmd in commands:
+        accepted = set(re.findall(r"--[a-z][a-z-]*", _help_text(capsys, cmd)))
+        assert listed[cmd] == accepted - {"--help"}, cmd
