@@ -2,8 +2,8 @@
 
 Every row is checked on its fixed-input specs.  QFT rows start the top
 qubits in a "+0+" pattern (the rest in |0>), so the basic plan's peak
-diagram doubles with n while the partitioned plan's grows linearly and stays
-far below it from n = 5 on.  The "nodes" column of a QFT row is the
+diagram doubles with n, while the partitioned plan discards every qubit and
+peaks at 4 nodes from n = 4 on.  The "nodes" column of a QFT row is the
 conventional circuit's diagram in operator form (all input wires open,
 per-qubit interleaved order), 2^(n+1) - 1 nodes.
 

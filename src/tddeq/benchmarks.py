@@ -290,11 +290,11 @@ def suite(name: str, max_n: int = 12) -> list[BenchmarkPair]:
     if name == "qft":
         return [qft_pair(n) for n in range(2, max_n + 1)]
     if name == "pe":
-        return [pe_pair(n, _default_phi(n)) for n in range(2, min(max_n, 7) + 1)]
+        return [pe_pair(n, _default_phi(n)) for n in range(2, max_n + 1)]
     if name == "qec":
         return qec_suite()
-    if name == "all":
-        return suite("qft", max_n) + suite("pe", max_n) + suite("qec")
+    if name == "all":      # pe stops at its generator's cap
+        return suite("qft", max_n) + suite("pe", min(max_n, 7)) + suite("qec")
     raise ValueError(f"unknown suite {name!r}")
 
 

@@ -57,10 +57,13 @@ class Gate:
             raise ValueError(f"{self.name}: repeated qubit")
 
     def label(self) -> str:
-        if self.params:
-            inner = ",".join(repr(p) for p in self.params)
-            return f"{self.name}({inner})"
-        return self.name
+        """The name and parameters as ``print_spec`` writes them; made on
+        the first call and kept on the gate."""
+        text = getattr(self, "_label", None)
+        if text is None:
+            text = f"{self.name}({','.join(map(repr, self.params))})" if self.params else self.name
+            object.__setattr__(self, "_label", text)
+        return text
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)

@@ -1,32 +1,38 @@
 """Compile a circuit spec into a tensor decision diagram.
 
-Every gate, measurement and guarded gate or measurement becomes a small
-tensor over wire-segment indices; the diagram of the circuit is the
-contraction of all of them.  A measurement is a rank-3 COPY with a
-separate outcome leg.  The netlist is built in four steps.  A walk carries
-each fixed-input qubit as a dense 2-vector until a step entangles it.  A
-1-qubit gate updates the vector; a gate, guarded or not, that passes
-through a qubit in a basis state |b> is sliced at b, and the qubit keeps
-its vector (a CP on |0> vanishes, on |1> it is a P on its other qubit; a
-phase an all-basis slice leaves goes into a vector, or onto the guard
-bits).  Any other step takes the vector into its own tensor, and a
-measurement or the finish emits it as a rank-1 entry.  Past that, the walk
-gives a qubit a fresh wire segment at every step that does not pass it
-through, and emits every measurement as that rank-3 COPY, a guarded one as
-its guarded tensor.  A gate passes through each qubit its matrix is
-block-diagonal on (every entry with out_j != in_j is exactly 0: CP, P, T,
-S, Z, CZ, the control of CX): it holds that qubit's current wire once, and
-its tensor keeps the (out_j, in_j) diagonal as one axis.  So a wire is
-held by its producer, any number of passing gates and its consumer, and
-``contract_all`` multiplies it pointwise until its last holder sums it.  A
-finish turns an unguarded measurement that ends its qubit into the rank-2
-COPY, the identity, and joins a principal or discard leg through an
-identity.  A rename drops each identity but one on an open input wire, or
-one whose other leg an entry holding its wire already holds: every entry
-that holds its wire takes its other leg instead.  Last, the rank-1 entries
-on each index (states, 1-qubit diagonals on a wire, guarded phases sliced
-down to their bit) multiply into one.  Classical controls attach to
-outcome indices pointwise, so one bit may drive several gates.
+Every gate and guarded gate or measurement becomes a small tensor over
+wire-segment and outcome indices; the diagram of the circuit is the
+contraction of all of them.  An unguarded measurement costs no tensor: its
+COPY is diagonal in the qubit's wire, so the wire is renamed to the
+outcome.  The netlist is built in four steps.  A walk carries each
+fixed-input qubit as a dense 2-vector until a step entangles it.  A 1-qubit
+gate updates the vector; a gate, guarded or not, that passes through a
+qubit in a basis state |b> is sliced at b, and the qubit keeps its vector
+(a CP on |0> vanishes, on |1> it is a P on its other qubit; a phase an
+all-basis slice leaves goes into a vector, or onto the guard bits).  Any
+other step takes the vector into its own tensor, and a measurement or the
+finish emits it as a rank-1 entry.  Past that, the walk gives a qubit a
+fresh wire segment at every step that does not pass it through.  A gate
+passes through each qubit its matrix is block-diagonal on (every entry
+with out_j != in_j is exactly 0: CP, P, T, S, Z, CZ, the control of CX): it
+holds that qubit's current wire once, and its tensor keeps the (out_j,
+in_j) diagonal as one axis.  So a wire is held by its producer, any number
+of passing gates and its consumer, and ``contract_all`` multiplies it
+pointwise until its last holder sums it.  An unguarded measurement of q
+into c renames q's current wire to c in every entry that holds it, and c
+is q's wire until a step opens a fresh segment; a guarded one keeps its
+guarded tensor.  An open index keeps its name: a measurement of an open
+input wire, or of an outcome, joins it to c through an identity, the
+rank-2 COPY.  The finish renames each qubit's last wire onto its principal
+or discard leg the same way (a discarded qubit whose last wire is an
+outcome needs none).  The resolve then gives every entry the new names of
+its wires; an entry left holding a name twice keeps the diagonal of those
+axes (``measure q -> c; ifc c apply X q`` is one rank-2 reset).  Last, each
+rank-1 entry (a state, a 1-qubit diagonal on a wire, a guarded phase
+sliced down to its bit) multiplies into another entry that holds its
+index, and the index is summed out there when it is not open and no third
+entry holds it.  Classical controls attach to outcome indices pointwise,
+so one bit may drive several gates.
 
 Classical logic is compiled only as guarded steps: ``lower_controls`` turns
 every dispatch into a measurement followed by flat steps under guards, so
@@ -36,7 +42,9 @@ measurement under f is ind(f)*COPY3(c, x, y) + ind(!f)*delta(x, y)*delta(c, 0),
 so an untaken measurement leaves its qubit alone and its bit at 0.  A guard
 on one bit with a tensor of at most ``RECIPE_LEGS`` legs in all is one
 dense tensor; any other enters through one lift, ``_guarded``: the 0/1
-indicator [f(x) = 1] of its BDD over its outcome indices.
+indicator [f(x) = 1] of its BDD over its outcome indices.  Such a payload
+names its own legs, so a guard bit that is also an axis (the wire of a
+qubit measured into it) is held once and multiplied pointwise.
 
 Every contraction, of a whole netlist, of the part a discard leaves or of
 a per-qubit piece, runs through one loop, ``contract_all``: it folds runs
@@ -126,10 +134,10 @@ def _basis(v) -> int | None:
 def _guard(f: BoolFunc, legs, on: np.ndarray, off: np.ndarray):
     """Payload of ind(f)*on + ind(!f)*off over ``legs`` (f's bits, then the
     axes of ``on`` and ``off``): one dense tensor for one guard bit and at
-    most ``RECIPE_LEGS`` legs, else (f, on, off) for ``_guarded``."""
+    most ``RECIPE_LEGS`` legs, else (f, legs, on, off) for ``_guarded``."""
     if f.arity == 1 and len(legs) <= RECIPE_LEGS:
         return np.stack([on if f((v,)) else off for v in (0, 1)])
-    return f, on, off
+    return f, legs, on, off
 
 
 def measurement_tensor(mgr: TddManager, x: IndexId, y: IndexId,
@@ -148,13 +156,12 @@ def measurement_tensor(mgr: TddManager, x: IndexId, y: IndexId,
 # -- netlist ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class _Entry:
-    kind: str            # init | gate | cond | measure3 | cmeasure, or the identities
-                         # measure2 (a COPY without its dangling leg) and ident
+    kind: str            # init | gate | cond | cmeasure | ident
     indices: tuple[str, ...]
     partition: str           # the qubit whose per-qubit piece holds the entry
-    payload: object = None   # the dense tensor over ``indices``, or (f, on, off) of ``_guard``
+    payload: object = None   # the dense tensor over ``indices``, or (f, legs, on, off) of ``_guard``
 
 
 @dataclass
@@ -178,21 +185,19 @@ class _Netlist:
     qubit_pos: dict[str, int] = field(default_factory=dict)
 
 
-class _Builder:
-    """Emit the netlist of a lowered circuit: walk, finish, rename, merge.
+def _diagonal(t: np.ndarray, names: tuple) -> tuple[tuple, np.ndarray]:
+    """``t`` over ``names`` with each repeated name's axes cut to their
+    diagonal: the distinct names, in first-seen order, and that tensor."""
+    uniq = tuple(dict.fromkeys(names))
+    if len(uniq) == len(names):
+        return names, t
+    return uniq, np.einsum(t, [uniq.index(n) for n in names], list(range(len(uniq))))
 
-    The walk carries each fixed-input qubit as a 2-vector until a step
-    entangles it (``_gate``, ``_carry``), then gives a qubit a fresh wire
-    segment at every step that does not pass it through and emits every
-    unguarded measurement as a rank-3 COPY.  The finish emits each state
-    still carried as a rank-1 entry and ends each qubit: a last unguarded
-    measurement that nothing follows, not even a passing gate, and that
-    keeps no principal leg drops its dangling leg and becomes the rank-2
-    COPY, the identity; a qubit that needs a principal or discard leg gets
-    an identity onto it.  The rename drops each identity whose wire is not
-    an open input, by renaming that wire to the identity's other leg in
-    every earlier entry that holds it; not when one of them already holds
-    that leg.  The merge multiplies the rank-1 entries on each index into one.
+
+class _Builder:
+    """Emit the netlist of a lowered circuit in the four steps the module
+    docstring describes: the walk (``_emit``, ``_gate``, ``_carry``, with
+    ``_relabel`` for every rename), the finish, the resolve and the merge.
     """
 
     def __init__(self, spec: CircuitSpec, mode: str, open_inputs: bool):
@@ -201,12 +206,15 @@ class _Builder:
         self.open_inputs = open_inputs
         self.net = _Netlist(spec=spec, mode=mode)
         self.net.qubit_pos = {q: k for k, q in enumerate(spec.qubits)}
-        self.seg: dict[str, int] = {q: 0 for q in spec.qubits}
-        self.last_measure: dict[str, _Entry] = {}
+        self.seg: dict[str, int] = {}
+        self.cur: dict[str, str] = {}         # qubit -> its current wire
+        self.alias: dict[str, str] = {}       # renamed wire -> its new name
         self.bit_outcome: dict[str, str] = {}
         self.bit_source: dict[str, str] = {}
         self.meas_seq: dict[str, int] = {}    # bit -> measurement counter
         self.state: dict[str, np.ndarray] = {}  # carried qubit -> its 2-vector
+        for q in spec.qubits:
+            self._segment(q, 0)
 
     # index declarations
 
@@ -215,10 +223,10 @@ class _Builder:
             self.net.decls[name] = _IndexDecl(name, kind, self.net.qubit_pos[q], key)
         return name
 
-    def wire(self, q: str) -> str:
-        """The current wire segment of ``q``."""
-        k = self.seg[q]
-        return self._decl(f"w:{q}.{k}", KIND_WIRE, q, (0, k))
+    def _segment(self, q: str, k: int):
+        """Make segment ``k`` the current wire of ``q``."""
+        self.seg[q] = k
+        self.cur[q] = self._decl(f"w:{q}.{k}", KIND_WIRE, q, (0, k))
 
     def outcome_index(self, bit: str, q: str) -> str:
         if bit in self.spec.output_bits:
@@ -242,9 +250,8 @@ class _Builder:
         spec, net = self.spec, self.net
         for q in spec.qubits:
             if q in spec.inputs or self.open_inputs:
-                w = self.wire(q)
-                net.in_names.append(w)
-                net.open_names.add(w)
+                net.in_names.append(self.cur[q])
+                net.open_names.add(self.cur[q])
             else:
                 self.state[q] = INIT_STATES[spec.fixed_init.get(q, "0")]
         for st in flatten(lower_controls(spec.circuit)):
@@ -252,7 +259,7 @@ class _Builder:
         for q in spec.qubits:
             self._drop(q)
             self._finish(q)
-        self._rename()
+        self._resolve()
         self._merge()
         used = {n for e in net.entries for n in e.indices} | net.open_names
         net.decls = {n: d for n, d in net.decls.items() if n in used}
@@ -264,21 +271,17 @@ class _Builder:
     def _step(self, qubits, passing) -> tuple[str, ...]:
         """Legs of a step on ``qubits``: their out wires, then the in wires
         of the qubits that do not pass through.  Each of those gets a fresh
-        segment; a passing qubit keeps its wire, held once, and so its last
-        measurement no longer ends it."""
-        ins = tuple(self.wire(q) for q, p in zip(qubits, passing) if not p)
+        segment; a passing qubit keeps its wire, held once."""
+        ins = tuple(self.cur[q] for q, p in zip(qubits, passing) if not p)
         for q, p in zip(qubits, passing):
-            if p:
-                self.last_measure.pop(q, None)
-            else:
-                self.seg[q] += 1
-        return tuple(self.wire(q) for q in qubits) + ins
+            if not p:
+                self._segment(q, self.seg[q] + 1)
+        return tuple(self.cur[q] for q in qubits) + ins
 
     def _owner(self, qubits) -> str:
         return min(qubits, key=lambda q: self.net.qubit_pos[q])
 
     def _emit(self, st):
-        entries = self.net.entries
         if isinstance(st, Conventional):
             for g in st.gates:
                 self._gate(g.qubits, g.data)
@@ -295,15 +298,15 @@ class _Builder:
                 if self.mode == "q":
                     self.net.peel_set.add(c)
                 self._drop(q)
-                y, x = self._step((q,), (False,))
                 if not guard:
-                    e = self.last_measure[q] = _Entry("measure3", (c, x, y), q, COPY3)
-                else:   # never a last measure: untaken, it must keep its wire
-                    legs = bits + (c, x, y)
-                    e = _Entry("cmeasure", legs, self._owner(
-                        (q,) + tuple(self.bit_source[b] for b in guard)),
-                        _guard(st.func, legs, COPY3, UNTAKEN))
-                entries.append(e)
+                    self._relabel(q, c)
+                    continue
+                # untaken, a guarded measurement must keep its wire
+                y, x = self._step((q,), (False,))
+                legs = bits + (c, x, y)
+                self.net.entries.append(_Entry("cmeasure", legs, self._owner(
+                    (q,) + tuple(self.bit_source[b] for b in guard)),
+                    _guard(st.func, legs, COPY3, UNTAKEN)))
         else:
             raise TypeError(st)
 
@@ -364,57 +367,90 @@ class _Builder:
         """Emit the state ``q`` carries, if any, as a rank-1 entry on its wire."""
         v = self.state.pop(q, None)
         if v is not None:
-            self.net.entries.append(_Entry("init", (self.wire(q),), q, v))
+            self.net.entries.append(_Entry("init", (self.cur[q],), q, v))
+
+    def _relabel(self, q: str, name: str):
+        """Make ``name`` the wire of ``q``: rename its current wire to it,
+        or, when that wire is open and so keeps its name, join the two
+        through an identity."""
+        x = self.cur[q]
+        if x in self.net.open_names:
+            self.net.entries.append(_Entry("ident", (x, name), q, np.eye(2)))
+        else:
+            self.alias[x] = name
+        self.cur[q] = name
 
     # finish
 
     def _finish(self, q: str):
-        y = self.wire(q)
-        e = self.last_measure.get(q)
+        y = self.cur[q]
         principal = q in self.spec.outputs
-        if e is not None and e.indices[2] == y and not (principal and self.mode == "q"):
-            c, x, _ = e.indices
-            e.kind, e.indices, e.payload = "measure2", (x, c), np.eye(2)
-            return
-        if principal and (self.mode == "q" or not self.spec.output_bits):
+        if principal and self.mode == "q":
             end = self.principal_out(q)
+        elif self.net.decls[y].kind == KIND_OUTCOME:
+            return                      # the outcome holds the qubit's last value
         elif self.mode == "q":
             end = self.discard_index(q)
+        elif principal and not self.spec.output_bits:
+            end = self.principal_out(q)
         else:
             self.net.open_names.add(y)
             return
         self.net.open_names.add(end)
-        self.net.entries.append(_Entry("ident", (y, end), q, np.eye(2)))
+        self._relabel(q, end)
 
-    # rename
+    # resolve and merge
 
-    def _rename(self):
-        kept, holders, inputs = [], {}, set(self.net.in_names)
+    def _resolve(self):
+        """Give every entry the new names of its wires, and the diagonal
+        of the axes of a name it holds twice."""
+        alias = self.alias
         for e in self.net.entries:
-            if e.kind in ("measure2", "ident"):
-                x, y = e.indices
-                hs = holders.get(x)
-                if hs and x not in inputs and not any(y in p.indices for p in hs):
-                    for p in hs:
-                        p.indices = tuple(y if n == x else n for n in p.indices)
-                    holders.setdefault(y, []).extend(hs)
-                    continue
-            kept.append(e)
-            for n in e.indices:
-                holders.setdefault(n, []).append(e)
-        self.net.entries = kept
+            if isinstance(e.payload, tuple):
+                f, legs, on, off = e.payload
+                bits, axes = legs[:f.arity], tuple(alias.get(n, n) for n in legs[f.arity:])
+                if len(set(axes)) < len(axes):
+                    (axes, on), (_, off) = _diagonal(on, axes), _diagonal(off, axes)
+                e.payload = (f, bits + axes, on, off)
+                e.indices = tuple(dict.fromkeys(bits + axes))
+            else:
+                e.indices, e.payload = _diagonal(
+                    e.payload, tuple(alias.get(n, n) for n in e.indices))
 
     def _merge(self):
-        """Multiply the rank-1 entries on each index into the first of them."""
-        kept, first = [], {}
-        for e in self.net.entries:
-            if len(e.indices) == 1:
-                f = first.setdefault(e.indices[0], e)
-                if f is not e:
-                    f.payload = f.payload * e.payload
-                    continue
-            kept.append(e)
-        self.net.entries = kept
+        """Multiply each rank-1 entry into a dense entry that holds its
+        index, the first of rank 2 or more, else the first of rank 1; the
+        index is summed out there when it is not open and no other entry
+        holds it."""
+        entries, open_names = self.net.entries, self.net.open_names
+        holders: dict[str, list[_Entry]] = {}
+        for e in entries:
+            for n in e.indices:
+                holders.setdefault(n, []).append(e)
+        merged = set()
+        todo = [e for e in entries if len(e.indices) == 1]    # popped last first
+        while todo:
+            e = todo.pop()
+            if len(e.indices) != 1:       # summed down to a scalar as a host
+                continue
+            n, = e.indices
+            hs = holders[n]
+            dense = [h for h in hs if h is not e and isinstance(h.payload, np.ndarray)]
+            if not dense:
+                continue
+            host = next((h for h in dense if len(h.indices) > 1), dense[0])
+            hs.remove(e)
+            merged.add(e)
+            ax = host.indices.index(n)
+            if len(hs) == 1 and n not in open_names:
+                host.payload = np.tensordot(host.payload, e.payload, ([ax], [0]))
+                host.indices = host.indices[:ax] + host.indices[ax + 1:]
+                if len(host.indices) == 1:
+                    todo.append(host)
+            else:
+                host.payload = host.payload * e.payload.reshape(
+                    (2,) + (1,) * (len(host.indices) - ax - 1))
+        self.net.entries = [e for e in entries if e not in merged]
 
 
 # -- index ordering -------------------------------------------------------------
@@ -485,16 +521,16 @@ def _count_uses(entries) -> Counter:
 
 
 def _entry_tensor(mgr: TddManager, e: _Entry) -> Tdd:
-    legs = [mgr.index(n) for n in e.indices]
     if isinstance(e.payload, tuple):
-        f, on, off = e.payload
-        return _guarded(mgr, f, legs, on, off)
-    return mgr.from_dense(e.payload, legs)
+        f, legs, on, off = e.payload
+        return _guarded(mgr, f, [mgr.index(n) for n in legs], on, off)
+    return mgr.from_dense(e.payload, [mgr.index(n) for n in e.indices])
 
 
 def _guarded(mgr: TddManager, f: BoolFunc, legs, on: np.ndarray, off: np.ndarray) -> Tdd:
     """ind(f)*on + ind(!f)*off through the indicator of f's BDD: ``legs``
-    are f's bits, then the axes of the dense tensors ``on`` and ``off``."""
+    are f's bits, then the axes of the dense tensors ``on`` and ``off``; a
+    bit that is also an axis is matched pointwise."""
     cin, axes = legs[:f.arity], legs[f.arity:]
     fired = mgr.contract(func_to_tensor(mgr, f, cin), mgr.from_dense(on, axes), set())
     idle = mgr.contract(func_to_tensor(mgr, ~f, cin), mgr.from_dense(off, axes), set())

@@ -316,6 +316,22 @@ def test_bench_that_would_check_no_pair_exits_two(capsys, suite, max_n):
     assert out.err == f"error: suite {suite!r} needs max_n >= 2, got {max_n}\n"
 
 
+@pytest.mark.parametrize("suite,max_n,err", [("qft", "17", "qft size out of range (2..16)"),
+                                             ("pe", "30", "pe size out of range (2..7)")])
+def test_bench_past_a_generator_cap_exits_two(capsys, suite, max_n, err):
+    # the pe suite used to stop at PE_7 without a word and exit 0
+    assert main(["bench", "--suite", suite, "--max-n", max_n]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {err}\n"
+
+
+def test_bench_all_caps_pe_at_its_generator_limit():
+    from tddeq import benchmarks as B
+    names = [p.name for p in B.suite("all", 9)]
+    assert [n for n in names if n.startswith("PE_")] == [f"PE_{n}" for n in range(2, 8)]
+    assert names[:8] == [f"qft_{n}" for n in range(2, 10)]
+
+
 def _help_text(capsys, *argv) -> str:
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--help"])

@@ -295,25 +295,38 @@ def test_init_then_measure_puts_the_init_on_the_outcome(mode):
     head += "init t=0\n"
     a = parse(head + "init a=+\nmeasure a -> c\n" + tail)
     kinds, net = _kinds(a)
-    assert "init" in kinds and not any(k.startswith("measure") for k in kinds)
-    assert any(e.kind == "init" and e.indices == ("bit:c",) for e in net.entries)
+    assert not any(k.startswith("measure") for k in kinds)
+    # m-mode: the state multiplies into the guarded X, the only other entry
+    # that holds c; q-mode: Z on |0> vanishes, and the state stays rank 1
+    (e,) = [e for e in net.entries if "bit:c" in e.indices]
+    assert e.kind == ("cond" if mode == "m" else "init")
+    r = compile_spec(a)
+    if mode == "m":     # c copied onto r: |+> read twice
+        want, names = np.eye(2) / np.sqrt(2), ["bit:c", "outbit:0"]
+    else:               # t stays |0> on every record
+        want, names = np.array([[1, 0], [1, 0]]) / np.sqrt(2), ["bit:c", "out:t"]
+    assert np.max(np.abs(_dense_by_name(r.mgr, r.tdd, names) - want)) < 1e-12
     verdicts = {_agrees_with_oracle(a, parse(head + body + tail), mode)
                 for body in ("init a=0\ngate H a\nmeasure a -> c\n", other)}
     assert verdicts == {True, False}
 
 
 def test_back_to_back_final_measurements_share_one_copy():
-    # a's second measurement ends it: the first one's rank-3 COPY names its
-    # continuing leg after the second outcome, so no rank-2 COPY is left
+    # the first measurement renames a's wire, held by the CX, to its
+    # outcome; the second reads that outcome, which keeps its name, so one
+    # identity, the rank-2 COPY, joins the two outcomes
     head = "qubits a b\noutbits c d e\ninit a=+\ninit b=0\ngate CX a b\nmeasure a -> c\n"
     tail = "measure a -> d\nmeasure b -> e\n"
     a = parse(head + tail)
     kinds, net = _kinds(a)
-    assert "measure2" not in kinds
-    copies = [e.indices for e in net.entries if e.kind == "measure3"]
-    assert len(copies) == 1
-    c, x, y = copies[0]
-    assert (c, y) == ("outbit:0", "outbit:1") and x.startswith("w:a.")
+    assert not any(k.startswith("measure") for k in kinds)
+    assert [(e.kind, e.indices) for e in net.entries] == [
+        ("gate", ("outbit:0", "outbit:2")), ("ident", ("outbit:0", "outbit:1"))]
+    r = compile_spec(a)
+    want = np.zeros((2, 2, 2))          # (c, d, e): |+> copied three times
+    want[0, 0, 0] = want[1, 1, 1] = 2 ** -0.5
+    names = ["outbit:0", "outbit:1", "outbit:2"]
+    assert np.max(np.abs(_dense_by_name(r.mgr, r.tdd, names) - want)) < 1e-12
     # X between the measurements flips d; Z leaves every outcome alone
     assert {_agrees_with_oracle(a, parse(head + f"gate {g} a\n" + tail), "m")
             for g in ("X", "Z")} == {False, True}
@@ -325,7 +338,7 @@ def test_open_input_measured_without_gate_keeps_rank2_copy():
     a = parse(head + tail)
     kinds, net = _kinds(a)
     # the open input wire stays a distinct index from the outcome
-    assert [e.indices for e in net.entries if e.kind == "measure2"] == \
+    assert [e.indices for e in net.entries if e.kind == "ident"] == \
         [("w:a.0", "bit:c")]
     # the branch maps read the input, so no such circuit is q-equivalent
     for g in ("Z", "X"):
@@ -344,7 +357,7 @@ def test_open_input_operator_build_with_an_ungated_measurement(n):
     base = B.qft(n)
     r0 = compile_spec(base, order="interleaved", open_inputs=True)
     assert r0.stats.final_nodes == 2 ** (n + 1) - 1
-    assert "measure2" not in [e.kind for e in r0.net.entries]
+    assert "ident" not in [e.kind for e in r0.net.entries]
     # qubit x is measured with no gate: its open wire w:x.0 and outcome
     # outbit:n stay apart through one rank-2 COPY, the identity
     spec = CircuitSpec(
@@ -356,14 +369,14 @@ def test_open_input_operator_build_with_an_ungated_measurement(n):
     want = np.multiply.outer(_dense_by_name(r0.mgr, r0.tdd, names), np.eye(2))
     names += ["w:x.0", f"outbit:{n}"]
     r = compile_spec(spec, order="interleaved", open_inputs=True)
-    assert [e.indices for e in r.net.entries if e.kind == "measure2"] == \
+    assert [e.indices for e in r.net.entries if e.kind == "ident"] == \
         [("w:x.0", f"outbit:{n}")]
     mgr, t, _, _ = compile_by_pieces(spec, order="interleaved", open_inputs=True)
     for m, d in ((r.mgr, r.tdd), (mgr, t)):
         assert np.max(np.abs(_dense_by_name(m, d, names) - want)) < 1e-9
 
 
-def test_shared_outcome_after_a_shared_gate_keeps_rank2_copy():
+def test_shared_outcome_after_a_shared_gate_keeps_the_diagonal():
     # two qubits read into one bit: validate refuses a bit written twice,
     # so there is no oracle verdict; the compiled tensor still matches the
     # pointwise COPY semantics, <c c|CX|+0>, in both plans
@@ -374,12 +387,10 @@ def test_shared_outcome_after_a_shared_gate_keeps_rank2_copy():
         fixed_init={"a": "+", "b": "0"}, output_bits=("c",))
     assert any("measured twice" in err for err in validate(spec))
     kinds, net = _kinds(spec)
-    # the CX control passes through and takes in a's state: a's one wire,
-    # held by the CX, takes a's outcome name; b's state is summed into the
-    # CX's in leg, and b's outcome cannot take the same name on its out leg
-    assert kinds.count("measure2") == 1
-    assert [e.indices for e in net.entries if e.kind in ("init", "gate")] == \
-        [("outbit:0", "w:b.1")]
+    # the CX control passes through and takes in a's state, b's state is
+    # summed into its in leg: both of its wires are renamed to the one
+    # outcome, and the CX keeps the diagonal of those two axes
+    assert [(e.kind, e.indices) for e in net.entries] == [("gate", ("outbit:0",))]
     psi = gate("CX", ["a", "b"]).matrix @ np.kron([1, 1], [1, 0]) / np.sqrt(2)
     want = np.array([psi[0], psi[3]])
     r = compile_spec(spec)
@@ -390,7 +401,8 @@ def test_shared_outcome_after_a_shared_gate_keeps_rank2_copy():
 
 def test_q_mode_discarded_qubit_ends_on_its_peeled_outcome():
     # a is not an output: its last step, a measurement, names the output
-    # leg of its last gate, and that outcome is peeled in q-mode
+    # leg of its last gate, and that outcome is peeled in q-mode; the
+    # outcome holds a's last value, so a needs no discard leg
     # CX from a = |+> flips t on c = 1 and the ifc flips it back: the map
     # is the identity on every branch, up to the phase a's T leaves
     head = "qubits a t\ninputs t\noutputs t\ninit a=+\ngate CX a t\n"
@@ -398,8 +410,15 @@ def test_q_mode_discarded_qubit_ends_on_its_peeled_outcome():
     a = parse(head + "gate T a\n" + tail)
     kinds, net = _kinds(a)
     assert not any(k.startswith("measure") for k in kinds)
-    assert "bit:c" in net.peel_set
-    assert any(e.kind == "gate" and e.indices == ("bit:c",) for e in net.entries)   # T a
+    assert "bit:c" in net.peel_set and "disc:a" not in net.decls
+    # T a, rank 1 on c, multiplies into the CX, the first entry holding c
+    assert [(e.kind, e.indices) for e in net.entries] == [
+        ("gate", ("bit:c", "w:t.1", "w:t.0")), ("cond", ("bit:c", "out:t", "w:t.1"))]
+    want = np.zeros((2, 2, 2), dtype=complex)     # (c, t out, t in)
+    want[0] = np.eye(2) / np.sqrt(2)
+    want[1] = np.exp(0.25j * np.pi) * np.eye(2) / np.sqrt(2)
+    r = compile_spec(a)
+    assert np.max(np.abs(_dense_by_name(r.mgr, r.tdd, ["bit:c", "out:t", "w:t.0"]) - want)) < 1e-12
     assert {_agrees_with_oracle(a, parse(head + f"gate {g} a\n" + tail), "q")
             for g in ("S", "H")} == {True, False}
 
@@ -439,16 +458,12 @@ def test_blocked_fold_matches_gate_by_gate(spec, mode, open_inputs):
     kw = dict(mode=mode, open_inputs=open_inputs)
     r = compile_spec(spec, **kw)
     entries = r.net.entries
-    # a rank-2 identity survives only where no rename can drop it: on an
-    # open input wire, which pass-through gates may hold, or when an entry
-    # that holds its wire (the producer or a pass-through gate) already
-    # holds the target
-    for k, e in enumerate(entries):
-        if e.kind in ("measure2", "ident"):
-            x, y = e.indices
-            holders = [p for p in entries[:k] if x in p.indices]
-            assert (x in r.net.in_names
-                    or any(y in p.indices for p in holders)), e
+    # an identity survives only where no rename can drop it: on an open
+    # input wire or on an outcome, indices that keep their names
+    for e in entries:
+        if e.kind == "ident":
+            x = e.indices[0]
+            assert x in r.net.in_names or r.net.decls[x].kind == KIND_OUTCOME, e
     ref, peak = gate_by_gate(r.mgr, _entry_factors(r.mgr, entries),
                              _count_uses(entries), r.net.open_names)
     assert r.mgr.identical(r.tdd, ref)

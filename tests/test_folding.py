@@ -152,20 +152,29 @@ def test_guarded_phase_on_a_basis_qubit(b_init, arity):
     if b_init == "0":
         assert on_b == []
     elif b_init == "1":
-        assert [len(e.indices) for e in on_b] == [arity]   # the guard bits alone
+        # the guard bits alone; on one bit the phase is a rank-1 entry, which
+        # multiplies into the identity that joins m0 to o0
+        assert [len(e.indices) for e in on_b] == ([] if arity == 1 else [arity])
+        if arity == 1:
+            (e,) = [e for e in r.net.entries if "bit:m0" in e.indices]
+            assert e.indices == ("bit:m0", "outbit:0")
+            assert np.isclose(e.payload[1, 1] / e.payload[0, 0], np.exp(1j * THETA))
     else:
         assert [len(e.indices) for e in on_b] == [arity + 1]
 
 
 def test_measurement_of_a_carried_qubit():
-    # the state goes out as a rank-1 entry on the measured wire; a later CX
-    # sees a plain wire, and b's state is summed into the CX's in axis
+    # the state goes out as a rank-1 entry on the outcome, the measured
+    # wire's new name, and multiplies into the CX that holds it; b's state
+    # is summed into the CX's in axis.  Each later measurement of a reads an
+    # outcome, which keeps its name, so an identity joins it to the next one
     spec = _spec("+0", "measure a -> m", "gate CX a b", "measure a -> n",
                  bits=["o0", "o1"])
     r = _assert_dense(spec)
     assert [(e.kind, e.indices) for e in r.net.entries] == [
-        ("init", ("w:a.0",)), ("measure3", ("bit:m", "w:a.0", "w:a.1")),
-        ("gate", ("w:a.1", "outbit:1")), ("measure3", ("bit:n", "w:a.1", "outbit:0"))]
+        ("gate", ("bit:m", "outbit:1")), ("ident", ("bit:m", "bit:n")),
+        ("ident", ("bit:n", "outbit:0"))]
+    assert np.allclose(r.net.entries[0].payload, np.eye(2) / np.sqrt(2))
     # a final measurement of a carried qubit leaves its state on the outcome
     r = _assert_dense(_spec("+1"))
     assert [(e.kind, e.indices) for e in r.net.entries] == [
@@ -184,10 +193,14 @@ def test_rank1_entries_on_one_index_merge():
     assert sorted(e.indices for e in _rank1(r.net)) == [("outbit:0",), ("outbit:1",),
                                                        ("outbit:2",), ("outbit:3",)]
     assert len(r.net.entries) == 4
-    # a 1-qubit diagonal on an entangled wire merges as well
+    # 1-qubit diagonals on an entangled wire multiply into the first CX,
+    # which holds that wire
     spec = _spec("+0", "gate CX a b", "gate T a", "gate S a", "gate CX a b", "gate H b")
     r = _assert_dense(spec)
-    assert len(_rank1(r.net)) == len({e.indices for e in _rank1(r.net)}) == 1
+    assert _rank1(r.net) == []
+    assert [(e.kind, e.indices) for e in r.net.entries] == [
+        ("gate", ("outbit:0", "w:b.1")), ("gate", ("outbit:0", "w:b.2", "w:b.1")),
+        ("gate", ("outbit:1", "w:b.2"))]
 
 
 # -- oracle fuzz over 0/1/+ inputs ---------------------------------------------------

@@ -4,8 +4,8 @@ A gate whose matrix is block-diagonal on one of its qubits holds that
 qubit's current wire once, for input and output alike, instead of opening a
 fresh segment.  These tests check every library gate against its dense form,
 the leg counts that follow, the three builder rules the shared wire needs
-(a later pass-through gate keeps a measurement's leg, a rename reaches every
-holder of a wire, an open input wire is never renamed away), and an oracle
+(a later pass-through gate holds a measurement's outcome, a rename reaches
+every holder of a wire, an open input wire is never renamed away), and an oracle
 fuzz over circuits full of diagonal gates next to measurements.
 """
 
@@ -68,8 +68,14 @@ def test_library_gate_matches_its_dense_form(name, k, params, legs, guard):
     g, spec = _library_spec(name, k, params, guard)
     assert validate(spec) == []
     r = compile_spec(spec, mode="q", open_inputs=True)
-    e = _entry(r, "cond" if guard else "gate")
-    assert len(e.indices) == guard + legs
+    if guard + legs == 1:
+        # a rank-1 diagonal multiplies into the identity that joins its open
+        # input wire to the principal output
+        e = _entry(r, "ident")
+        assert e.indices == ("w:t0.0", "out:t0") and not np.array_equal(e.payload, np.eye(2))
+    else:
+        e = _entry(r, "cond" if guard else "gate")
+        assert len(e.indices) == guard + legs
     u = g.matrix.reshape((2,) * (2 * k))
     ident = np.eye(1 << k).reshape(u.shape)
     cs = [f"bit:c{j}" for j in range(guard)]
@@ -111,44 +117,45 @@ def test_pass_through_mask_is_computed_lazily_and_once_per_matrix():
 
 
 def test_pass_through_gate_after_a_last_measurement_keeps_its_leg():
-    # T after the measurement holds the measurement's output wire, so the
-    # measurement stays a rank-3 COPY; a rank-2 fold would drop that leg
+    # the measurement renames a's wire to its outcome, so T after it holds
+    # the outcome: the state a carried and T's diagonal merge into one
+    # rank-1 entry, the diagonal of the COPY network over (outcome, wire)
     spec = CircuitSpec(qubits=("a",), circuit=seq(
         Measure(MeasureStep(("a",), ("c",))), Conventional((gate("T", ["a"]),))),
         fixed_init={"a": "+"}, output_bits=("c",))
     r = compile_spec(spec)
-    assert [e.kind for e in r.net.entries] == ["init", "measure3", "gate"]
+    assert [(e.kind, e.indices) for e in r.net.entries] == [("init", ("outbit:0",))]
     t = np.exp(0.25j * np.pi)
-    want = np.diag([1, t]) / np.sqrt(2)    # over (outcome, the final wire)
-    assert np.max(np.abs(_by_name(r, ["outbit:0", "w:a.1"]) - want)) < 1e-12
+    want = np.array([1, t]) / np.sqrt(2)    # over the outcome
+    assert np.max(np.abs(_by_name(r, ["outbit:0"]) - want)) < 1e-12
 
 
 def test_rename_reaches_every_holder_of_a_wire():
     # H's output wire is held by H and by T; the final measurement renames
-    # it to the outcome in both (an open input, so no state is carried)
+    # it to the outcome in both (an open input, so no state is carried),
+    # and T, then rank-1 on the outcome, multiplies into H
     spec = CircuitSpec(qubits=("a",), circuit=seq(
         Conventional((gate("H", ["a"]), gate("T", ["a"]))),
         Measure(MeasureStep(("a",), ("c",)))),
         fixed_init={"a": "0"}, output_bits=("c",))
     r = compile_spec(spec, open_inputs=True)
-    assert [(e.kind, e.indices) for e in r.net.entries] == [
-        ("gate", ("outbit:0", "w:a.0")), ("gate", ("outbit:0",))]
+    assert [(e.kind, e.indices) for e in r.net.entries] == [("gate", ("outbit:0", "w:a.0"))]
     want = np.diag([1, np.exp(0.25j * np.pi)]) @ gate("H", ["a"]).matrix
+    assert np.allclose(r.net.entries[0].payload, want)
     assert np.max(np.abs(_by_name(r, ["outbit:0", "w:a.0"]) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("mode", ["m", "q"])
 def test_open_input_wire_held_by_a_pass_through_gate_keeps_its_identity(mode):
     # only T touches q, so its open input wire is its last wire: the
-    # identity onto the outcome or output leg stays
+    # identity onto the outcome or output leg stays, and T multiplies into it
     tail = (Measure(MeasureStep(("q",), ("c",))),) if mode == "m" else ()
     spec = CircuitSpec(qubits=("q",), circuit=seq(Conventional((gate("T", ["q"]),)), *tail),
                        inputs=("q",), outputs=("q",),
                        output_bits=("c",) if mode == "m" else ())
     r = compile_spec(spec, mode=mode, open_inputs=True)
     end = "outbit:0" if mode == "m" else "out:q"
-    assert [(e.kind, e.indices) for e in r.net.entries] == [
-        ("gate", ("w:q.0",)), ("measure2" if mode == "m" else "ident", ("w:q.0", end))]
+    assert [(e.kind, e.indices) for e in r.net.entries] == [("ident", ("w:q.0", end))]
     want = np.diag([1, np.exp(0.25j * np.pi)])
     assert np.max(np.abs(_by_name(r, [end, "w:q.0"]) - want)) < 1e-12
 
