@@ -1,15 +1,16 @@
 """Equivalence checking: the measurement-distribution and output-state modes.
 
 Compares conventional and dynamic phase estimation (m-mode), teleportation
-against a plain SWAP (q-mode), and shows how a dropped correction is caught
-with an oracle-checkable witness.
+against a plain SWAP (q-mode), shows how many qubits' pieces a check
+discards before it compiles, and how a dropped correction is caught with an
+oracle-checkable witness.
 """
 
 import random
 
 from tddeq import check
-from tddeq.benchmarks import (bitflip_pair, mutations, pe_pair, state_inject_pair,
-                              teleport_pair)
+from tddeq.benchmarks import (bitflip_pair, mutations, pe_pair, qft_pair,
+                              state_inject_pair, teleport_pair)
 from tddeq.circuits import validate
 from tddeq.oracle import oracle_q_eq
 
@@ -24,11 +25,14 @@ for pair in (teleport_pair(), bitflip_pair("q2"), state_inject_pair("T")):
     verdict, report = check(pair.spec_a, pair.spec_b, "q")
     print(f"  {pair.name}: {verdict.status}")
 
-print("\n== both contraction plans give one verdict ==")
-pair = teleport_pair()
-for plan in ("basic", "partitioned"):
-    verdict, report = check(pair.spec_a, pair.spec_b, "q", plan=plan)
-    print(f"  plan={plan}: {verdict.status} (discarded {report.discarded} partitions)")
+print("\n== per-qubit pieces identical on both sides are discarded ==")
+# QFT against its semiclassical version: every qubit's piece matches, so
+# nothing is left to compile; teleportation's pieces all meet a measured
+# outcome, which q-mode must peel, so none is discarded
+for pair, mode in ((qft_pair(8, "00000+0+"), "m"), (teleport_pair(), "q")):
+    verdict, report = check(pair.spec_a, pair.spec_b, mode)
+    print(f"  {pair.name}: {verdict.status} (discarded {report.discarded} qubits, "
+          f"max {report.max_nodes} nodes)")
 
 print("\n== a dropped correction is caught ==")
 rng = random.Random(5)

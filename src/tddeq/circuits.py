@@ -218,11 +218,17 @@ def seq(*parts: DynCircuit) -> DynCircuit:
     return steps[0] if len(steps) == 1 else Seq(tuple(steps))
 
 
+def steps_of(c: DynCircuit) -> tuple[DynCircuit, ...]:
+    """The steps of ``c`` in order, as built: a ``Conventional`` may hold
+    several gates, and a Branch stays one step."""
+    return c.steps if isinstance(c, Seq) else (c,)
+
+
 def flatten(c: DynCircuit) -> list[DynCircuit]:
     """Temporal step list, one gate per Conventional; Branch constructs stay
     as single steps."""
     out: list[DynCircuit] = []
-    for st in c.steps if isinstance(c, Seq) else (c,):
+    for st in steps_of(c):
         if isinstance(st, Conventional):
             out.extend(Conventional((g,)) for g in st.gates)
         else:
@@ -316,10 +322,11 @@ def _walk(c: DynCircuit, loc: str, gates: list[Gate], measured_qubits: set[str],
             measured.add(b)
             guaranteed.add(b)
 
-    for st in flatten(c):
+    for st in steps_of(c):
         if isinstance(st, Conventional):
             gates.extend(st.gates)
-            qs.update(st.gates[0].qubits)
+            for g in st.gates:
+                qs.update(g.qubits)
         elif isinstance(st, Measure):
             qs.update(st.step.qubits)
             measured_qubits.update(st.step.qubits)
@@ -413,7 +420,8 @@ def validate(spec: CircuitSpec) -> list[str]:
 
 
 def lower_controls(c: DynCircuit) -> DynCircuit:
-    """Rewrite every branch into its measure and flat guarded steps.
+    """Rewrite every branch into its measure and flat guarded steps; a
+    circuit that holds no branch is returned as it is.
 
     Each body is lowered first and read through ``flatten``, so a branch
     lowers the same whether its bodies were built as one segment or parsed
@@ -425,10 +433,11 @@ def lower_controls(c: DynCircuit) -> DynCircuit:
     bits that guard reads (teleportation's {I, X, Z, XZ} become X and Z,
     each under one bit).
     """
-    if not isinstance(c, (Seq, Branch)):
+    steps = steps_of(c)
+    if not any(isinstance(st, Branch) for st in steps):
         return c
     out: list[DynCircuit] = []
-    for st in flatten(c):
+    for st in steps:
         if isinstance(st, Branch):
             out.append(Measure(st.measure))
             out.extend(_lower_branch(st))

@@ -8,7 +8,9 @@ Both circuits are checked as specified, fixed initial states included.
 row checked on its fixed-input specs; each row carries the construction
 statistics of the conventional-circuit baseline ("nodes", circuit A with all
 input wires open in the interleaved order) next to the checker's peak
-diagram size ("m_nodes").
+diagram size ("m_nodes": the largest diagram the check built, its
+per-qubit pieces, the compile of what the discard pass left and any
+fallback included).  ``--plan`` is recorded; both values run the one check.
 """
 
 from __future__ import annotations
@@ -147,14 +149,17 @@ def main(argv=None) -> int:
     pc.add_argument("file_a")
     pc.add_argument("file_b")
     pc.add_argument("--mode", choices=["m", "q", "full"], default="m")
-    pc.add_argument("--plan", choices=["basic", "partitioned"], default="basic")
+    pc.add_argument("--plan", choices=["basic", "partitioned"], default="basic",
+                    help="recorded in the report; both values run the one check, "
+                         "which discards identical per-qubit components")
     pc.add_argument("--eps", type=_eps, default=None)
     pc.set_defaults(fn=cmd_check)
 
     pb = sub.add_parser("bench", help="run benchmark suites")
     pb.add_argument("--suite", choices=["qft", "pe", "qec", "all"], required=True)
     pb.add_argument("--max-n", type=int, default=12, dest="max_n")
-    pb.add_argument("--plan", choices=["basic", "partitioned"], default="basic")
+    pb.add_argument("--plan", choices=["basic", "partitioned"], default="basic",
+                    help="recorded in each row; both values run the one check")
     pb.add_argument("--eps", type=_eps, default=None)
     pb.set_defaults(fn=cmd_bench)
 

@@ -75,7 +75,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import (CircuitSpec, CondGate, CondMeasure, Conventional,
-                       INIT_STATES, Measure, flatten, lower_controls)
+                       INIT_STATES, Measure, lower_controls, steps_of)
 from .logic import BoolFunc, func_to_tensor
 from .tdd import (DENSE_CACHE, KIND_OUTCOME, KIND_PRINCIPAL, KIND_WIRE, NORM_TOL,
                   RECIPE_LEGS, IndexId, Tdd, TddManager)
@@ -254,7 +254,7 @@ class _Builder:
                 net.open_names.add(self.cur[q])
             else:
                 self.state[q] = INIT_STATES[spec.fixed_init.get(q, "0")]
-        for st in flatten(lower_controls(spec.circuit)):
+        for st in steps_of(lower_controls(spec.circuit)):
             self._emit(st)
         for q in spec.qubits:
             self._drop(q)

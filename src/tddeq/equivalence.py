@@ -14,12 +14,13 @@ residual of both diagrams is one and the same canonical node,
 i.e. the post-measurement state does not depend on the outcomes and agrees
 across the circuits; ``get_nodes`` exposes the residual set.
 
-``check`` drives the whole pipeline for a pair of circuit specs: compile
-both in circuit order, then decide.  The partitioned plan only puts a
-discard pass in front: it groups the qubits into components that share no
-index in either circuit, compiles per-qubit pieces of the components that
-could be discarded, and leaves the entries of the components identical in
-both out of that one compile.
+``check`` drives the whole pipeline for a pair of circuit specs: a discard
+pass, then one compile of both in circuit order, then decide.  The pass
+groups the qubits into components that share no index in either circuit,
+compiles the per-qubit pieces of the components that could be discarded
+(free of peel indices, with the same cut indices on both sides), and leaves
+the entries of the components identical in both out of that one compile.
+It runs in every check, whatever the plan.
 """
 
 from __future__ import annotations
@@ -208,15 +209,17 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
     """Full pipeline: validate, compile both sides, decide equivalence.
 
     Both circuits are compiled as specified, fixed initial states included,
-    in the grouped index order.  Returns (Verdict, CheckReport).  The
-    partitioned plan first discards every connected component of per-qubit
-    pieces that is identical in both circuits (in q-mode, only components
-    without peel indices) and compiles and compares the rest; pieces past
-    the rank limit, or widened by outcome indices, discard nothing.  A
-    NotEquivalent after a discard is re-checked with nothing discarded
-    before it is reported.  In m-mode ``eps`` (default ``DEFAULT_EPS``)
-    bounds the total-variation distance of the two outcome distributions,
-    reported as ``CheckReport.tv``; it must satisfy ``0 <= eps < 1``.  An
+    in the grouped index order.  Returns (Verdict, CheckReport).  Every
+    check first discards each connected component of per-qubit pieces that
+    is identical in both circuits (in q-mode, only components without peel
+    indices) and compiles and compares the rest; pieces past the rank
+    limit, or widened by outcome indices, discard nothing.  A NotEquivalent
+    after a discard is re-checked with nothing discarded before it is
+    reported.  ``plan`` ("basic" or "partitioned") selects nothing: both
+    take this one path, and the report names the plan given.  In m-mode
+    ``eps`` (default ``DEFAULT_EPS``) bounds the total-variation distance
+    of the two outcome distributions, reported as ``CheckReport.tv``; it
+    must satisfy ``0 <= eps < 1``.  An
     ``eps`` outside that range, a ``mode`` other than ``"m"`` or ``"q"``
     and an unknown ``plan`` raise ``ValueError``.
     """
@@ -236,7 +239,7 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
         report.total_time = time.perf_counter() - t_start
         return report.verdict, report
     try:
-        verdict = _check(spec_a, spec_b, mode, plan, eps, report)
+        verdict = _check(spec_a, spec_b, mode, eps, report)
     except (CompileScaleError, CompileError, IndexOrderError, TddError) as exc:
         verdict = Verdict.inconclusive(str(exc))
     except (RecursionError, MemoryError) as exc:
@@ -274,9 +277,9 @@ def _decide(mgr, nets, ta, tb, mode, eps, witness, report) -> bool:
     return q_eq(mgr, ta, tb, peel, witness)
 
 
-def _check(spec_a, spec_b, mode, plan, eps, report) -> Verdict:
+def _check(spec_a, spec_b, mode, eps, report) -> Verdict:
     mgr, nets = prepare([spec_a, spec_b], mode=mode)
-    skip = _discards(mgr, nets, report) if plan == "partitioned" else set()
+    skip = _discards(mgr, nets, report)
     while True:
         ra = evaluate(mgr, nets[0], skip)
         rb = evaluate(mgr, nets[1], skip)
@@ -295,44 +298,65 @@ def _check(spec_a, spec_b, mode, plan, eps, report) -> Verdict:
         skip = set()
 
 
-def _components(nets) -> list[list[str]]:
-    """Qubits grouped so that no index joins two groups, in A or in B.
+def _components(nets) -> list[tuple[list[str], bool]]:
+    """The components free of peel indices, each with whether its pieces
+    can be identical.
 
-    A per-qubit piece keeps open exactly the indices its entries share with
-    other qubits' entries, so this is the grouping of the pieces' indices,
-    found before any piece is built.
+    A component is a group of qubits such that no index joins two groups,
+    in A or in B.  A per-qubit piece keeps open its cut indices, the ones
+    another qubit's entries also hold, so identical pieces of a qubit need
+    entries in both circuits that name the same cut indices.  A component
+    whose entries name a peel index (q-mode outcomes and discards) always
+    stays.  All of this is read from the netlists before any piece is built.
     """
-    parent = {e.partition: e.partition for net in nets for e in net.entries}
+    peel = nets[0].peel_set | nets[1].peel_set
+    peeled = {e.partition for net in nets for e in net.entries
+              if not peel.isdisjoint(e.indices)}
+    if peeled.issuperset(e.partition for net in nets for e in net.entries):
+        return []
+    parent: dict[str, str] = {}
 
     def find(q):
         while parent[q] != q:
             q = parent[q]
         return q
 
+    cuts = []
     for net in nets:
         owner: dict[str, str] = {}
+        cut: dict[str, set[str]] = {}
         for e in net.entries:
+            q = e.partition
+            parent.setdefault(q, q)
+            held = cut.setdefault(q, set())
             for n in e.indices:
-                parent[find(e.partition)] = find(owner.setdefault(n, e.partition))
+                o = owner.setdefault(n, q)
+                if o != q:
+                    parent[find(q)] = find(o)
+                    held.add(n)
+                    cut[o].add(n)
+        cuts.append(cut)
     groups: dict[str, list[str]] = {}
     for q in parent:
         groups.setdefault(find(q), []).append(q)
-    return list(groups.values())
+    ca, cb = cuts
+    return [(qubits, all(q in ca and ca[q] == cb.get(q) for q in qubits))
+            for qubits in groups.values() if peeled.isdisjoint(qubits)]
 
 
 def _discards(mgr, nets, report) -> set[str]:
     """Qubits of the components of per-qubit pieces identical in both circuits.
 
     A component shares no index with the rest of either circuit, so each
-    diagram is its product with the rest, and identical factors cancel.  A
-    component whose entries name a peel index (q-mode outcomes and
-    discards) always stays, so none of its pieces is built.  Pieces that
-    outgrow the rank limit, or that outcome indices widen (a piece has no
-    norm to check), discard nothing.
+    diagram is its product with the rest, and identical factors cancel.
+    Only the pieces of components that ``_components`` finds free of peel
+    indices, with matching cut indices, are built.  Pieces that outgrow
+    the rank limit, or that outcome indices widen (a piece has no norm to
+    check), discard nothing.
     """
-    peel = nets[0].peel_set | nets[1].peel_set
-    peeled = {e.partition for net in nets for e in net.entries if peel.intersection(e.indices)}
-    comps = [qubits for qubits in _components(nets) if peeled.isdisjoint(qubits)]
+    comps = [qubits for qubits, may in _components(nets) if may]
+    if not comps:
+        return set()
     wanted = {q for qubits in comps for q in qubits}
     stats = CompileStats()
     t0 = time.perf_counter()

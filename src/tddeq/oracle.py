@@ -39,12 +39,18 @@ class EnsembleMember:
     op: np.ndarray
 
 
-def _embed(mat: np.ndarray, positions: list[int], n: int) -> np.ndarray:
-    """Expand a k-qubit matrix to n qubits (MSB-first qubit positions)."""
-    order = list(positions) + [p for p in range(n) if p not in positions]
-    full = np.kron(mat, np.eye(1 << (n - len(positions)))).reshape((2,) * (2 * n))
-    axes = [order.index(p) for p in range(n)]      # qubit p's axis in full
-    return full.transpose(axes + [n + a for a in axes]).reshape(1 << n, 1 << n)
+def _apply(mat: np.ndarray, positions: list[int], op: np.ndarray) -> np.ndarray:
+    """A k-qubit matrix on the qubits at ``positions`` (MSB first) applied to
+    ``op``, a 2^n x m matrix: contracted into op's qubit axes, so the
+    2^n x 2^n embedding of ``mat`` is never built."""
+    k, n = len(positions), op.shape[0].bit_length() - 1
+    axes = list(range(n + 1))            # op's qubit axes, then its column axis
+    fresh = list(range(n + 1, n + 1 + k))    # the gate's output axes
+    out = axes.copy()
+    for p, f in zip(positions, fresh):
+        out[p] = f
+    return np.einsum(mat.reshape((2,) * (2 * k)), fresh + list(positions),
+                     op.reshape((2,) * n + (-1,)), axes, out).reshape(op.shape)
 
 
 def _proj(value: int) -> np.ndarray:
@@ -64,30 +70,37 @@ def semantics(circuit: DynCircuit, qubits: tuple[str, ...]) -> list[EnsembleMemb
     def bits_env(record):
         return dict(record)
 
+    def project(op, qubits, values):
+        for q, v in zip(qubits, values):
+            op = _apply(_proj(v), [pos[q]], op)
+        return op
+
     def run(c: DynCircuit, members):
         if isinstance(c, Conventional):
-            u = np.eye(1 << n, dtype=complex)
-            for g in c.gates:
-                u = _embed(g.matrix, [pos[q] for q in g.qubits], n) @ u
-            return [EnsembleMember(m.record, u @ m.op) for m in members]
+            gates = [(g.matrix, [pos[q] for q in g.qubits]) for g in c.gates]
+            out = []
+            for m in members:
+                op = m.op
+                for mat, at in gates:
+                    op = _apply(mat, at, op)
+                out.append(EnsembleMember(m.record, op))
+            return out
         if isinstance(c, Measure):
             out = []
             for m in members:
                 for values in itertools.product((0, 1), repeat=len(c.step.qubits)):
-                    p = np.eye(1 << n, dtype=complex)
-                    for q, v in zip(c.step.qubits, values):
-                        p = _embed(_proj(v), [pos[q]], n) @ p
                     rec = m.record + tuple(zip(c.step.bits, values))
-                    out.append(EnsembleMember(rec, p @ m.op))
+                    out.append(EnsembleMember(rec, project(m.op, c.step.qubits, values)))
             _guard(out)
             return out
         if isinstance(c, CondGate):
-            u = _embed(c.gate.matrix, [pos[q] for q in c.gate.qubits], n)
+            at = [pos[q] for q in c.gate.qubits]
             out = []
             for m in members:
                 env = bits_env(m.record)
                 fired = c.func([env[b] for b in c.bits])
-                out.append(EnsembleMember(m.record, (u @ m.op) if fired else m.op))
+                out.append(EnsembleMember(
+                    m.record, _apply(c.gate.matrix, at, m.op) if fired else m.op))
             return out
         if isinstance(c, Branch):
             # the selected body runs on each member's own record, so an
@@ -95,12 +108,9 @@ def semantics(circuit: DynCircuit, qubits: tuple[str, ...]) -> list[EnsembleMemb
             out = []
             for m in members:
                 for values in itertools.product((0, 1), repeat=len(c.measure.qubits)):
-                    p = np.eye(1 << n, dtype=complex)
-                    for q, v in zip(c.measure.qubits, values):
-                        p = _embed(_proj(v), [pos[q]], n) @ p
                     rec = m.record + tuple(zip(c.measure.bits, values))
                     out += run(c.branches[c.func(values)],
-                               [EnsembleMember(rec, p @ m.op)])
+                               [EnsembleMember(rec, project(m.op, c.measure.qubits, values))])
             _guard(out)
             return out
         if isinstance(c, Seq):
@@ -131,7 +141,7 @@ def _injection(spec: CircuitSpec) -> np.ndarray:
                 amp[b] = 1.0
             else:
                 amp = INIT_STATES[spec.fixed_init[q]]
-            vec = np.kron(vec, amp)
+            vec = np.outer(vec, amp).ravel()
         cols.append(vec)
     return np.stack(cols, axis=1)
 

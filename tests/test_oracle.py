@@ -8,7 +8,7 @@ from tddeq.circuits import (Branch, CircuitSpec, Conventional, Measure,
                             MeasureStep, gate, seq)
 from tddeq.encode import compile_spec
 from tddeq.logic import BoolFunc
-from tddeq.oracle import (OracleScaleError, identity_choi,
+from tddeq.oracle import (OracleScaleError, _apply, identity_choi,
                           oracle_full_eq, oracle_m_eq, oracle_q_eq,
                           outcome_distribution, semantics, superoperator)
 from tddeq.textfmt import parse
@@ -24,6 +24,27 @@ def test_semantics_conventional_is_singleton():
     cx = gate("CX", ["q0", "q1"]).matrix
     ref = cx @ np.kron(h, np.eye(2))
     assert np.allclose(members[0].op, ref)
+
+
+def _kron_embed(mat, positions, n):
+    """The k-qubit ``mat`` as a 2^n x 2^n matrix (MSB-first positions),
+    built with ``np.kron`` and an axis permutation."""
+    order = list(positions) + [p for p in range(n) if p not in positions]
+    full = np.kron(mat, np.eye(1 << (n - len(positions)))).reshape((2,) * (2 * n))
+    axes = [order.index(p) for p in range(n)]
+    return full.transpose(axes + [n + a for a in axes]).reshape(1 << n, 1 << n)
+
+
+def test_apply_equals_the_kron_embedding():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        k = int(rng.integers(1, min(n, 3) + 1))
+        positions = [int(p) for p in rng.permutation(n)[:k]]
+        mat = rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal((1 << k, 1 << k))
+        op = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+        want = _kron_embed(mat, positions, n) @ op
+        assert np.allclose(_apply(mat, positions, op), want, rtol=0, atol=1e-12), (n, positions)
 
 
 def test_semantics_teleport_four_members_complete():
