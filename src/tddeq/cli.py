@@ -10,7 +10,7 @@ statistics of the conventional-circuit baseline ("nodes", circuit A with all
 input wires open in the interleaved order) next to the checker's peak
 diagram size ("m_nodes": the largest diagram the check built, its
 per-qubit pieces, the compile of what the discard pass left and any
-fallback included).  ``--plan`` is recorded; both values run the one check.
+fallback included).
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ def _baseline_nodes(spec: CircuitSpec) -> int | None:
         return None
 
 
-def _report_record(name, mode, plan, verdict: Verdict, tdd_time, total,
+def _report_record(name, mode, verdict: Verdict, tdd_time, total,
                    nodes, m_nodes) -> dict:
-    rec = {"benchmark": name, "mode": mode, "plan": plan,
-           "verdict": verdict.status,
+    rec = {"benchmark": name, "mode": mode, "verdict": verdict.status,
            "tdd_time": round(tdd_time, 2), "time": round(total, 2),
            "nodes": nodes, "m_nodes": m_nodes}
     if verdict.status == "not-equivalent" and verdict.witness:
@@ -68,13 +67,13 @@ def cmd_check(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERR
         verdict = Verdict.equivalent() if equal else Verdict.not_equivalent("choi-mismatch")
-        rec = _report_record(f"{args.file_a}|{args.file_b}", "full", "oracle",
+        rec = _report_record(f"{args.file_a}|{args.file_b}", "full",
                              verdict, 0.0, 0.0, None, None)
         print(json.dumps(rec))
         return EXIT_EQ if equal else EXIT_NEQ
-    verdict, rep = check(spec_a, spec_b, args.mode, plan=args.plan, eps=args.eps)
+    verdict, rep = check(spec_a, spec_b, args.mode, eps=args.eps)
     nodes = _baseline_nodes(spec_a)
-    rec = _report_record(f"{args.file_a}|{args.file_b}", args.mode, args.plan,
+    rec = _report_record(f"{args.file_a}|{args.file_b}", args.mode,
                          verdict, rep.tdd_time, rep.total_time,
                          nodes, rep.max_nodes)
     print(json.dumps(rec))
@@ -89,18 +88,18 @@ def _name_key(name: str):
     return (name, -1)
 
 
-def _bench_rows(pairs, plan, eps):
+def _bench_rows(pairs, eps):
     rows = []
     for pair in sorted(pairs, key=lambda p: _name_key(p.name)):
         try:
-            verdict, rep = check(pair.spec_a, pair.spec_b, pair.mode, plan=plan, eps=eps)
+            verdict, rep = check(pair.spec_a, pair.spec_b, pair.mode, eps=eps)
             nodes = _baseline_nodes(pair.spec_a)
-            rows.append(_report_record(pair.name, pair.mode, plan, verdict,
+            rows.append(_report_record(pair.name, pair.mode, verdict,
                                        rep.tdd_time, rep.total_time,
                                        nodes, rep.max_nodes))
         except Exception as exc:  # keep going per row
             rows.append({"benchmark": pair.name, "mode": pair.mode,
-                         "plan": plan, "verdict": "inconclusive",
+                         "verdict": "inconclusive",
                          "reason": str(exc), "tdd_time": 0.0, "time": 0.0,
                          "nodes": None, "m_nodes": None})
     return rows
@@ -112,7 +111,7 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERR
-    rows = _bench_rows(pairs, args.plan, args.eps)
+    rows = _bench_rows(pairs, args.eps)
     for rec in rows:
         print(json.dumps(rec))
     print(_human_table(rows), file=sys.stderr)
@@ -121,11 +120,11 @@ def cmd_bench(args) -> int:
 
 
 def _human_table(rows) -> str:
-    head = f"{'benchmark':<18} {'mode':<4} {'plan':<12} {'verdict':<15} " \
+    head = f"{'benchmark':<18} {'mode':<4} {'verdict':<15} " \
            f"{'tdd_time':>8} {'time':>8} {'nodes':>8} {'m_nodes':>8}"
     lines = [head, "-" * len(head)]
     for r in rows:
-        lines.append(f"{r['benchmark']:<18} {r['mode']:<4} {r['plan']:<12} "
+        lines.append(f"{r['benchmark']:<18} {r['mode']:<4} "
                      f"{r['verdict']:<15} {r['tdd_time']:>8.2f} {r['time']:>8.2f} "
                      f"{str(r['nodes']):>8} {str(r['m_nodes']):>8}")
     return "\n".join(lines)
@@ -149,17 +148,12 @@ def main(argv=None) -> int:
     pc.add_argument("file_a")
     pc.add_argument("file_b")
     pc.add_argument("--mode", choices=["m", "q", "full"], default="m")
-    pc.add_argument("--plan", choices=["basic", "partitioned"], default="basic",
-                    help="recorded in the report; both values run the one check, "
-                         "which discards identical per-qubit components")
     pc.add_argument("--eps", type=_eps, default=None)
     pc.set_defaults(fn=cmd_check)
 
     pb = sub.add_parser("bench", help="run benchmark suites")
     pb.add_argument("--suite", choices=["qft", "pe", "qec", "all"], required=True)
     pb.add_argument("--max-n", type=int, default=12, dest="max_n")
-    pb.add_argument("--plan", choices=["basic", "partitioned"], default="basic",
-                    help="recorded in each row; both values run the one check")
     pb.add_argument("--eps", type=_eps, default=None)
     pb.set_defaults(fn=cmd_bench)
 

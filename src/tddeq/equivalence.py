@@ -20,7 +20,6 @@ groups the qubits into components that share no index in either circuit,
 compiles the per-qubit pieces of the components that could be discarded
 (free of peel indices, with the same cut indices on both sides), and leaves
 the entries of the components identical in both out of that one compile.
-It runs in every check, whatever the plan.
 """
 
 from __future__ import annotations
@@ -193,7 +192,6 @@ def q_eq(mgr: TddManager, t1: Tdd, t2: Tdd, m_set, witness: list | None = None) 
 @dataclass
 class CheckReport:
     mode: str = "m"
-    plan: str = "basic"
     verdict: Verdict = None
     tdd_time: float = 0.0
     total_time: float = 0.0
@@ -205,7 +203,7 @@ class CheckReport:
 
 
 def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
-          plan: str = "basic", *, eps: float | None = None):
+          plan: str | None = None, *, eps: float | None = None):
     """Full pipeline: validate, compile both sides, decide equivalence.
 
     Both circuits are compiled as specified, fixed initial states included,
@@ -215,21 +213,18 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
     indices) and compiles and compares the rest; pieces past the rank
     limit, or widened by outcome indices, discard nothing.  A NotEquivalent
     after a discard is re-checked with nothing discarded before it is
-    reported.  ``plan`` ("basic" or "partitioned") selects nothing: both
-    take this one path, and the report names the plan given.  In m-mode
-    ``eps`` (default ``DEFAULT_EPS``) bounds the total-variation distance
-    of the two outcome distributions, reported as ``CheckReport.tv``; it
-    must satisfy ``0 <= eps < 1``.  An
-    ``eps`` outside that range, a ``mode`` other than ``"m"`` or ``"q"``
-    and an unknown ``plan`` raise ``ValueError``.
+    reported.  ``plan`` is accepted and ignored: it selected the discard
+    pass before every check ran it.  In m-mode ``eps`` (default
+    ``DEFAULT_EPS``) bounds the total-variation distance of the two outcome
+    distributions, reported as ``CheckReport.tv``; it must satisfy
+    ``0 <= eps < 1``.  An ``eps`` outside that range and a ``mode`` other
+    than ``"m"`` or ``"q"`` raise ``ValueError``.
     """
     eps = valid_eps(DEFAULT_EPS if eps is None else eps)
     if mode not in ("m", "q"):
         raise ValueError(f"unknown mode {mode!r}")
-    if plan not in ("basic", "partitioned"):
-        raise ValueError(f"unknown plan {plan!r}")
     t_start = time.perf_counter()
-    report = CheckReport(mode=mode, plan=plan)
+    report = CheckReport(mode=mode)
     errs = [f"a: {e}" for e in validate(spec_a)] + \
            [f"b: {e}" for e in validate(spec_b)]
     if not errs:
@@ -298,9 +293,8 @@ def _check(spec_a, spec_b, mode, eps, report) -> Verdict:
         skip = set()
 
 
-def _components(nets) -> list[tuple[list[str], bool]]:
-    """The components free of peel indices, each with whether its pieces
-    can be identical.
+def _components(nets) -> list[list[str]]:
+    """The components whose pieces can be identical in both circuits.
 
     A component is a group of qubits such that no index joins two groups,
     in A or in B.  A per-qubit piece keeps open its cut indices, the ones
@@ -312,9 +306,9 @@ def _components(nets) -> list[tuple[list[str], bool]]:
     peel = nets[0].peel_set | nets[1].peel_set
     peeled = {e.partition for net in nets for e in net.entries
               if not peel.isdisjoint(e.indices)}
-    if peeled.issuperset(e.partition for net in nets for e in net.entries):
+    parent = {e.partition: e.partition for net in nets for e in net.entries}
+    if peeled.issuperset(parent):
         return []
-    parent: dict[str, str] = {}
 
     def find(q):
         while parent[q] != q:
@@ -327,7 +321,6 @@ def _components(nets) -> list[tuple[list[str], bool]]:
         cut: dict[str, set[str]] = {}
         for e in net.entries:
             q = e.partition
-            parent.setdefault(q, q)
             held = cut.setdefault(q, set())
             for n in e.indices:
                 o = owner.setdefault(n, q)
@@ -340,8 +333,8 @@ def _components(nets) -> list[tuple[list[str], bool]]:
     for q in parent:
         groups.setdefault(find(q), []).append(q)
     ca, cb = cuts
-    return [(qubits, all(q in ca and ca[q] == cb.get(q) for q in qubits))
-            for qubits in groups.values() if peeled.isdisjoint(qubits)]
+    return [qubits for qubits in groups.values()
+            if peeled.isdisjoint(qubits) and all(ca.get(q) == cb.get(q) for q in qubits)]
 
 
 def _discards(mgr, nets, report) -> set[str]:
@@ -349,12 +342,11 @@ def _discards(mgr, nets, report) -> set[str]:
 
     A component shares no index with the rest of either circuit, so each
     diagram is its product with the rest, and identical factors cancel.
-    Only the pieces of components that ``_components`` finds free of peel
-    indices, with matching cut indices, are built.  Pieces that outgrow
-    the rank limit, or that outcome indices widen (a piece has no norm to
-    check), discard nothing.
+    Only the pieces of the components that ``_components`` returns are
+    built.  Pieces that outgrow the rank limit, or that outcome
+    indices widen (a piece has no norm to check), discard nothing.
     """
-    comps = [qubits for qubits, may in _components(nets) if may]
+    comps = _components(nets)
     if not comps:
         return set()
     wanted = {q for qubits in comps for q in qubits}

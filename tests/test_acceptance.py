@@ -121,31 +121,29 @@ def test_criterion_5_partition_optimisation():
     bad = []
     # fixed inputs with "+" on two of the top qubits: compiled whole, the
     # outcome diagram's peak doubles with n; every check discards the
-    # per-qubit pieces the two sides share and stays small under either plan
+    # per-qubit pieces the two sides share and stays small
     whole = []
     for n in range(8, 13):
         pair = B.qft_pair(n, "0" * (n - 3) + "+0+")
-        vb, rb, _ = _timed_check(pair.spec_a, pair.spec_b, "m", plan="basic")
-        vp, rp, _ = _timed_check(pair.spec_a, pair.spec_b, "m", plan="partitioned")
-        if vb.status != vp.status:
-            bad.append(f"qft_{n}: verdicts differ")
-        if max(rb.max_nodes, rp.max_nodes) > 8:
-            bad.append(f"qft_{n}: peak {rb.max_nodes}/{rp.max_nodes} > 8")
+        v, rep, _ = _timed_check(pair.spec_a, pair.spec_b, "m")
+        if v.status != "equivalent":
+            bad.append(f"qft_{n}: {v.status}")
+        if rep.max_nodes > 8:
+            bad.append(f"qft_{n}: peak {rep.max_nodes} > 8")
         mgr, nets = prepare([pair.spec_a, pair.spec_b], mode="m")
         whole.append(max(evaluate(mgr, net).stats.max_nodes for net in nets))
     if not (whole[0] >= 253 and whole[-1] <= 4093
             and all(b >= 2 * a for a, b in zip(whole, whole[1:]))):
         bad.append(f"undiscarded peaks {whole} do not double from 253 to 4093")
-    # verdict equality between plans on every other benchmark
+    # every other benchmark pair is decided equivalent
     rows = ([(B.qft(n), B.dyn_qft(n), "m") for n in range(2, 8)]
             + [(B.pe(n, B._default_phi(n)), B.dyn_pe(n, B._default_phi(n)), "m")
                for n in range(2, 8)]
             + [(p.spec_a, p.spec_b, p.mode) for p in B.qec_suite()])
     for a, b, mode in rows:
-        v1, _, _ = _timed_check(a, b, mode, plan="basic")
-        v2, _, _ = _timed_check(a, b, mode, plan="partitioned")
-        if v1.status != v2.status:
-            bad.append(f"{mode}-row plan mismatch")
+        v, _, _ = _timed_check(a, b, mode)
+        if v.status != "equivalent":
+            bad.append(f"{mode}-row {v.status}")
     _report(5, "discarded qft pairs stay small and verdict-stable",
             not bad, "; ".join(bad) or f"qft 8..12 peak <= 8, undiscarded {whole}")
 

@@ -141,8 +141,7 @@ def test_validate_rejects_a_read_of_a_bit_measured_on_one_path():
                        fixed_init={"a": "+", "b": "+", "t": "0"}, outputs=("t",))
     errs = validate(spec)
     assert any("bit d is not measured on every path" in e for e in errs)
-    for plan in ("basic", "partitioned"):
-        assert check(spec, spec, "q", plan)[0].status == "inconclusive", plan
+    assert check(spec, spec, "q")[0].status == "inconclusive"
     # a body may not read a bit that another body measures either
     other = Branch(MeasureStep(("a",), ("c0",)), x,
                    (Measure(MeasureStep(("b",), ("d",))),
@@ -265,8 +264,7 @@ def test_lower_controls_gate_in_every_body_is_unconditional():
     assert [type(s).__name__ for s in lowered] == ["Measure", "Conventional"]
     assert lowered[1].gates[0].name == "H"
     assert oracle_q_eq(a, b)
-    for plan in ("basic", "partitioned"):
-        assert check(a, b, "q", plan=plan)[0].status == "equivalent", plan
+    assert check(a, b, "q")[0].status == "equivalent"
 
 
 def test_lower_controls_preserves_semantics_on_random_circuits():

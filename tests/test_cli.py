@@ -83,7 +83,7 @@ def test_bench_qec_rows(capsys):
                      "State_inject_T", "Teleportation"]
     for r in recs:
         assert r["verdict"] == "equivalent"
-        for field in ("benchmark", "mode", "plan", "verdict", "tdd_time",
+        for field in ("benchmark", "mode", "verdict", "tdd_time",
                       "time", "nodes", "m_nodes"):
             assert field in r
 
@@ -99,10 +99,16 @@ def test_bench_qft_small(capsys):
 
 
 def test_bench_partitioned_plan(capsys):
-    code, recs = run(capsys, "bench", "--suite", "qft", "--max-n", "3",
-                     "--plan", "partitioned")
+    # every check runs the discard pass, so no option selects it any more
+    code, recs = run(capsys, "bench", "--suite", "qft", "--max-n", "3")
     assert code == 0
-    assert all(r["verdict"] == "equivalent" for r in recs)
+    assert all(r["verdict"] == "equivalent" and "plan" not in r for r in recs)
+    for argv in (["bench", "--suite", "qft", "--plan", "partitioned"],
+                 ["check", str(GOLDEN / "pe_2.dqc"), str(GOLDEN / "dyn_pe_2.dqc"),
+                  "--plan", "partitioned"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2  # argparse usage error
 
 
 def test_bench_requires_suite(capsys):
@@ -112,13 +118,10 @@ def test_bench_requires_suite(capsys):
 
 
 def test_exit_codes_are_verdict_function(tmp_path, capsys):
-    # same pair, both plans: identical verdict, identical exit code
     args = ["check", str(GOLDEN / "pe_2.dqc"), str(GOLDEN / "dyn_pe_2.dqc"),
             "--mode", "m"]
-    c1, r1 = run(capsys, *args)
-    c2, r2 = run(capsys, *args, "--plan", "partitioned")
-    assert c1 == c2 == 0
-    assert r1[0]["verdict"] == r2[0]["verdict"]
+    code, recs = run(capsys, *args)
+    assert code == 0 and recs[0]["verdict"] == "equivalent"
 
 
 def test_long_circuit_needs_no_recursion(tmp_path, capsys):
@@ -193,11 +196,9 @@ def test_measuring_body_is_decided(tmp_path, capsys):
         fa.write_text(a)
         fb.write_text(b)
         assert oracle_q_eq(parse(a), parse(b)) == (want == 0)
-        for plan in ("basic", "partitioned"):
-            code, recs = run(capsys, "check", str(fa), str(fb), "--mode", "q",
-                             "--plan", plan)
-            assert code == want, (k, plan)
-            assert recs[0]["verdict"] == ("equivalent", "not-equivalent")[want]
+        code, recs = run(capsys, "check", str(fa), str(fb), "--mode", "q")
+        assert code == want, k
+        assert recs[0]["verdict"] == ("equivalent", "not-equivalent")[want]
 
 
 def test_measuring_body_m_mode_distance():
@@ -209,11 +210,10 @@ def test_measuring_body_m_mode_distance():
             "subcircuit s1 {\n")
     a, b = parse(text + "}\n"), parse(text + "  gate X b\n}\n")
     assert not oracle_m_eq(a, b)
-    for plan in ("basic", "partitioned"):
-        v, report = check(a, b, "m", plan)
-        assert v.status == "not-equivalent", plan
-        assert abs(report.tv - 0.5) < 1e-9, plan
-        assert check(a, a, "m", plan)[0].status == "equivalent", plan
+    v, report = check(a, b, "m")
+    assert v.status == "not-equivalent"
+    assert abs(report.tv - 0.5) < 1e-9
+    assert check(a, a, "m")[0].status == "equivalent"
 
 
 REPRO_A = "qubits q\noutbits c0\ninit q=0\nmeasure q -> c0\n"
@@ -232,10 +232,9 @@ def test_fixed_input_m_check_is_not_opened(tmp_path, capsys):
     # input would call these equivalent; as specified they are not
     assert not oracle_m_eq(parse(REPRO_A), parse(REPRO_B))
     fa, fb = _repro_files(tmp_path)
-    for plan in ("basic", "partitioned"):
-        code, recs = run(capsys, "check", fa, fb, "--mode", "m", "--plan", plan)
-        assert code == 1, plan
-        assert recs[0]["verdict"] == "not-equivalent", plan
+    code, recs = run(capsys, "check", fa, fb, "--mode", "m")
+    assert code == 1
+    assert recs[0]["verdict"] == "not-equivalent"
     with pytest.raises(SystemExit) as exc:
         main(["check", fa, fb, "--mode", "m", "--open-inputs"])
     assert exc.value.code == 2  # no such option
@@ -299,9 +298,8 @@ def test_biased_outcome_is_q_equivalent_to_itself(tmp_path, capsys):
     f = tmp_path / "biased.dqc"
     f.write_text(BIASED)
     assert oracle_q_eq(parse(BIASED), parse(BIASED))
-    for plan in ("basic", "partitioned"):
-        code, recs = run(capsys, "check", str(f), str(f), "--mode", "q", "--plan", plan)
-        assert code == 0 and recs[0]["verdict"] == "equivalent", plan
+    code, recs = run(capsys, "check", str(f), str(f), "--mode", "q")
+    assert code == 0 and recs[0]["verdict"] == "equivalent"
     with pytest.raises(SystemExit) as exc:
         main(["check", str(f), str(f), "--mode", "q", "--strict-q"])
     assert exc.value.code == 2  # no such option

@@ -1,18 +1,18 @@
 """Every check runs the identical-component discard pass.
 
-Both ``plan`` values take one path: the components of per-qubit pieces that
-are identical in both circuits, and free of peel indices, are left out of
-the compile, and a ``not-equivalent`` found after a discard is re-checked
-with nothing discarded.  These tests hold that path to the dense oracle and
-to the undiscarded compile of the same netlists, and hold the cut-index
-precondition, which decides which pieces are built, to the pieces it skips.
+The components of per-qubit pieces that are identical in both circuits, and
+free of peel indices, are left out of the compile, and a ``not-equivalent``
+found after a discard is re-checked with nothing discarded.  These tests
+hold that path to the dense oracle and to the undiscarded compile of the
+same netlists, and hold the cut-index precondition, which decides which
+pieces are built, to the pieces it skips.
 """
 
 import random
 
 from tddeq import benchmarks as B
 from tddeq.circuits import CircuitSpec, Conventional, steps_of, validate
-from tddeq.encode import CompileStats, evaluate, evaluate_pieces, prepare
+from tddeq.encode import CompileScaleError, CompileStats, evaluate, evaluate_pieces, prepare
 from tddeq.equivalence import CheckReport, _components, _decide, check
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
 from tddeq.tdd import DEFAULT_EPS
@@ -46,25 +46,51 @@ def _undiscarded(a, b, mode) -> bool:
 
 
 def _skipped_pieces_differ(a, b, mode) -> bool:
-    """No component the cut-index precondition skips has identical pieces."""
+    """No component free of peel indices that ``_components`` leaves out
+    has identical pieces in both circuits.  The components are found here
+    by joining the qubits whose entries hold a common index."""
     mgr, nets = prepare([a, b], mode=mode)
-    skipped = [qubits for qubits, may in _components(nets) if not may]
+    links = {e.partition: {e.partition} for net in nets for e in net.entries}
+    for net in nets:
+        holders: dict[str, set[str]] = {}
+        for e in net.entries:
+            for n in e.indices:
+                holders.setdefault(n, set()).add(e.partition)
+        for qubits in holders.values():
+            for q in qubits:
+                links[q] |= qubits
+    peel = nets[0].peel_set | nets[1].peel_set
+    peeled = {e.partition for net in nets for e in net.entries if peel & set(e.indices)}
+    kept = {frozenset(c) for c in _components(nets)}
+    skipped, seen = [], set()
+    for q in links:
+        if q in seen:
+            continue
+        comp, todo = set(), [q]
+        while todo:
+            x = todo.pop()
+            if x not in comp:
+                comp.add(x)
+                todo += links[x]
+        seen |= comp
+        if not comp & peeled and frozenset(comp) not in kept:
+            skipped.append(comp)
     if not skipped:
         return True
-    wanted = {q for qubits in skipped for q in qubits}
-    pa, pb = (evaluate_pieces(mgr, net, CompileStats(), wanted) for net in nets)
-    return not any(all(q in pa and q in pb and mgr.identical(pa[q], pb[q]) for q in qubits)
-                   for qubits in skipped)
+    stats = CompileStats()
+    try:
+        pa, pb = (evaluate_pieces(mgr, net, stats, set().union(*skipped)) for net in nets)
+    except CompileScaleError:     # too wide to discard whatever the netlists say
+        return True
+    return stats.wide or not any(
+        all(q in pa and q in pb and mgr.identical(pa[q], pb[q]) for q in comp)
+        for comp in skipped)
 
 
-def test_one_path_agrees_with_oracle_reference_and_both_plans():
+def test_one_path_agrees_with_oracle_and_reference():
     discarded = fallbacks = 0
     for k, (mode, a, b) in enumerate(_pairs(2911, N_PAIRS)):
         v, rep = check(a, b, mode)
-        vp, rp = check(a, b, mode, plan="partitioned")
-        assert (v.status, rep.max_nodes, rep.discarded, rep.fallback) == \
-            (vp.status, rp.max_nodes, rp.discarded, rp.fallback), k
-        assert (rep.plan, rp.plan) == ("basic", "partitioned")
         same = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert v.status == ("equivalent" if same else "not-equivalent"), (k, mode)
         assert _undiscarded(a, b, mode) == same, (k, mode)
@@ -89,9 +115,23 @@ def _open_qft(n: int, drop: int | None = None) -> CircuitSpec:
 def test_open_input_qft_self_check_is_decided_from_pieces():
     n = 12
     a = _open_qft(n)
-    for plan in ("basic", "partitioned"):
-        v, rep = check(a, a, "q", plan=plan)
-        assert v.status == "equivalent" and rep.discarded == n, (plan, v)
-        assert rep.max_nodes <= 2 * n, (plan, rep.max_nodes)
+    v, rep = check(a, a, "q")
+    assert v.status == "equivalent" and rep.discarded == n, v
+    assert rep.max_nodes <= 2 * n, rep.max_nodes
     v, rep = check(a, _open_qft(n, drop=5), "q")
     assert v.status == "not-equivalent", v
+
+
+def test_qft_pairs_skip_no_identical_component():
+    # the QFT against its semiclassical form on random {0,1,+} inputs: the
+    # precondition leaves out no component whose pieces agree
+    rng = random.Random(1411)
+    discarded = 0
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        pair = B.qft_pair(n, "".join(rng.choice("01+") for _ in range(n)))
+        assert _skipped_pieces_differ(pair.spec_a, pair.spec_b, "m"), pair.name
+        v, rep = check(pair.spec_a, pair.spec_b, "m")
+        assert v.status == "equivalent", (pair.name, v)
+        discarded += rep.discarded
+    assert discarded >= 40, discarded

@@ -256,11 +256,10 @@ def _kinds(spec, **kw):
 
 
 def _agrees_with_oracle(a, b, mode):
-    """Both plans give the dense oracle's verdict; returns that verdict."""
+    """``check`` gives the dense oracle's verdict; returns that verdict."""
     want = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
-    for plan in ("basic", "partitioned"):
-        v, _ = check(a, b, mode, plan=plan)
-        assert v.status == ("equivalent" if want else "not-equivalent"), plan
+    v, _ = check(a, b, mode)
+    assert v.status == ("equivalent" if want else "not-equivalent")
     return want
 
 
@@ -379,7 +378,7 @@ def test_open_input_operator_build_with_an_ungated_measurement(n):
 def test_shared_outcome_after_a_shared_gate_keeps_the_diagonal():
     # two qubits read into one bit: validate refuses a bit written twice,
     # so there is no oracle verdict; the compiled tensor still matches the
-    # pointwise COPY semantics, <c c|CX|+0>, in both plans
+    # pointwise COPY semantics, <c c|CX|+0>, compiled whole and by pieces
     spec = CircuitSpec(
         qubits=("a", "b"),
         circuit=seq(Conventional((gate("CX", ["a", "b"]),)),

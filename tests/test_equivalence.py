@@ -70,10 +70,9 @@ def test_total_variation_resolves_below_the_weight_grid(theta, want):
     a = parse("qubits q\ninit q=0\noutbits c\nmeasure q -> c\n")
     b = parse("qubits q\ninit q=0\noutbits c\ngate H q\n"
               f"gate P({theta}) q\ngate H q\nmeasure q -> c\n")
-    for plan in ("basic", "partitioned"):
-        v, report = check(a, b, "m", plan=plan)
-        assert v.status == want, (plan, report.tv)
-        assert abs(report.tv - math.sin(theta / 2) ** 2) <= 1e-12, plan
+    v, report = check(a, b, "m")
+    assert v.status == want, report.tv
+    assert abs(report.tv - math.sin(theta / 2) ** 2) <= 1e-12
 
 
 def test_m_eq_phase_only_difference_is_equivalent():
@@ -195,9 +194,8 @@ def test_wide_control_is_decided():
     # to 0 and t reads 0; without the conditional t reads 1
     spec = wide_cx_spec(True)
     assert check(spec, spec, "m")[0].status == "equivalent"
-    for plan in ("basic", "partitioned"):
-        v, _ = check(spec, wide_cx_spec(False), "m", plan=plan)
-        assert v.status == "not-equivalent", plan
+    v, _ = check(spec, wide_cx_spec(False), "m")
+    assert v.status == "not-equivalent"
 
 
 WIDE_BITS = 64
@@ -286,8 +284,7 @@ def test_m_eq_sums_each_side_over_its_own_indices():
         a = parse(reread_text(n))
         b = parse(reread_text(n).rsplit("gate H q\n", 1)[0])
         assert oracle_m_eq(a, b)
-        for plan in ("basic", "partitioned"):
-            assert check(a, b, "m", plan=plan)[0].status == "equivalent", (n, plan)
+        assert check(a, b, "m")[0].status == "equivalent", n
         assert not oracle_m_eq(a, parse(reread_text(n, skip_h=n - 1)))
 
 
@@ -322,9 +319,8 @@ def test_engine_errors_are_inconclusive(monkeypatch):
 
     monkeypatch.setattr(TddManager, "contract", deep)
     pair = B.teleport_pair()
-    for plan in ("basic", "partitioned"):
-        v, _ = check(pair.spec_a, pair.spec_b, "q", plan=plan)
-        assert v.status == "inconclusive" and v.reason.startswith("engine error")
+    v, _ = check(pair.spec_a, pair.spec_b, "q")
+    assert v.status == "inconclusive" and v.reason.startswith("engine error")
 
 
 @pytest.mark.parametrize("n,outbits,want", [
@@ -337,12 +333,11 @@ def test_wide_outcome_register_is_not_vacuous(n, outbits, want):
     a = parse(reread_text(n, outbits=outbits))
     b = parse(reread_text(n, skip_h=n - 1) if outbits else
               reread_text(n, outbits=False, flip=True))
-    for plan in ("basic", "partitioned"):
-        v, report = check(a, b, "m", plan=plan)
-        if want == "not-equivalent":
-            assert v.status == want and report.tv == pytest.approx(0.5), (plan, v)
-        else:
-            assert v.status == "inconclusive" and want in v.reason, (plan, v)
+    v, report = check(a, b, "m")
+    if want == "not-equivalent":
+        assert v.status == want and report.tv == pytest.approx(0.5), v
+    else:
+        assert v.status == "inconclusive" and want in v.reason, v
 
 
 @pytest.mark.parametrize("n", [40, 60])
@@ -353,12 +348,11 @@ def test_wide_uniform_register_decides_on_total_variation(n):
     a = parse(reread_text(n))
     b = parse(reread_text(n, skip_h=n - 1))
     c = parse(reread_text(n).rsplit("gate H q\n", 1)[0])
-    for plan in ("basic", "partitioned"):
-        v, report = check(a, b, "m", plan=plan)
-        assert v.status == "not-equivalent", (plan, v)
-        assert abs(report.tv - 0.5) <= 1e-9 and v.witness[0]["tv"] == report.tv
-        v, report = check(a, c, "m", plan=plan)
-        assert v.status == "equivalent" and report.tv <= 1e-10, (plan, v)
+    v, report = check(a, b, "m")
+    assert v.status == "not-equivalent", v
+    assert abs(report.tv - 0.5) <= 1e-9 and v.witness[0]["tv"] == report.tv
+    v, report = check(a, c, "m")
+    assert v.status == "equivalent" and report.tv <= 1e-10, v
 
 
 def test_wide_registers_are_decided():
@@ -367,10 +361,9 @@ def test_wide_registers_are_decided():
     a = parse(reread_text(40, outbits=False))
     flipped = parse(reread_text(40, outbits=False, flip=True))
     c, d = parse(reread_text(26)), parse(reread_text(26, skip_h=25))
-    for plan in ("basic", "partitioned"):
-        assert check(a, a, "m", plan=plan)[0].status == "equivalent"
-        assert check(a, flipped, "m", plan=plan)[0].status == "not-equivalent"
-        assert check(c, d, "m", plan=plan)[0].status == "not-equivalent"
+    assert check(a, a, "m")[0].status == "equivalent"
+    assert check(a, flipped, "m")[0].status == "not-equivalent"
+    assert check(c, d, "m")[0].status == "not-equivalent"
 
 
 def test_q_eq_teleport_vs_swap():
@@ -437,15 +430,17 @@ def test_check_mutated_pe_not_equivalent():
 
 
 def test_check_plans_agree():
+    # ``plan`` is accepted and ignored: every value takes the one path
     cases = [(B.qft(3), B.dyn_qft(3), "m"),
              (B.pe(3, 0.625), B.dyn_pe(3, 0.625), "m"),
              (B.teleport(), B.swap_teleport(), "q"),
              (B.bitflip_code("q2"), B.identity_on("q0"), "q"),
              (B.state_inject("S"), B.bare_gate("S"), "q")]
     for a, b, mode in cases:
-        v1, _ = check(a, b, mode, plan="basic")
-        v2, _ = check(a, b, mode, plan="partitioned")
-        assert v1.status == v2.status == "equivalent"
+        runs = [check(a, b, mode, **kw)
+                for kw in ({}, {"plan": "basic"}, {"plan": "partitioned"})]
+        assert all(v.status == "equivalent" for v, _ in runs), mode
+        assert len({(r.max_nodes, r.discarded, r.fallback) for _, r in runs}) == 1
 
 
 def test_partitioned_equivalent_implies_basic_equivalent():
@@ -455,10 +450,14 @@ def test_partitioned_equivalent_implies_basic_equivalent():
         a = B.random_dqc(rng, mode, n_qubits=3)
         b = B.rewrite(rng, a) if rng.random() < 0.5 else \
             next(B.mutations(a, rng))[1]
-        vp, _ = check(a, b, mode, plan="partitioned")
-        if vp.status == "equivalent":
-            vb, _ = check(a, b, mode, plan="basic")
-            assert vb.status == "equivalent"
+        v, report = check(a, b, mode)
+        if v.status == "equivalent" and report.discarded:
+            # what the discard pass found equal the whole compile finds equal
+            mgr, nets = prepare([a, b], mode=mode)
+            ta, tb = (evaluate(mgr, net).tdd for net in nets)
+            peel = {mgr.index(n) for n in nets[0].peel_set | nets[1].peel_set}
+            assert (m_eq(mgr, ta, tb, {mgr.index(n) for n in nets[0].m_set})
+                    if mode == "m" else q_eq(mgr, ta, tb, peel))
 
 
 def test_partitioned_keeps_pieces_joined_by_a_cut_wire():
@@ -468,9 +467,8 @@ def test_partitioned_keeps_pieces_joined_by_a_cut_wire():
     a = parse(head + "gate CZ q0 q1\ngate H q0\nmeasure q0 -> c0\n")
     b = parse(head + "gate CZ q0 q1\ngate Z q0\ngate H q0\nmeasure q0 -> c0\n")
     assert not oracle_m_eq(a, b)
-    for plan in ("basic", "partitioned"):
-        v, _ = check(a, b, "m", plan=plan)
-        assert v.status == "not-equivalent", plan
+    v, _ = check(a, b, "m")
+    assert v.status == "not-equivalent"
 
 
 @pytest.mark.parametrize("head", [
@@ -484,10 +482,9 @@ def test_q_mode_peels_output_bits(head):
     b = parse(head + "gate H a\nmeasure a -> c\n")
     flipped = parse(head + "gate H a\ngate X q\nmeasure a -> c\n")
     assert oracle_q_eq(a, b) and not oracle_q_eq(a, flipped)
-    for plan in ("basic", "partitioned"):
-        assert check(a, a, "q", plan=plan)[0].status == "equivalent", plan
-        assert check(a, b, "q", plan=plan)[0].status == "equivalent", plan
-        assert check(a, flipped, "q", plan=plan)[0].status == "not-equivalent", plan
+    assert check(a, a, "q")[0].status == "equivalent"
+    assert check(a, b, "q")[0].status == "equivalent"
+    assert check(a, flipped, "q")[0].status == "not-equivalent"
 
 
 def injection_chain_text(rounds: int, drop: int | None = None) -> str:
@@ -512,13 +509,13 @@ def test_both_plans_decide_a_long_injection_chain(drop):
     bare = parse(f"qubits q\ninputs q\noutputs q\ngate P({14 * math.pi / 4!r}) q\n")
     want = "equivalent" if oracle_q_eq(a, bare) else "not-equivalent"
     assert want == ("equivalent" if drop is None else "not-equivalent")
-    reports = {}
-    for plan in ("basic", "partitioned"):
-        v, reports[plan] = check(a, bare, "q", plan=plan)
-        assert v.status == want, (plan, v)
-    # every qubit meets a peel index, so the discard pass builds no piece
-    assert reports["partitioned"].max_nodes == reports["basic"].max_nodes
-    assert reports["partitioned"].tv is None
+    v, report = check(a, bare, "q")
+    assert v.status == want, v
+    # every qubit meets a peel index, so the discard pass builds no piece:
+    # the peak is the undiscarded compile's
+    mgr, nets = prepare([a, bare], mode="q")
+    whole = max(evaluate(mgr, net).stats.max_nodes for net in nets)
+    assert (report.discarded, report.max_nodes, report.tv) == (0, whole, None)
 
 
 @pytest.mark.parametrize("plan", ["basic", "partitioned"])
@@ -776,8 +773,7 @@ def test_body_controls_agree_with_oracle(plan):
 def test_check_rejects_eps_outside_unit_interval():
     a = parse("qubits q\noutbits c0\ninit q=0\nmeasure q -> c0\n")
     b = parse("qubits q\noutbits c0\ninit q=0\ngate X q\nmeasure q -> c0\n")
-    for plan in ("basic", "partitioned"):
-        assert check(a, b, "m", plan=plan)[0].status == "not-equivalent"
+    assert check(a, b, "m")[0].status == "not-equivalent"
     for eps in (math.inf, math.nan, -1.0, 1.0):
         with pytest.raises(ValueError):
             check(a, b, "m", eps=eps)
@@ -832,9 +828,8 @@ def test_distance_witness_reads_only_keys_the_walk_stored():
             "ifc c0 apply H q2\ngate H q2\n")
     a, b = (parse(head + f"gate {g} q1 q2\n" + tail) for g in ("CX", "SWAP"))
     assert oracle_m_eq(a, b)
-    for plan in ("basic", "partitioned"):
-        v, report = check(a, b, "m", plan)
-        assert v.status == "equivalent" and report.tv < 1e-15, plan
+    v, report = check(a, b, "m")
+    assert v.status == "equivalent" and report.tv < 1e-15
 
 
 _ROOTS = """

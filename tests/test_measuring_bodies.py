@@ -4,8 +4,8 @@ The generator builds circuits through the Python API: a dispatch whose
 bodies hold gates, measurements, ``ifc``s on the bits in scope (the
 dispatch's own, earlier ones, and the body's own measured so far) and at
 most one nested dispatch.  Each pair is a circuit against itself or against
-the same circuit with one body gate dropped, checked in m- and q-mode on
-both plans and compared with the dense oracle.
+the same circuit with one body gate dropped, checked in m- and q-mode and
+compared with the dense oracle.
 """
 
 import random
@@ -136,13 +136,12 @@ def test_measuring_bodies_agree_with_oracle():
             assert validate(a) == [] and validate(b) == [], (seed, mode)
             tally["measuring"] += _has_measuring_body(a.circuit)
             want = "equivalent" if oracle[mode](a, b) else "not-equivalent"
-            for plan in ("basic", "partitioned"):
-                v, _ = check(a, b, mode, plan)
-                assert v.status == want, (seed, mode, drop, plan, v.reason)
-                tally[mode, want] += 1
-    assert sum(n for k, n in tally.items() if k != "measuring") >= 400
+            v, _ = check(a, b, mode)
+            assert v.status == want, (seed, mode, drop, v.reason)
+            tally[mode, want] += 1
+    assert sum(n for k, n in tally.items() if k != "measuring") >= 200
     # the fuzz is not vacuous: most circuits measure in a body, and each
     # mode sees both verdicts
     assert tally["measuring"] >= 150
-    assert all(tally[mode, want] >= 40 for mode in "mq"
+    assert all(tally[mode, want] >= 20 for mode in "mq"
                for want in ("equivalent", "not-equivalent")), tally

@@ -324,10 +324,9 @@ def test_diagonal_gates_agree_with_oracle():
             a, b, drop = diagonal_pair(seed, mode)
             assert validate(a) == [] and validate(b) == [], (seed, mode)
             want = "equivalent" if oracle[mode](a, b) else "not-equivalent"
-            for plan in ("basic", "partitioned"):
-                v, _ = check(a, b, mode, plan)
-                assert v.status == want, (seed, mode, drop, plan, v.reason)
-                tally[mode, want] += 1
-    assert sum(tally.values()) >= 300
-    assert all(tally[mode, want] >= 40 for mode in "mq"
+            v, _ = check(a, b, mode)
+            assert v.status == want, (seed, mode, drop, v.reason)
+            tally[mode, want] += 1
+    assert sum(tally.values()) >= 150
+    assert all(tally[mode, want] >= 20 for mode in "mq"
                for want in ("equivalent", "not-equivalent")), tally
