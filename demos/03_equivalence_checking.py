@@ -1,8 +1,8 @@
 """Equivalence checking: the measurement-distribution and output-state modes.
 
 Compares conventional and dynamic phase estimation (m-mode), teleportation
-against a plain SWAP (q-mode), shows how many qubits' pieces a check
-discards before it compiles, and how a dropped correction is caught with an
+against a plain SWAP (q-mode), shows how many qubits a check discards
+before it compiles, and how a dropped correction is caught with an
 oracle-checkable witness.
 """
 
@@ -25,10 +25,11 @@ for pair in (teleport_pair(), bitflip_pair("q2"), state_inject_pair("T")):
     verdict, report = check(pair.spec_a, pair.spec_b, "q")
     print(f"  {pair.name}: {verdict.status}")
 
-print("\n== per-qubit pieces identical on both sides are discarded ==")
-# QFT against its semiclassical version: every qubit's piece matches, so
-# nothing is left to compile; teleportation's pieces all meet a measured
-# outcome, which q-mode must peel, so none is discarded
+print("\n== groups of qubits with identical entries on both sides are discarded ==")
+# QFT against its semiclassical version on this input: every qubit's
+# entries are the same tensors on both sides, so nothing is left to
+# compile; teleportation's qubits all meet a measured outcome, which q-mode
+# must peel, so none is discarded
 for pair, mode in ((qft_pair(8, "00000+0+"), "m"), (teleport_pair(), "q")):
     verdict, report = check(pair.spec_a, pair.spec_b, mode)
     print(f"  {pair.name}: {verdict.status} (discarded {report.discarded} qubits, "

@@ -1,12 +1,13 @@
 """Reproduce the benchmark table.
 
 Every row is checked on its fixed-input specs.  QFT rows start the top
-qubits in a "+0+" pattern (the rest in |0>).  The check discards every
-qubit's piece, identical on both sides, and peaks at 4 nodes from n = 4
-on ("m_nodes"); the same netlists compiled whole, with nothing discarded,
-peak at a diagram that doubles with n ("undiscarded").  The "nodes" column
-of a QFT row is the conventional circuit's diagram in operator form (all
-input wires open, per-qubit interleaved order), 2^(n+1) - 1 nodes.
+qubits in a "+0+" pattern (the rest in |0>).  From n = 4 on every qubit's
+entries are the same tensors on both sides, so the check discards them
+all, contracts nothing and reports 1 node ("m_nodes"); the same netlists
+compiled whole, with nothing discarded, peak at a diagram that doubles
+with n ("undiscarded").  The "nodes" column of a QFT row is the
+conventional circuit's diagram in operator form (all input wires open,
+per-qubit interleaved order), 2^(n+1) - 1 nodes.
 
 Pass a size limit as the first argument (default 10; 12 matches the
 acceptance bound and takes a few seconds more).

@@ -4,7 +4,7 @@ decision diagrams."""
 from .circuits import (Branch, CircuitSpec, CondGate, Conventional, Gate,
                        Measure, MeasureStep, Seq, Verdict, gate,
                        lower_controls, qvar, seq, validate)
-from .encode import CompileError, CompileScaleError, compile_spec, measurement_tensor
+from .encode import CompileError, CompileScaleError, compile_spec
 from .equivalence import check, get_nodes, m_eq, q_eq
 from .logic import BoolFunc, func_to_tensor
 from .oracle import (OracleScaleError, oracle_full_eq, oracle_m_eq,

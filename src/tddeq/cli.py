@@ -8,9 +8,8 @@ Both circuits are checked as specified, fixed initial states included.
 row checked on its fixed-input specs; each row carries the construction
 statistics of the conventional-circuit baseline ("nodes", circuit A with all
 input wires open in the interleaved order) next to the checker's peak
-diagram size ("m_nodes": the largest diagram the check built, its
-per-qubit pieces, the compile of what the discard pass left and any
-fallback included).
+diagram size ("m_nodes": the largest diagram the check built, the compile
+of what the discard pass left and any fallback included).
 """
 
 from __future__ import annotations

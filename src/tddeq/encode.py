@@ -46,12 +46,12 @@ indicator [f(x) = 1] of its BDD over its outcome indices.  Such a payload
 names its own legs, so a guard bit that is also an axis (the wire of a
 qubit measured into it) is held once and multiplied pointwise.
 
-Every contraction, of a whole netlist, of the part a discard leaves or of
-a per-qubit piece, runs through one loop, ``contract_all``: it folds runs
-of entries into blocks of at most ``BLOCK_LEGS`` open legs, so the running
-circuit diagram is rebuilt, and its peak counted, once per block, not once
-per gate.  An index is summed out once no tensor left holds it.  Every
-entry's tensor is built on its own, so the loop is never re-entered.
+Every contraction, of a whole netlist or of the part a discard leaves,
+runs through one loop, ``contract_all``: it folds runs of entries into
+blocks of at most ``BLOCK_LEGS`` open legs, so the running circuit diagram
+is rebuilt, and its peak counted, once per block, not once per gate.  An
+index is summed out once no tensor left holds it.  Every entry's tensor is
+built on its own, so the loop is never re-entered.
 
 Index ranking is one sort key, (owner, key).  The owner is the owning
 qubit's position; within it a qubit's wire segments come first, in segment
@@ -140,19 +140,6 @@ def _guard(f: BoolFunc, legs, on: np.ndarray, off: np.ndarray):
     return f, legs, on, off
 
 
-def measurement_tensor(mgr: TddManager, x: IndexId, y: IndexId,
-                       c: IndexId | None = None) -> Tdd:
-    """Measurement as a COPY tensor.
-
-    With a control leg ``c`` this is the rank-3 COPY whose c-slices are the
-    projectors |0><0| and |1><1|; without one it degenerates to the rank-2
-    identity (the measurement only relabels the wire).
-    """
-    if c is None:
-        return mgr.from_dense(np.eye(2), [x, y])
-    return mgr.from_dense(COPY3, [c, x, y])
-
-
 # -- netlist ------------------------------------------------------------------
 
 
@@ -160,7 +147,7 @@ def measurement_tensor(mgr: TddManager, x: IndexId, y: IndexId,
 class _Entry:
     kind: str            # init | gate | cond | cmeasure | ident
     indices: tuple[str, ...]
-    partition: str           # the qubit whose per-qubit piece holds the entry
+    partition: str           # the qubit the discard pass groups the entry under
     payload: object = None   # the dense tensor over ``indices``, or (f, legs, on, off) of ``_guard``
 
 
@@ -618,17 +605,6 @@ def evaluate(mgr: TddManager, net: _Netlist, skip=frozenset(),
         m_set=tuple(mgr.index(n) for n in net.m_set),
         peel_set=frozenset(mgr.index(n) for n in net.peel_set),
         stats=stats, net=net)
-
-
-def evaluate_pieces(mgr: TddManager, net: _Netlist, stats: CompileStats,
-                    qubits, max_open: int = 26) -> dict[str, Tdd]:
-    """Partition diagrams of ``qubits``; indices cut between partitions stay open."""
-    groups: dict[str, list[_Entry]] = {}
-    for e in net.entries:
-        groups.setdefault(e.partition, []).append(e)
-    uses = _count_uses(net.entries)
-    return {q: _fold(mgr, groups[q], net, stats, max_open, uses.copy())
-            for q in net.spec.qubits if q in groups and q in qubits}
 
 
 def compile_spec(spec: CircuitSpec, *, mode: str | None = None,

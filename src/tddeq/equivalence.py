@@ -17,21 +17,21 @@ across the circuits; ``get_nodes`` exposes the residual set.
 ``check`` drives the whole pipeline for a pair of circuit specs: a discard
 pass, then one compile of both in circuit order, then decide.  The pass
 groups the qubits into components that share no index in either circuit,
-compiles the per-qubit pieces of the components that could be discarded
-(free of peel indices, with the same cut indices on both sides), and leaves
-the entries of the components identical in both out of that one compile.
+and leaves out of that one compile every component free of peel indices
+whose entries are the same canonical tensors in both circuits; it
+contracts nothing.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from math import frexp, inf, ldexp
 
 from .circuits import CircuitSpec, Verdict, validate
-from .encode import (CompileError, CompileScaleError, CompileStats, evaluate,
-                     evaluate_pieces, prepare)
-from .tdd import DEFAULT_EPS, Tdd, TddEdge, TddError, TddManager
+from .encode import CompileError, CompileScaleError, _entry_tensor, evaluate, prepare
+from .tdd import DEFAULT_EPS, Tdd, TddEdge, TddError, TddManager, wkey
 
 
 class IndexOrderError(Exception):
@@ -208,13 +208,12 @@ def check(spec_a: CircuitSpec, spec_b: CircuitSpec, mode: str,
 
     Both circuits are compiled as specified, fixed initial states included,
     in the grouped index order.  Returns (Verdict, CheckReport).  Every
-    check first discards each connected component of per-qubit pieces that
-    is identical in both circuits (in q-mode, only components without peel
-    indices) and compiles and compares the rest; pieces past the rank
-    limit, or widened by outcome indices, discard nothing.  A NotEquivalent
-    after a discard is re-checked with nothing discarded before it is
-    reported.  ``plan`` is accepted and ignored: it selected the discard
-    pass before every check ran it.  In m-mode ``eps`` (default
+    check first discards each group of qubits that shares no index with the
+    rest and whose entries are identical in both circuits (in q-mode, only
+    groups without peel indices), then compiles and compares the rest.  A
+    NotEquivalent after a discard is re-checked with nothing discarded
+    before it is reported.  ``plan`` is accepted and ignored: it selected
+    the discard pass before every check ran it.  In m-mode ``eps`` (default
     ``DEFAULT_EPS``) bounds the total-variation distance of the two outcome
     distributions, reported as ``CheckReport.tv``; it must satisfy
     ``0 <= eps < 1``.  An ``eps`` outside that range and a ``mode`` other
@@ -293,79 +292,43 @@ def _check(spec_a, spec_b, mode, eps, report) -> Verdict:
         skip = set()
 
 
-def _components(nets) -> list[list[str]]:
-    """The components whose pieces can be identical in both circuits.
+def _discards(mgr, nets, report) -> set[str]:
+    """Qubits of the components whose entries are identical in both circuits.
 
     A component is a group of qubits such that no index joins two groups,
-    in A or in B.  A per-qubit piece keeps open its cut indices, the ones
-    another qubit's entries also hold, so identical pieces of a qubit need
-    entries in both circuits that name the same cut indices.  A component
-    whose entries name a peel index (q-mode outcomes and discards) always
-    stays.  All of this is read from the netlists before any piece is built.
+    in A or in B, so each diagram is the product of the component's factor
+    and the rest's.  A component whose entries name a peel index (q-mode
+    outcomes and discards) always stays.  Any other is dropped when its
+    entries' keys, (legs, root node, root weight on the grid) as
+    ``mgr.identical`` compares diagrams, are one multiset in both circuits:
+    equal factors give equal products, so nothing is contracted.
     """
-    peel = nets[0].peel_set | nets[1].peel_set
-    peeled = {e.partition for net in nets for e in net.entries
-              if not peel.isdisjoint(e.indices)}
     parent = {e.partition: e.partition for net in nets for e in net.entries}
-    if peeled.issuperset(parent):
-        return []
 
     def find(q):
         while parent[q] != q:
             q = parent[q]
         return q
 
-    cuts = []
     for net in nets:
         owner: dict[str, str] = {}
-        cut: dict[str, set[str]] = {}
         for e in net.entries:
-            q = e.partition
-            held = cut.setdefault(q, set())
             for n in e.indices:
-                o = owner.setdefault(n, q)
-                if o != q:
-                    parent[find(q)] = find(o)
-                    held.add(n)
-                    cut[o].add(n)
-        cuts.append(cut)
-    groups: dict[str, list[str]] = {}
-    for q in parent:
-        groups.setdefault(find(q), []).append(q)
-    ca, cb = cuts
-    return [qubits for qubits in groups.values()
-            if peeled.isdisjoint(qubits) and all(ca.get(q) == cb.get(q) for q in qubits)]
-
-
-def _discards(mgr, nets, report) -> set[str]:
-    """Qubits of the components of per-qubit pieces identical in both circuits.
-
-    A component shares no index with the rest of either circuit, so each
-    diagram is its product with the rest, and identical factors cancel.
-    Only the pieces of the components that ``_components`` returns are
-    built.  Pieces that outgrow the rank limit, or that outcome
-    indices widen (a piece has no norm to check), discard nothing.
-    """
-    comps = _components(nets)
-    if not comps:
-        return set()
-    wanted = {q for qubits in comps for q in qubits}
-    stats = CompileStats()
+                parent[find(e.partition)] = find(owner.setdefault(n, e.partition))
+    root = {q: find(q) for q in parent}
+    peel = nets[0].peel_set | nets[1].peel_set
+    peeled = {root[e.partition] for net in nets for e in net.entries
+              if not peel.isdisjoint(e.indices)}
     t0 = time.perf_counter()
-    try:
-        pieces_a, pieces_b = (evaluate_pieces(mgr, net, stats, wanted) for net in nets)
-    except CompileScaleError:
-        return set()
-    finally:
-        report.tdd_time += time.perf_counter() - t0
-        report.max_nodes = max(report.max_nodes, stats.max_nodes)
-    if stats.wide:
-        return set()
-
-    def same(q):
-        ta, tb = pieces_a.get(q), pieces_b.get(q)
-        return ta is not None and tb is not None and mgr.identical(ta, tb)
-
-    dropped = {q for qubits in comps if all(same(q) for q in qubits) for q in qubits}
+    keys = {r: (Counter(), Counter()) for r in set(root.values()) - peeled}
+    for side, net in enumerate(nets):
+        for e in net.entries:
+            comp = keys.get(root[e.partition])
+            if comp is not None:
+                t = _entry_tensor(mgr, e)
+                comp[side][t.indices, t.root.node, wkey(t.root.weight)] += 1
+    report.tdd_time += time.perf_counter() - t0
+    same = {r for r, (a, b) in keys.items() if a == b}
+    dropped = {q for q, r in root.items() if r in same}
     report.discarded = len(dropped)
     return dropped

@@ -179,10 +179,6 @@ class TddManager:
     def index(self, name: str) -> IndexId:
         return self._by_name[name]
 
-    @property
-    def indices(self) -> tuple[IndexId, ...]:
-        return tuple(sorted(self._by_name.values(), key=lambda i: -i.rank))
-
     # -- weights -----------------------------------------------------------
 
     def _canon(self, w, node) -> TddEdge:

@@ -10,9 +10,9 @@ from tddeq import benchmarks as B
 from tddeq.circuits import (CircuitSpec, Conventional, Measure, MeasureStep,
                             gate, seq, validate)
 from tddeq.encode import (BLOCK_LEGS, COPY3, UNTAKEN, CompileScaleError,
-                          CompileStats, _count_uses, _entry_tensor, _guarded,
-                          compile_spec, contract_all, evaluate,
-                          evaluate_pieces, measurement_tensor, prepare)
+                          CompileStats, _count_uses, _entry_tensor, _fold,
+                          _guarded, _order_indices, compile_spec, contract_all,
+                          evaluate, prepare)
 from tddeq.equivalence import check
 from tddeq.logic import BoolFunc
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
@@ -21,10 +21,15 @@ from tddeq.textfmt import parse
 
 
 def compile_by_pieces(spec, **kw):
-    """Per-qubit partition diagrams contracted by the one loop."""
+    """Per-qubit partition diagrams contracted by the one loop.  A piece
+    folds its partition's entries and keeps open its cut indices, the ones
+    another partition's entries also hold."""
     mgr, (net,) = prepare([spec], **kw)
     stats = CompileStats()
-    pieces = evaluate_pieces(mgr, net, stats, spec.qubits)
+    uses = _count_uses(net.entries)
+    groups = {q: [e for e in net.entries if e.partition == q] for q in spec.qubits}
+    pieces = {q: _fold(mgr, group, net, stats, 26, uses.copy())
+              for q, group in groups.items() if group}
     # each piece accounts for its own open indices
     factors = [(p, [i.name for i in p.indices]) for p in pieces.values()]
     uses = Counter(n for _, names in factors for n in names)
@@ -44,14 +49,20 @@ def controlled_gate(m, u, c, x, y):
 
 
 def test_measurement_tensor_rank2_identity():
-    m = small_mgr()
-    t = measurement_tensor(m, m.index("x"), m.index("y"))
-    assert np.allclose(m.to_dense(t), np.eye(2))
+    # a measurement of an open input wire joins the wire to its outcome
+    # through the rank-2 COPY, the identity
+    spec = CircuitSpec(qubits=("x",), circuit=Measure(MeasureStep(("x",), ("c",))),
+                       inputs=("x",), output_bits=("c",))
+    mgr, (net,) = prepare([spec])
+    (e,) = net.entries
+    assert e.kind == "ident"
+    assert np.allclose(mgr.to_dense(_entry_tensor(mgr, e)), np.eye(2))
 
 
 def test_measurement_tensor_slices_are_projectors():
+    # the rank-3 COPY a guarded measurement takes when its guard fires
     m = small_mgr()
-    t = measurement_tensor(m, m.index("x"), m.index("y"), m.index("c"))
+    t = m.from_dense(COPY3, [m.index("c"), m.index("x"), m.index("y")])
     p0 = m.to_dense(m.slice(t, m.index("c"), 0))
     p1 = m.to_dense(m.slice(t, m.index("c"), 1))
     assert np.allclose(p0, np.diag([1.0, 0.0]))
@@ -75,7 +86,7 @@ def test_copy_control_fusion_gives_cnot():
     # classical leg yields the dense CNOT
     m = TddManager([("c", KIND_OUTCOME), ("x", KIND_WIRE), ("y", KIND_WIRE),
                     ("u", KIND_WIRE), ("v", KIND_WIRE)])
-    meas = measurement_tensor(m, m.index("x"), m.index("y"), m.index("c"))
+    meas = m.from_dense(COPY3, [m.index("c"), m.index("x"), m.index("y")])
     ctrl = controlled_gate(m, gate("X", ["q"]).matrix,
                            m.index("c"), m.index("u"), m.index("v"))
     fused = m.contract(meas, ctrl, {m.index("c")})
@@ -572,7 +583,8 @@ def test_no_factors_is_the_scalar_one():
 
 
 def _ranked(spec, order, **kw):
-    return [(i.name, i.kind) for i in prepare([spec], order=order, **kw)[0].indices]
+    (net,) = prepare([spec], order=order, **kw)[1]
+    return _order_indices(net.decls, order)
 
 
 @pytest.mark.parametrize("spec,mode,open_inputs", _random_specs(12))
@@ -594,13 +606,12 @@ def _hh_pair(n, drop=False):
 
 
 @pytest.mark.parametrize("n", [8, 12])
-@pytest.mark.parametrize("plan", ["basic", "partitioned"])
-def test_q_mode_pair_on_every_qubit_stays_per_qubit(n, plan):
+def test_q_mode_pair_on_every_qubit_stays_per_qubit(n):
     # each qubit's input wire ranks next to its own output leg, so H.H on
     # n qubits against the empty circuit never couples two qubits
-    v, rep = check(*_hh_pair(n), "q", plan=plan)
+    v, rep = check(*_hh_pair(n), "q")
     assert v.status == "equivalent" and rep.max_nodes <= 4 * n
-    assert check(*_hh_pair(n, drop=True), "q", plan=plan)[0].status == "not-equivalent"
+    assert check(*_hh_pair(n, drop=True), "q")[0].status == "not-equivalent"
 
 
 def test_q_mode_pair_on_every_qubit_agrees_with_oracle():

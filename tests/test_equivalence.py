@@ -503,36 +503,34 @@ def injection_chain_text(rounds: int, drop: int | None = None) -> str:
 
 @pytest.mark.parametrize("drop", [None, 5], ids=["whole", "one-correction-dropped"])
 def test_both_plans_decide_a_long_injection_chain(drop):
-    # q's per-qubit piece would keep a's wires open at all 14 CX gates, 30
-    # open legs against the limit of 26; the circuit-order fold stays narrow
+    # 14 rounds through one resource qubit: the circuit-order fold keeps
+    # few legs open at a time
     a = parse(injection_chain_text(14, drop))
     bare = parse(f"qubits q\ninputs q\noutputs q\ngate P({14 * math.pi / 4!r}) q\n")
     want = "equivalent" if oracle_q_eq(a, bare) else "not-equivalent"
     assert want == ("equivalent" if drop is None else "not-equivalent")
     v, report = check(a, bare, "q")
     assert v.status == want, v
-    # every qubit meets a peel index, so the discard pass builds no piece:
+    # every qubit meets a peel index, so the discard pass drops nothing:
     # the peak is the undiscarded compile's
     mgr, nets = prepare([a, bare], mode="q")
     whole = max(evaluate(mgr, net).stats.max_nodes for net in nets)
     assert (report.discarded, report.max_nodes, report.tv) == (0, whole, None)
 
 
-@pytest.mark.parametrize("plan", ["basic", "partitioned"])
-def test_verdict_agreement_with_oracle_random(plan):
+def test_verdict_agreement_with_oracle_random():
     rng = random.Random(37)
     for k in range(40):
         mode = "m" if k % 2 == 0 else "q"
         a = B.random_dqc(rng, mode)
         b = B.rewrite(rng, a) if k % 4 < 2 else next(B.mutations(a, rng))[1]
-        v, _ = check(a, b, mode, plan=plan)
+        v, _ = check(a, b, mode)
         assert v.status in ("equivalent", "not-equivalent")
         oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert (v.status == "equivalent") == oracle, (k, mode)
 
 
-@pytest.mark.parametrize("plan", ["basic", "partitioned"])
-def test_outcome_mass_witness_replays_against_the_oracle(plan):
+def test_outcome_mass_witness_replays_against_the_oracle():
     # the witness is a full output record; its masses are the two circuits'
     # probabilities of that record, and tv their total-variation distance
     rng = random.Random(43)
@@ -542,7 +540,7 @@ def test_outcome_mass_witness_replays_against_the_oracle(plan):
         b = next(B.mutations(a, rng), (None, None))[1]
         if b is None:
             continue
-        v, report = check(a, b, "m", plan=plan)
+        v, report = check(a, b, "m")
         if v.status != "not-equivalent":
             continue
         (w,) = v.witness
@@ -658,8 +656,7 @@ def _control_pair(rng, mode):
     return render(lines), render(other)
 
 
-@pytest.mark.parametrize("plan", ["basic", "partitioned"])
-def test_multi_bit_controls_agree_with_oracle(plan):
+def test_multi_bit_controls_agree_with_oracle():
     rng = random.Random(41)
     verdicts = set()
     for k in range(40):
@@ -667,7 +664,7 @@ def test_multi_bit_controls_agree_with_oracle(plan):
         ta, tb = _control_pair(rng, mode)
         a, b = parse(ta), parse(tb)
         assert validate(a) == [] and validate(b) == [], ta
-        v, _ = check(a, b, mode, plan=plan)
+        v, _ = check(a, b, mode)
         oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert v.status == ("equivalent" if oracle else "not-equivalent"), (k, ta, tb)
         verdicts.add((mode, v.status))
@@ -754,8 +751,7 @@ def _body_ifc_pair(rng, mode):
     return render(dispatch(bodies)), render(dispatch(other))
 
 
-@pytest.mark.parametrize("plan", ["basic", "partitioned"])
-def test_body_controls_agree_with_oracle(plan):
+def test_body_controls_agree_with_oracle():
     rng = random.Random(43)
     verdicts = set()
     for k in range(40):
@@ -763,7 +759,7 @@ def test_body_controls_agree_with_oracle(plan):
         ta, tb = _body_ifc_pair(rng, mode)
         a, b = parse(ta), parse(tb)
         assert validate(a) == [] and validate(b) == [], ta
-        v, _ = check(a, b, mode, plan=plan)
+        v, _ = check(a, b, mode)
         oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert v.status == ("equivalent" if oracle else "not-equivalent"), (k, ta, tb)
         verdicts.add((mode, v.status))
