@@ -606,12 +606,14 @@ def _hh_pair(n, drop=False):
 
 
 @pytest.mark.parametrize("n", [8, 12])
-def test_q_mode_pair_on_every_qubit_stays_per_qubit(n):
+@pytest.mark.parametrize("plan", ["basic", "partitioned"])
+def test_q_mode_pair_on_every_qubit_stays_per_qubit(n, plan):
     # each qubit's input wire ranks next to its own output leg, so H.H on
-    # n qubits against the empty circuit never couples two qubits
-    v, rep = check(*_hh_pair(n), "q")
+    # n qubits against the empty circuit never couples two qubits; ``plan``
+    # is ignored, and every value must give the same result
+    v, rep = check(*_hh_pair(n), "q", plan=plan)
     assert v.status == "equivalent" and rep.max_nodes <= 4 * n
-    assert check(*_hh_pair(n, drop=True), "q")[0].status == "not-equivalent"
+    assert check(*_hh_pair(n, drop=True), "q", plan=plan)[0].status == "not-equivalent"
 
 
 def test_q_mode_pair_on_every_qubit_agrees_with_oracle():

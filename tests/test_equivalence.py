@@ -518,19 +518,21 @@ def test_both_plans_decide_a_long_injection_chain(drop):
     assert (report.discarded, report.max_nodes, report.tv) == (0, whole, None)
 
 
-def test_verdict_agreement_with_oracle_random():
+@pytest.mark.parametrize("plan", ["basic", "partitioned"])
+def test_verdict_agreement_with_oracle_random(plan):
     rng = random.Random(37)
     for k in range(40):
         mode = "m" if k % 2 == 0 else "q"
         a = B.random_dqc(rng, mode)
         b = B.rewrite(rng, a) if k % 4 < 2 else next(B.mutations(a, rng))[1]
-        v, _ = check(a, b, mode)
+        v, _ = check(a, b, mode, plan=plan)
         assert v.status in ("equivalent", "not-equivalent")
         oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert (v.status == "equivalent") == oracle, (k, mode)
 
 
-def test_outcome_mass_witness_replays_against_the_oracle():
+@pytest.mark.parametrize("plan", ["basic", "partitioned"])
+def test_outcome_mass_witness_replays_against_the_oracle(plan):
     # the witness is a full output record; its masses are the two circuits'
     # probabilities of that record, and tv their total-variation distance
     rng = random.Random(43)
@@ -540,7 +542,7 @@ def test_outcome_mass_witness_replays_against_the_oracle():
         b = next(B.mutations(a, rng), (None, None))[1]
         if b is None:
             continue
-        v, report = check(a, b, "m")
+        v, report = check(a, b, "m", plan=plan)
         if v.status != "not-equivalent":
             continue
         (w,) = v.witness
@@ -656,7 +658,8 @@ def _control_pair(rng, mode):
     return render(lines), render(other)
 
 
-def test_multi_bit_controls_agree_with_oracle():
+@pytest.mark.parametrize("plan", ["basic", "partitioned"])
+def test_multi_bit_controls_agree_with_oracle(plan):
     rng = random.Random(41)
     verdicts = set()
     for k in range(40):
@@ -664,7 +667,7 @@ def test_multi_bit_controls_agree_with_oracle():
         ta, tb = _control_pair(rng, mode)
         a, b = parse(ta), parse(tb)
         assert validate(a) == [] and validate(b) == [], ta
-        v, _ = check(a, b, mode)
+        v, _ = check(a, b, mode, plan=plan)
         oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert v.status == ("equivalent" if oracle else "not-equivalent"), (k, ta, tb)
         verdicts.add((mode, v.status))
@@ -751,7 +754,8 @@ def _body_ifc_pair(rng, mode):
     return render(dispatch(bodies)), render(dispatch(other))
 
 
-def test_body_controls_agree_with_oracle():
+@pytest.mark.parametrize("plan", ["basic", "partitioned"])
+def test_body_controls_agree_with_oracle(plan):
     rng = random.Random(43)
     verdicts = set()
     for k in range(40):
@@ -759,7 +763,7 @@ def test_body_controls_agree_with_oracle():
         ta, tb = _body_ifc_pair(rng, mode)
         a, b = parse(ta), parse(tb)
         assert validate(a) == [] and validate(b) == [], ta
-        v, _ = check(a, b, mode)
+        v, _ = check(a, b, mode, plan=plan)
         oracle = oracle_m_eq(a, b) if mode == "m" else oracle_q_eq(a, b)
         assert v.status == ("equivalent" if oracle else "not-equivalent"), (k, ta, tb)
         verdicts.add((mode, v.status))

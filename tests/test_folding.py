@@ -307,11 +307,12 @@ def _ghz(n: int, extra: str = "") -> str:
     return "\n".join(lines + [f"measure q{k} -> c{k}" for k in range(n)]) + "\n"
 
 
-def test_ghz_200_is_decided():
+@pytest.mark.parametrize("plan", ["basic", "partitioned"])
+def test_ghz_200_is_decided(plan):
     # every wire used to stay open until the final measurements: open rank 32
     base = parse(_ghz(200))
     for extra, want in (("gate Z q0", "equivalent"), ("gate X q0", "not-equivalent")):
-        v, rep = check(base, parse(_ghz(200, extra)), "m")
+        v, rep = check(base, parse(_ghz(200, extra)), "m", plan)
         assert v.status == want, (extra, v.reason)
         assert rep.max_nodes <= 400
 
