@@ -47,11 +47,16 @@ names its own legs, so a guard bit that is also an axis (the wire of a
 qubit measured into it) is held once and multiplied pointwise.
 
 Every contraction, of a whole netlist or of the part a discard leaves,
-runs through one loop, ``contract_all``: it folds runs of entries into
-blocks of at most ``BLOCK_LEGS`` open legs, so the running circuit diagram
-is rebuilt, and its peak counted, once per block, not once per gate.  An
-index is summed out once no tensor left holds it.  Every entry's tensor is
-built on its own, so the loop is never re-entered.
+runs through one loop, ``contract_all``.  Before it, ``_fold`` multiplies
+each run of neighbouring dense entries that share an index into one dense
+product while it keeps at most ``RECIPE_LEGS`` legs, so a run of small
+gates costs one diagram build and one contraction; a guarded lift, an entry
+that shares no index with the run, or one that would make it too wide
+closes the run.  The loop folds the factors into blocks of at most
+``BLOCK_LEGS`` open legs, so the running circuit diagram is rebuilt, and
+its peak counted, once per block, not once per gate.  An index is summed
+out once no tensor left holds it, inside a product or in the loop.  Every
+factor's tensor is built on its own, so the loop is never re-entered.
 
 Index ranking is one sort key, (owner, key).  The owner is the owning
 qubit's position; within it a qubit's wire segments come first, in segment
@@ -145,7 +150,7 @@ def _guard(f: BoolFunc, legs, on: np.ndarray, off: np.ndarray):
 
 @dataclass(eq=False)
 class _Entry:
-    kind: str            # init | gate | cond | cmeasure | ident
+    kind: str            # init | gate | cond | cmeasure | ident | fused
     indices: tuple[str, ...]
     partition: str           # the qubit the discard pass groups the entry under
     payload: object = None   # the dense tensor over ``indices``, or (f, legs, on, off) of ``_guard``
@@ -179,6 +184,17 @@ def _diagonal(t: np.ndarray, names: tuple) -> tuple[tuple, np.ndarray]:
     if len(uniq) == len(names):
         return names, t
     return uniq, np.einsum(t, [uniq.index(n) for n in names], list(range(len(uniq))))
+
+
+def _product(a: np.ndarray, anames: tuple, b: np.ndarray, bnames: tuple,
+             summed) -> tuple[tuple, np.ndarray]:
+    """Dense ``a`` over ``anames`` times ``b`` over ``bnames``, matched
+    pointwise on the names both hold and summed over ``summed``: the names
+    left, in first-seen order, and their tensor."""
+    every = anames + tuple([n for n in bnames if n not in anames])
+    names = tuple([n for n in every if n not in summed])
+    ax = every.index
+    return names, np.einsum(a, [*map(ax, anames)], b, [*map(ax, bnames)], [*map(ax, names)])
 
 
 class _Builder:
@@ -428,15 +444,11 @@ class _Builder:
             host = next((h for h in dense if len(h.indices) > 1), dense[0])
             hs.remove(e)
             merged.add(e)
-            ax = host.indices.index(n)
-            if len(hs) == 1 and n not in open_names:
-                host.payload = np.tensordot(host.payload, e.payload, ([ax], [0]))
-                host.indices = host.indices[:ax] + host.indices[ax + 1:]
-                if len(host.indices) == 1:
-                    todo.append(host)
-            else:
-                host.payload = host.payload * e.payload.reshape(
-                    (2,) + (1,) * (len(host.indices) - ax - 1))
+            summed = (n,) if len(hs) == 1 and n not in open_names else ()
+            host.indices, host.payload = _product(host.payload, host.indices,
+                                                  e.payload, e.indices, summed)
+            if summed and len(host.indices) == 1:
+                todo.append(host)
         self.net.entries = [e for e in entries if e not in merged]
 
 
@@ -575,7 +587,29 @@ def contract_all(mgr: TddManager, factors, uses: Counter, open_names,
 
 
 def _fold(mgr: TddManager, entries, net: _Netlist, stats, max_open, uses) -> Tdd:
-    factors = ((_entry_tensor(mgr, e), e.indices) for e in entries)
+    """Contract ``entries`` by ``contract_all``, each run of neighbouring
+    dense entries that share an index first multiplied into one dense
+    product while it keeps at most ``RECIPE_LEGS`` legs.  Inside a product
+    an index no entry outside it holds, and not open, is summed, and any
+    other shared index is matched pointwise, as ``_dead`` rules; a
+    product's names list every member's indices, so the use counts stay
+    exact."""
+    runs: list[list] = []    # [entry or product, its names, their counts]
+    for e in entries:
+        if runs and isinstance(e.payload, np.ndarray) \
+                and isinstance(runs[-1][0].payload, np.ndarray):
+            p, names, held = runs[-1]
+            shared = set(p.indices).intersection(e.indices)
+            summed = {n for n in shared
+                      if n not in net.open_names and held[n] + 1 == uses[n]}
+            if shared and len(set(p.indices + e.indices)) - len(summed) <= RECIPE_LEGS:
+                legs, t = _product(p.payload, p.indices, e.payload, e.indices, summed)
+                runs[-1][0] = _Entry("fused", legs, p.partition, t)
+                names += e.indices
+                held.update(e.indices)
+                continue
+        runs.append([e, list(e.indices), Counter(e.indices)])
+    factors = ((_entry_tensor(mgr, p), names) for p, names, _ in runs)
     return contract_all(mgr, factors, uses, net.open_names, stats, max_open)
 
 

@@ -32,9 +32,10 @@ rank 0.
 ``from_dense`` replays a recipe.  ``_recipe`` builds a tensor once, with
 ``mk_edge``, in a private manager over placeholder indices, and lists the
 nodes that build made bottom-up.  A recipe of at most ``RECIPE_LEGS`` legs
-(every gate, init, COPY and controlled-gate tensor) is cached per distinct
-values and leg order; a wider one is built afresh, since a cache would keep
-its bytes alive.  The replay forms, for each listed node, the unique-table
+(every gate, init, COPY and controlled-gate tensor, and every product the
+compiler fuses from neighbouring entries) is cached per distinct values and
+leg order; a wider one is built afresh, since a cache would keep its bytes
+alive.  The replay forms, for each listed node, the unique-table
 key ``mk_edge`` would form and reuses or creates the node under it.  A key
 depends only on weights computed from the values and on the identities of
 the successor nodes, never on weights stored in nodes already present, so
@@ -67,7 +68,7 @@ ORACLE_LIVE = 1e-12   # a branch Choi matrix at most this large is impossible
 NORM_TOL = 1e-6       # relative squared-norm drift a compiled circuit may show
 DENSE_LIMIT = 20      # most indices of a tensor built or read densely
 DENSE_CACHE = 4096    # most entries of each cache keyed on dense values
-RECIPE_LEGS = 4       # widest tensor whose ``from_dense`` recipe is cached
+RECIPE_LEGS = 4       # widest cached ``from_dense`` recipe, and widest fused product
 
 
 def wkey(w) -> tuple[int, int]:

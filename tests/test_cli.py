@@ -162,7 +162,7 @@ def test_engine_error_exits_two(monkeypatch, capsys):
     def deep(*a, **k):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(TddManager, "contract", deep)
+    monkeypatch.setattr(TddManager, "from_dense", deep)
     code, recs = run(capsys, "check", str(GOLDEN / "teleport.dqc"),
                      str(GOLDEN / "swap_teleport.dqc"), "--mode", "q")
     assert code == 2

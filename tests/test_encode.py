@@ -7,16 +7,17 @@ import pytest
 
 from dense_ref import dense_contract
 from tddeq import benchmarks as B
+from tddeq import encode
 from tddeq.circuits import (CircuitSpec, Conventional, Measure, MeasureStep,
                             gate, seq, validate)
 from tddeq.encode import (BLOCK_LEGS, COPY3, UNTAKEN, CompileScaleError,
-                          CompileStats, _count_uses, _entry_tensor, _fold,
-                          _guarded, _order_indices, compile_spec, contract_all,
-                          evaluate, prepare)
+                          CompileStats, _count_uses, _Entry, _entry_tensor,
+                          _fold, _guard, _guarded, _Netlist, _order_indices,
+                          compile_spec, contract_all, evaluate, prepare)
 from tddeq.equivalence import check
 from tddeq.logic import BoolFunc
 from tddeq.oracle import oracle_m_eq, oracle_q_eq
-from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, TddManager
+from tddeq.tdd import KIND_OUTCOME, KIND_WIRE, RECIPE_LEGS, TddManager
 from tddeq.textfmt import parse
 
 
@@ -569,6 +570,96 @@ def test_partition_piece_wider_than_a_block_contracts():
              for p in pieces.values()]
     want, names = _dense_fold(dense, net.open_names)
     assert np.max(np.abs(_dense_by_name(mgr, t, names) - want)) < 1e-9
+
+
+# -- fusion ------------------------------------------------------------------------
+
+
+def _spy_factors(monkeypatch):
+    """The legs and names of each factor ``_fold`` hands ``contract_all``."""
+    seen = []
+
+    def spy(mgr, factors, *rest):
+        factors = list(factors)
+        seen.extend(([i.name for i in t.indices], names) for t, names in factors)
+        return contract_all(mgr, factors, *rest)
+
+    monkeypatch.setattr(encode, "contract_all", spy)
+    return seen
+
+
+@pytest.mark.parametrize("spec,mode,open_inputs", _random_specs())
+def test_fused_fold_matches_one_entry_at_a_time(spec, mode, open_inputs, monkeypatch):
+    seen = _spy_factors(monkeypatch)
+    r = compile_spec(spec, mode=mode, open_inputs=open_inputs)
+    entries, stats = r.net.entries, CompileStats()
+    ref = contract_all(r.mgr, _entry_factors(r.mgr, entries), _count_uses(entries),
+                       r.net.open_names, stats, 26)
+    assert r.mgr.identical(r.tdd, ref)
+    assert r.stats.final_nodes == stats.final_nodes
+    assert sorted(n for _, names in seen for n in names) == \
+        sorted(n for e in entries for n in e.indices)
+    # the members of a product share an index, so its names repeat one
+    assert all(len(legs) <= RECIPE_LEGS for legs, names in seen
+               if len(names) > len(set(names)))
+
+
+def _lift_dense(f, legs, on, off):
+    return np.array([on if f(bits) else off for bits in
+                     itertools.product((0, 1), repeat=f.arity)]).reshape((2,) * len(legs))
+
+
+def _fused_against_dense(monkeypatch, factors, open_names):
+    """``_fold`` of hand-made (payload, names) entries, a payload dense or a
+    ``_guard`` lift, checked against the dense fold: the sorted legs of
+    each factor ``_fold`` hands ``contract_all``."""
+    mgr = TddManager([(n, KIND_WIRE) for n in sorted({n for _, ns in factors for n in ns})])
+    entries = [_Entry("gate", tuple(ns), "q", p) for p, ns in factors]
+    seen = _spy_factors(monkeypatch)
+    t = _fold(mgr, entries, _Netlist(open_names=set(open_names)), CompileStats(), 26,
+              _count_uses(entries))
+    dense = [(_lift_dense(*p) if isinstance(p, tuple) else p, ns) for p, ns in factors]
+    want, names = _dense_fold(dense, open_names)
+    assert sorted(names) == sorted(i.name for i in t.indices)
+    assert np.max(np.abs(_dense_by_name(mgr, t, names) - want)) < 1e-9
+    return [sorted(legs) for legs, _ in seen]
+
+
+def test_fusion_keeps_an_index_a_third_entry_holds(monkeypatch):
+    # y's third holder is too wide to join, so the first product keeps y
+    rng = np.random.default_rng(11)
+    factors = [(_rand(rng, 2), ["a", "y"]), (_rand(rng, 2), ["y", "b"]),
+               (_rand(rng, 4), ["y", "c", "d", "e"])]
+    legs = _fused_against_dense(monkeypatch, factors, {"a", "b", "c", "d", "e"})
+    assert legs == [["a", "b", "y"], ["c", "d", "e", "y"]]
+
+
+def test_fusion_keeps_a_shared_open_index_open(monkeypatch):
+    rng = np.random.default_rng(12)
+    factors = [(_rand(rng, 2), ["a", "y"]), (_rand(rng, 2), ["y", "b"])]
+    assert _fused_against_dense(monkeypatch, factors, {"a", "b", "y"}) == [["a", "b", "y"]]
+
+
+def test_a_guarded_lift_closes_a_run(monkeypatch):
+    # without the lift between them, the two dense entries would fuse on a
+    rng = np.random.default_rng(13)
+    both = BoolFunc.identity(2).output_bit(0) & BoolFunc.identity(2).output_bit(1)
+    lift = ("c1", "c2", "z", "y")
+    factors = [(_rand(rng, 2), ["a", "y"]),
+               (_guard(both, lift, _rand(rng, 2), np.eye(2)), list(lift)),
+               (_rand(rng, 2), ["a", "b"])]
+    legs = _fused_against_dense(monkeypatch, factors, {"c1", "c2", "z", "b"})
+    assert legs == [["a", "y"], sorted(lift), ["a", "b"]]
+
+
+def test_no_product_is_wider_than_a_recipe(monkeypatch):
+    # a fourth holder of s would give the product five open legs, so it
+    # starts a second run, which keeps s for the first
+    rng = np.random.default_rng(14)
+    outs = [f"o{k}" for k in range(5)]
+    factors = [(_rand(rng, 2), ["s", o]) for o in outs]
+    legs = _fused_against_dense(monkeypatch, factors, set(outs))
+    assert legs == [["o0", "o1", "o2", "s"], ["o3", "o4", "s"]]
 
 
 def test_no_factors_is_the_scalar_one():

@@ -317,7 +317,7 @@ def test_engine_errors_are_inconclusive(monkeypatch):
     def deep(*a, **k):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(TddManager, "contract", deep)
+    monkeypatch.setattr(TddManager, "from_dense", deep)
     pair = B.teleport_pair()
     v, _ = check(pair.spec_a, pair.spec_b, "q")
     assert v.status == "inconclusive" and v.reason.startswith("engine error")

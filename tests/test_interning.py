@@ -8,13 +8,16 @@ matrix, the cache bounds and an empty cache at import.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tddeq
 from tddeq import circuits, encode, tdd, textfmt
 from tddeq.circuits import CircuitSpec, Conventional, Gate, gate, validate
 from tddeq.tdd import DENSE_CACHE
@@ -136,8 +139,12 @@ def test_import_fills_no_cache():
             "            if hasattr(v, 'cache_info') and v.__module__ == name:\n"
             "                out[f'{name}.{a}'] = v.cache_info().currsize\n"
             "print(json.dumps(out))\n")
+    # the child imports the package this run imports, however it was found
+    src = str(Path(tddeq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=120)
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
     sizes = json.loads(proc.stdout)
     for mod, names in NEW_CACHES.items():
         for name in names:
